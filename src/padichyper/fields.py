@@ -24,7 +24,6 @@ from .padic import (
     is_prime,
     teichmueller,
     unramified_context,
-    zq_pow,
 )
 
 DEFAULT_MAX_Q = 100_000
@@ -311,12 +310,56 @@ def trace(x: FqElement) -> int:
     return coeffs[0]
 
 
+def check_context(field: FqField, uctx: UnramifiedContext) -> None:
+    """Reject a Z_q context that does not present the field's extension."""
+    if (uctx.p, uctx.r) != (field.p, field.r) or uctx.poly_mod_p != tuple(field.poly):
+        raise ValueError("field and p-adic context present different extensions")
+
+
+class TeichmuellerPowers:
+    """T[s] = omega(g)^s in Z_q mod p^K for s in [0, q-1), g the field's
+    generator; then omega^m(x) = T[m * dlog(x) mod (q-1)].
+
+    One Teichmueller lift and q-2 ring multiplies build it.  ``array`` holds
+    the coordinates as a (q-1, r) array for gathers: int64 while p^K < 2^31,
+    so a product of two residues stays below 2^62, else Python ints.
+    """
+
+    def __init__(self, field: FqField, uctx: UnramifiedContext):
+        check_context(field, uctx)
+        self.field = field
+        self.uctx = uctx
+        g = teichmueller(field.generator, uctx)
+        powers = [uctx.one]
+        for _ in range(field.q - 2):
+            powers.append(powers[-1] * g)
+        self.powers = powers
+        dtype = np.int64 if uctx.modulus < 2**31 else object
+        self.array = np.array([z.coeffs for z in powers], dtype=dtype)
+
+    def dlog(self, x: FqElement) -> int:
+        if x.idx == 0:
+            raise ZeroArgument("characters vanish at 0 by convention; not a unit value")
+        return self.field.dlog[x.idx]
+
+
+_TEICH_CACHE: dict[tuple, TeichmuellerPowers] = {}
+
+
+def teichmueller_powers(field: FqField, uctx: UnramifiedContext) -> TeichmuellerPowers:
+    """Cached TeichmuellerPowers, keyed by the field's (p, r, variant) and the
+    context, which carries K and the lifted polynomial fixing the coordinates."""
+    key = (field.p, field.r, field.variant, uctx)
+    if key not in _TEICH_CACHE:
+        _TEICH_CACHE[key] = TeichmuellerPowers(field, uctx)
+    return _TEICH_CACHE[key]
+
+
 def char_eval_padic(m: Union[int, CharacterIndex], x: FqElement, uctx: UnramifiedContext) -> ZqElement:
     """omega^m(x) in Z_q mod p^K via the Teichmueller lift."""
-    if x.idx == 0:
-        raise ZeroArgument("characters vanish at 0 by convention; not a unit value")
-    e = as_char_exponent(m, x.field.q - 1)
-    return zq_pow(teichmueller(x, uctx), e)
+    q1 = x.field.q - 1
+    table = teichmueller_powers(x.field, uctx)
+    return table.powers[as_char_exponent(m, q1) * table.dlog(x) % q1]
 
 
 def check_orthogonality(field: FqField) -> bool:

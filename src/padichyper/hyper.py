@@ -8,6 +8,10 @@ twisted by inverse-Teichmueller powers of the evaluation point.  All floors
 and fractional parts are computed in exact integer arithmetic over a common
 denominator, so term valuations are exact and the unit parts carry provable
 absolute precision.
+
+The twist omega-bar(t)^j is omega(g)^(-j dlog t) for the field's generator g,
+read from the per-field Teichmueller power table, so a point costs a gather
+and a modular dot product rather than a lift, an inverse and q-2 multiplies.
 """
 
 from __future__ import annotations
@@ -15,6 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
 
 from .errors import (
     BoundTooLargeForPrecision,
@@ -24,7 +31,7 @@ from .errors import (
     PrecisionExhausted,
     ZeroArgument,
 )
-from .fields import FqElement, FqField, uctx_for
+from .fields import FqElement, FqField, TeichmuellerPowers, check_context, teichmueller_powers, uctx_for
 from .gamma import gamma_cache
 from .padic import (
     PadicNumber,
@@ -32,10 +39,10 @@ from .padic import (
     ZqElement,
     frac_floor,
     padic_sum,
-    teichmueller,
-    zq_inv,
-    zq_pow,
 )
+
+# Not called here any more; perfbench/tracing.py wraps them under these names.
+from .padic import teichmueller, zq_inv  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -84,9 +91,7 @@ class GInstance:
         self.params.check_padic(self.field.p)
         if self.t.is_zero:
             raise ZeroArgument("evaluation point t must be nonzero")
-        u, f = self.uctx, self.field
-        if (u.p, u.r) != (f.p, f.r) or u.poly_mod_p != tuple(f.poly):
-            raise ValueError("field and p-adic context present different extensions")
+        check_context(self.field, self.uctx)
 
 
 def _valuation_bounds(n: int, p: int, r: int) -> tuple[int, int]:
@@ -98,9 +103,10 @@ class GProfile:
     """j-indexed exact valuations and unit scalars for one (params, field, K).
 
     The gamma ratios and (-p)-exponents do not depend on the evaluation point,
-    so one profile serves every t; ``eval_qg`` needs O(q) ring operations per
-    point.  Built from the shared gamma table over the common denominator
-    lcm(param denominators, q-1).
+    so one profile serves every t.  ``eval_qg`` gathers the twists from the
+    field's Teichmueller power table and takes one modular dot product per
+    point: no ring multiplies.  Built from the shared gamma table over the
+    common denominator lcm(param denominators, q-1).
     """
 
     def __init__(self, params: GParams, field: FqField, uctx: UnramifiedContext):
@@ -164,8 +170,15 @@ class GProfile:
         else:
             self.qg_scaled = None
 
-    def _wbar(self, t: FqElement) -> ZqElement:
-        return zq_inv(teichmueller(t, self.uctx))
+    @cached_property
+    def _powers(self) -> TeichmuellerPowers:
+        return teichmueller_powers(self.field, self.uctx)
+
+    @cached_property
+    def _gather(self) -> tuple[np.ndarray, np.ndarray]:
+        """(-j for each j, qg_scaled as a column in the power table's dtype)."""
+        minus_j = -np.arange(self.field.q - 1, dtype=np.int64)
+        return minus_j, np.array(self.qg_scaled, dtype=self._powers.array.dtype)[:, None]
 
     def eval_qg(self, t: FqElement) -> PadicNumber:
         """q * G at t, to absolute precision K.
@@ -180,30 +193,13 @@ class GProfile:
             )
         ctx = self.uctx
         m = ctx.modulus
-        r = ctx.r
-        q = self.field.q
-        wbar = self._wbar(t).coeffs
-        scaled = self.qg_scaled
-        if r == 1:
-            wb = wbar[0]
-            w = 1
-            acc = 0
-            for j in range(q - 1):
-                acc += scaled[j] * w
-                w = w * wb % m
-            coeffs = (acc % m,)
-        else:
-            w_elt = ctx.one
-            wbar_elt = ZqElement(wbar, ctx)
-            acc = [0] * r
-            for j in range(q - 1):
-                s = scaled[j]
-                wc = w_elt.coeffs
-                for i in range(r):
-                    acc[i] = (acc[i] + s * wc[i]) % m
-                w_elt = w_elt * wbar_elt
-            coeffs = tuple(acc)
-        total = ZqElement(coeffs, ctx).scale(self.neg_inv_q1)
+        powers = self._powers
+        minus_j, scaled = self._gather
+        # omega-bar(t)^j = T[-j dlog t]; each product is reduced before the
+        # sum, so the int64 gather stays exact
+        twists = powers.array[minus_j * powers.dlog(t) % (self.field.q - 1)]
+        acc = (scaled * twists % m).sum(axis=0) % m
+        total = ZqElement(tuple(int(c) for c in acc), ctx).scale(self.neg_inv_q1)
         K = ctx.K
         if total.is_zero:
             return PadicNumber.zero(K)
@@ -224,16 +220,9 @@ class GProfile:
         q = self.field.q
         if not 0 <= j <= q - 2:
             raise ValueError("j out of range")
-        unit = zq_pow(self._wbar(t), j).scale(self.units[j])
+        powers = self._powers
+        unit = powers.powers[-j * powers.dlog(t) % (q - 1)].scale(self.units[j])
         return PadicNumber(self.vals[j], unit, self.vals[j] + self.uctx.K)
-
-
-def _vp(n: int, p: int) -> int:
-    w = 0
-    while n % p == 0:
-        n //= p
-        w += 1
-    return w
 
 
 _PROFILES: dict[tuple, GProfile] = {}
@@ -298,13 +287,18 @@ def g_eval(inst: GInstance) -> PadicNumber:
 def recover_integer(x: PadicNumber, bound: int, p: int | None = None) -> int:
     """Symmetric lift of a p-adic value claimed to be an integer in [-B, B].
 
-    ``p`` is only consulted when x is an exact_zero (which carries no context);
-    without it the precision gate assumes the weakest odd prime, 3.
+    ``p`` is only consulted when x is an exact_zero (which carries no
+    context); it is required there unless the zero is exact to infinite
+    precision.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     if x.exact_zero:
-        if x.abs_prec != math.inf and (p or 3) ** x.abs_prec <= 2 * bound:
+        if x.abs_prec == math.inf:
+            return 0
+        if p is None:
+            raise ValueError("p is required to gate a zero known to finite precision")
+        if p**x.abs_prec <= 2 * bound:
             raise BoundTooLargeForPrecision("zero known to too few digits")
         return 0
     ctx = x.unit.context

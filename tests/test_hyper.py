@@ -12,7 +12,7 @@ from padichyper.errors import (
     PrecisionExhausted,
     ZeroArgument,
 )
-from padichyper.fields import build_field, phi, uctx_for
+from padichyper.fields import build_field, phi, teichmueller_powers, uctx_for
 from padichyper.gamma import gamma_cache
 from padichyper.hyper import (
     GInstance,
@@ -24,10 +24,32 @@ from padichyper.hyper import (
     recover_integer,
     term_valuations,
 )
-from padichyper.padic import PadicNumber, default_precision, frac_floor
+from padichyper.padic import PadicNumber, default_precision, frac_floor, teichmueller, zq_inv, zq_pow
 
 QT = GParams(2, (Fraction(1, 4), Fraction(3, 4)), (Fraction(1, 3), Fraction(2, 3)))
 HS = GParams(2, (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 6), Fraction(5, 6)))
+HS2 = GParams(4, HS.a + HS.a, HS.b + HS.b)  # term valuations reach -2: g_eval needs guard digits
+
+
+def oracle_qg(prof, t):
+    """q*G at t by the plain per-point loop: lift t, invert, then multiply
+    the twist up one power of omega-bar(t) per term."""
+    ctx = prof.uctx
+    wbar = zq_inv(teichmueller(t, ctx))
+    w = ctx.one
+    acc = ctx.zero_elt
+    for j in range(prof.field.q - 1):
+        acc = acc + w.scale(prof.qg_scaled[j])
+        w = w * wbar
+    total = acc.scale(prof.neg_inv_q1)
+    if total.is_zero:
+        return PadicNumber.zero(ctx.K)
+    v = total.valuation()
+    return PadicNumber(v, total.unshift(v), ctx.K)
+
+
+def oracle_term_unit(prof, t, j):
+    return zq_pow(zq_inv(teichmueller(t, prof.uctx)), j).scale(prof.units[j])
 
 
 def make_instance(p, r, params, t, K=None, variant=0):
@@ -186,6 +208,48 @@ class TestEval:
         assert val.abs_prec >= 5 - 2  # vmin = -2 for the stacked family
 
 
+class TestTwistTable:
+    """The Teichmueller power table and the gathers that read it, against
+    per-point lifts.  The 11^9 cases reuse the gamma table the deep-guard
+    test above builds (same p, K and denominator 30)."""
+
+    @pytest.mark.parametrize("p,r,K", [(7, 1, 4), (5, 2, 3), (3, 3, 4), (13, 1, 9), (5, 2, 14)])
+    def test_table_is_teichmueller_of_generator_powers(self, p, r, K):
+        # (13, 1, 9) and (5, 2, 14) have p^K >= 2^31: the Python-int array
+        field = build_field(p, r)
+        table = teichmueller_powers(field, uctx_for(field, K))
+        g = field.generator
+        for s in range(field.q - 1):
+            want = teichmueller(g**s, table.uctx).coeffs
+            assert table.powers[s].coeffs == want
+            assert tuple(int(c) for c in table.array[s]) == want
+
+    def test_table_rejects_foreign_context(self):
+        f0, f1 = build_field(5, 2, variant=0), build_field(5, 2, variant=1)
+        assert f0.poly != f1.poly
+        with pytest.raises(ValueError):
+            teichmueller_powers(f0, uctx_for(f1, 3))
+        with pytest.raises(ValueError):
+            teichmueller_powers(build_field(7, 1), uctx_for(build_field(5, 1), 3))
+
+    # 11^9 >= 2^31 takes the Python-int gather; the others the int64 one
+    @pytest.mark.parametrize("p,r,params,K", [(5, 1, QT, 5), (7, 2, QT, 6), (5, 3, QT, 8), (11, 1, HS, 9)])
+    def test_eval_qg_matches_per_point_loop(self, p, r, params, K):
+        field = build_field(p, r)
+        prof = profile_for(params, field, uctx_for(field, K))
+        for t in field.units():
+            assert prof.eval_qg(t) == oracle_qg(prof, t)
+
+    @pytest.mark.parametrize("p,r,params,K", [(7, 1, QT, 5), (5, 2, QT, 6), (11, 1, HS2, 9)])
+    def test_g_term_matches_lifted_power(self, p, r, params, K):
+        field = build_field(p, r)
+        for t in (field.from_index(2), field.generator, -field.one):
+            inst = GInstance(params, field, uctx_for(field, K), t)
+            prof = profile_for(params, field, inst.uctx)
+            for j in range(field.q - 1):
+                assert g_term(inst, j).unit == oracle_term_unit(prof, t, j)
+
+
 class TestRecoverInteger:
     def setup_method(self):
         self.u = uctx_for(build_field(7, 1), 5)
@@ -199,6 +263,13 @@ class TestRecoverInteger:
 
     def test_zero(self):
         assert recover_integer(PadicNumber.zero(), 5) == 0
+
+    def test_zero_to_finite_precision_needs_p(self):
+        with pytest.raises(ValueError):
+            recover_integer(PadicNumber.zero(3), 5)
+        assert recover_integer(PadicNumber.zero(3), 5, p=7) == 0
+        with pytest.raises(BoundTooLargeForPrecision):
+            recover_integer(PadicNumber.zero(3), 7**3, p=7)
 
     def test_negative_valuation_rejected(self):
         x = PadicNumber(-1, self.u.from_int(3), 4)
