@@ -5,8 +5,8 @@ Layers, bottom up:
 
 - ``padic``: Z/p^K, the unramified extension Z_q, Teichmueller lifts, and
   valuation/unit p-adic numbers with tracked absolute precision.
-- ``gamma``: Morita's p-adic gamma at rational arguments (batched, cached)
-  and the gamma product identities.
+- ``gamma``: Morita's p-adic gamma at rational arguments (polynomial time
+  in p and K, memoized) and the gamma product identities.
 - ``fields``: F_{p^r} with deterministic generator and discrete-log tables,
   multiplicative characters, trace.
 - ``gauss``: complex-float Gauss sums and their product relations.

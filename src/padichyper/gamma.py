@@ -3,121 +3,95 @@ denominator, to precision p^K, plus the gamma product identities the
 verification suite checks.
 
 The continuity estimate Gamma_p(x) = Gamma_p(n) mod p^K for any integer
-n = x mod p^K reduces every evaluation to a truncated product of p-free
-integers.  Those products are served by a checkpointed prefix-product table:
-requested points are sorted, gaps are filled with numpy pairwise tree
-reductions, and a generalized Wilson reflection (the product of all units of
-Z/p^K is -1) keeps every sweep inside [0, p^K/2].
+n = x mod p^K reduces every evaluation to Gamma_p(n) = (-1)^n f(n), where
+f(n) is the product of the p-free integers 0 < j < n, mod p^K.
+
+f is computed in time polynomial in p and K from digit-block polynomials.
+For a level L < K and a digit d <= p, C_{L,d}(y) is the product of the p-free
+j in [y p^(L+1), y p^(L+1) + d p^L), as a polynomial in y:
+
+    C_{0,d}(y) = prod_{0<i<d} (p y + i)
+    C_{L,d}(y) = prod_{c<d} C_{L-1,p}(p y + c)
+
+Its y^k coefficient is divisible by p^k, so truncation to degree below K is
+exact mod p^K.  Splitting [0, n) by the base-p digits d_L of n gives
+f(n) = prod_L C_{L,d_L}(n // p^(L+1)): K Horner evaluations per value, after
+O(K^3 p) multiplications mod p^K to build the polynomials of one (p, K).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
-import numpy as np
-
 from .errors import DenominatorDivisibleByP
-from .padic import (
-    PrecisionContext,
-    UnramifiedContext,
-    ZpElement,
-    frac_floor,
-    teichmueller,
-    zq_inv,
-    zq_pow,
-)
-
-# Pairwise int64 products are exact below 2^63, so direct tree reduction
-# needs modulus < 2^31; a 16-bit split of one factor extends that to 2^32.
-_NUMPY_DIRECT_LIMIT = 1 << 31
-_NUMPY_SPLIT_LIMIT = 1 << 32
-_CHUNK = 1 << 22
+from .padic import PrecisionContext, UnramifiedContext, ZpElement, frac_floor
 
 
-def _pairmul(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    if m <= _NUMPY_DIRECT_LIMIT:
-        return (a * b) % m
-    hi = b >> 16
-    lo = b & 0xFFFF
-    return (((a * hi % m) << 16) % m + a * lo % m) % m
+def _mul(a: list[int], b: list[int], m: int) -> list[int]:
+    """a * b mod m, truncated to len(a) coefficients."""
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) % m for k in range(len(a))]
 
 
-def _tree_reduce(arr: np.ndarray, m: int) -> int:
-    """Product of an int64 array mod m by halving passes."""
-    tail = 1
-    while arr.size > 1:
-        if arr.size & 1:
-            tail = tail * int(arr[-1]) % m
-            arr = arr[:-1]
-        arr = _pairmul(arr[0::2], arr[1::2], m)
-    head = int(arr[0]) if arr.size else 1
-    return head * tail % m
+def _shift(a: list[int], c: int, p: int, m: int) -> list[int]:
+    """a(p y + c) mod m by Horner; the y^K term it drops is 0 mod p^K."""
+    out = [0] * len(a)
+    for coeff in reversed(a):
+        for k in range(len(out) - 1, 0, -1):
+            out[k] = (out[k] * c + out[k - 1] * p) % m
+        out[0] = (out[0] * c + coeff) % m
+    return out
+
+
+def _digit_blocks(p: int, K: int) -> list[list[list[int]]]:
+    """blocks[L][d] = coefficients of C_{L,d}(y), for L < K and d <= p."""
+    m = p**K
+    one = [1] + [0] * (K - 1)
+    level = [one, one]
+    for i in range(1, p):  # times p y + i, as K coefficients
+        level.append(_mul(level[-1], ([i, p] + [0] * K)[:K], m))
+    blocks = [level]
+    for _ in range(1, K):
+        full = blocks[-1][p]
+        level = [one]
+        for c in range(p):
+            level.append(_mul(level[-1], _shift(full, c, p, m), m))
+        blocks.append(level)
+    return blocks
 
 
 class GammaCache:
-    """Sparse memo of cumulative unit products for one (p, K).
+    """Gamma_p mod p^K for one (p, K).
 
-    ``table[n]`` is the product of all p-free j < n, mod p^K; checkpoints are
-    added lazily as gamma arguments arrive and reused across calls.
+    ``table[n]`` memoizes f(n), the product of all p-free 0 < j < n mod p^K,
+    at every point evaluated so far; ``blocks`` holds the digit-block
+    polynomials every new point is evaluated from.
     """
 
     def __init__(self, context: PrecisionContext):
         self.context = context
-        self.table: dict[int, int] = {0: 1, 1: 1, 2: 1}
-        self._keys = [0, 1, 2]
+        self.table: dict[int, int] = {0: 1}
 
-    # -- cumulative products ------------------------------------------------
-
-    def _segment_product(self, lo: int, hi: int) -> int:
-        """Product of p-free j in [lo, hi) mod p^K."""
-        p, m = self.context.p, self.context.modulus
-        lo = max(lo, 1)
-        if hi - lo <= 2048 or m > _NUMPY_SPLIT_LIMIT:
-            acc = 1
-            for j in range(lo, hi):
-                if j % p:
-                    acc = acc * j % m
-            return acc
-        acc = 1
-        for start in range(lo, hi, _CHUNK):
-            stop = min(start + _CHUNK, hi)
-            arr = np.arange(start, stop, dtype=np.int64)
-            arr = arr[arr % p != 0]
-            acc = acc * _tree_reduce(arr, m) % m
-        return acc
-
-    def _fill(self, points: Iterable[int]) -> None:
-        for n in sorted(set(points)):
-            if n in self.table:
-                continue
-            n0 = self._keys[bisect_right(self._keys, n) - 1]
-            val = self.table[n0] * self._segment_product(n0, n) % self.context.modulus
-            self.table[n] = val
-            insort(self._keys, n)
+    @cached_property
+    def blocks(self) -> list[list[list[int]]]:
+        return _digit_blocks(self.context.p, self.context.K)
 
     def _f(self, n: int) -> int:
-        """f(n) = prod_{0<j<n, p-free} j mod p^K, via reflection for large n."""
-        m, p = self.context.modulus, self.context.p
-        half = (m + 1) // 2
-        if n <= half:
-            return self.table[n]
-        mirror = m - n
-        c = mirror - mirror // p
-        inv = pow(self.table[mirror + 1], -1, m)
-        return (-inv if c % 2 == 0 else inv) % m
-
-    def _reflection_points(self, ns: Iterable[int]) -> set[int]:
-        m = self.context.modulus
-        half = (m + 1) // 2
-        out = set()
-        for n in ns:
-            if n == 0:
-                continue
-            out.add(n if n <= half else m - n + 1)
-        return out
+        """f(n) for 0 <= n < p^K, one block per base-p digit of n."""
+        f = self.table.get(n)
+        if f is None:
+            p, m = self.context.p, self.context.modulus
+            f, y = 1, n
+            for level in self.blocks:
+                y, d = divmod(y, p)
+                if d:
+                    acc = 0
+                    for coeff in reversed(level[d]):
+                        acc = (acc * y + coeff) % m
+                    f = f * acc % m
+            self.table[n] = f
+        return f
 
     # -- gamma values ---------------------------------------------------------
 
@@ -130,17 +104,12 @@ class GammaCache:
         return x.numerator * pow(x.denominator, -1, m) % m
 
     def _gamma_of_n(self, n: int) -> int:
-        if n == 0:
-            return 1
         f = self._f(n)
         return f if n % 2 == 0 else -f % self.context.modulus
 
     def gamma_many(self, args: Iterable[Fraction]) -> dict[Fraction, int]:
-        """Gamma values for a batch of rationals, one table sweep for all."""
-        wanted = {Fraction(x) for x in args}
-        ns = {x: self._reduce_argument(x) for x in wanted}
-        self._fill(self._reflection_points(ns.values()))
-        return {x: self._gamma_of_n(n) for x, n in ns.items()}
+        """Gamma values for a batch of rationals."""
+        return {x: self._gamma_of_n(self._reduce_argument(x)) for x in map(Fraction, args)}
 
     def gamma(self, x) -> int:
         x = Fraction(x)
@@ -178,10 +147,10 @@ def verify_reflection(x, cache: GammaCache) -> bool:
 
 
 def _omega_power(t_int: int, exponent: int, uctx: UnramifiedContext):
-    """omega(t)^exponent for a positive integer t coprime to p."""
-    base = teichmueller(t_int % uctx.p, uctx)
-    e = exponent % (uctx.q - 1)
-    return zq_pow(base, e)
+    """omega(t)^exponent for an integer t coprime to p.  omega(t) lies in Z_p,
+    equals t^(p^(K-1)) mod p^K and has order dividing p-1."""
+    p, K = uctx.p, uctx.K
+    return uctx.from_int(pow(t_int, p ** (K - 1) * (exponent % (p - 1)), uctx.modulus))
 
 
 def lemma31_sides(t: int, j: int, uctx: UnramifiedContext):
@@ -255,11 +224,8 @@ def eq29_sides(l: int, uctx: UnramifiedContext):
         pi = p**i
         lhs = lhs * g[frac_floor(Fraction((q - 1 - l) * pi, q - 1))[0]] % m
         lhs = lhs * g[frac_floor(Fraction(l * pi, q - 1))[0]] % m
-    omega_minus_one = teichmueller(-1 % p, uctx)
-    rhs = zq_pow(zq_inv(omega_minus_one), l % (q - 1))
-    if r % 2:
-        rhs = -rhs
-    return uctx.from_int(lhs), rhs
+    # omega-bar(-1) = -1 for odd p
+    return uctx.from_int(lhs), uctx.from_int((-1) ** (r + l))
 
 
 def verify_eq29(l: int, uctx: UnramifiedContext) -> bool:

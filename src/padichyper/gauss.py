@@ -31,7 +31,6 @@ class GaussTables:
     """Per-field root-of-unity tables and all q-1 Gauss sums."""
 
     def __init__(self, field: FqField):
-        self.field = field
         q, q1, p = field.q, field.q - 1, field.p
         self.zeta_q1 = np.exp(2j * math.pi * np.arange(q1) / q1)
         self.zeta_p = np.exp(2j * math.pi * np.arange(p) / p)
@@ -46,14 +45,12 @@ class GaussTables:
             raise ArithmeticError("non-finite Gauss sum")
 
 
-_TABLES: dict[int, GaussTables] = {}
-
-
 def gauss_tables(field: FqField) -> GaussTables:
-    key = id(field)
-    if key not in _TABLES:
-        _TABLES[key] = GaussTables(field)
-    return _TABLES[key]
+    """The field's tables, built on first use and kept on the field itself."""
+    tables = getattr(field, "_gauss_tables", None)
+    if tables is None:
+        tables = field._gauss_tables = GaussTables(field)
+    return tables
 
 
 def gauss_sum(m: Union[int, CharacterIndex], field: FqField) -> ComplexVal:

@@ -23,6 +23,17 @@ class TestGammaCommand:
     def test_p_divisible_denominator_is_usage_error(self, capsys):
         assert main(["gamma", "1/5", "--p", "5", "--K", "2"]) == 2
 
+    def test_large_p_satisfies_reflection(self, capsys):
+        # 101^5 > 2^32; Gamma(1/3) Gamma(2/3) = 1 because 1/3 = 34 mod 101 is even
+        values = []
+        for x in ("1/3", "2/3"):
+            assert main(["gamma", "--p", "101", "--", x]) == 0
+            line = capsys.readouterr().out.splitlines()[0]
+            assert line.startswith(f"Gamma_101({x}) mod 101^")
+            K = int(line.split(" = ")[0].rsplit("^", 1)[1])
+            values.append(int(line.split(" = ")[1]))
+        assert values[0] * values[1] % 101**K == 1
+
 
 class TestGGCommand:
     def test_known_value_recovers_trace(self, capsys):

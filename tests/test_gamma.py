@@ -6,6 +6,8 @@ import pytest
 from padichyper.errors import DenominatorDivisibleByP
 from padichyper.gamma import (
     GammaCache,
+    _omega_power,
+    eq29_sides,
     gamma_cache,
     gamma_p,
     verify_eq29,
@@ -13,7 +15,14 @@ from padichyper.gamma import (
     verify_lemma5,
     verify_reflection,
 )
-from padichyper.padic import PrecisionContext, unramified_context
+from padichyper.padic import (
+    PrecisionContext,
+    teichmueller,
+    unramified_context,
+    zq_inv,
+    zq_pow,
+)
+from padichyper.verify import RangeSpec, run_suite
 
 
 def gamma_brute(n: int, p: int, K: int) -> int:
@@ -24,6 +33,32 @@ def gamma_brute(n: int, p: int, K: int) -> int:
         if j % p:
             acc = acc * j % m
     return acc if n % 2 == 0 else -acc % m
+
+
+def gamma_oracle_table(ns, p: int, K: int) -> dict[int, int]:
+    """Gamma_p(n) for each n in [0, p^K): one sorted running product up to
+    p^K/2, and the generalized Wilson theorem (the units of Z/p^K multiply
+    to -1) for the points above it."""
+    m = p**K
+    half = (m + 1) // 2
+    # f(n) = -(-1)^c / f(m - n + 1) for n > half, with c the p-free count in [1, m - n]
+    stops = sorted({n if n <= half else m - n + 1 for n in ns})
+    f, acc, j = {}, 1, 1
+    for stop in stops:
+        while j < stop:
+            if j % p:
+                acc = acc * j % m
+            j += 1
+        f[stop] = acc
+    out = {}
+    for n in ns:
+        if n <= half:
+            val = f[n]
+        else:
+            c = (m - n) - (m - n) // p
+            val = (1 if c % 2 else -1) * pow(f[m - n + 1], -1, m) % m
+        out[n] = val if n % 2 == 0 else -val % m
+    return out
 
 
 class TestGammaValues:
@@ -78,7 +113,8 @@ class TestGammaValues:
         assert z.context.p == 5 and z.residue == cache.gamma(Fraction(1, 2))
 
     def test_segment_product_beyond_int64_direct_range(self):
-        # 11^9 sits between 2^31 and 2^32, exercising the split multiply
+        # plain product of a segment at 11^9 (between 2^31 and 2^32), read back
+        # from the public API as f(hi) / f(lo) with f(n) = (-1)^n Gamma_p(n)
         cache = gamma_cache(11, 9)
         m = 11**9
         lo, hi = 5_000_000, 5_130_000
@@ -86,7 +122,11 @@ class TestGammaValues:
         for j in range(lo, hi):
             if j % 11:
                 acc = acc * j % m
-        assert cache._segment_product(lo, hi) == acc
+
+        def f(n: int) -> int:
+            return (-1) ** n * cache.gamma(Fraction(n)) % m
+
+        assert f(hi) * pow(f(lo), -1, m) % m == acc
 
 
 class TestContinuity:
@@ -168,3 +208,72 @@ class TestProductIdentities:
     def test_floor_identity_rejects_midpoint(self):
         with pytest.raises(ValueError):
             verify_lemma5(3, 0, 7, 1)
+
+
+class TestOracles:
+    """The digit-block Gamma_p against oracles that share none of its code."""
+
+    @pytest.mark.parametrize("p,K", [(3, 7), (5, 6), (7, 5), (11, 4), (13, 4)])
+    def test_running_product_exhaustive(self, p, K):
+        m = p**K
+        cache = GammaCache(PrecisionContext(p, K))
+        acc = 1
+        for n in range(m):
+            expected = acc if n % 2 == 0 else -acc % m
+            assert cache.gamma(Fraction(n)) == expected, (p, K, n)
+            if n % p:
+                acc = acc * n % m
+
+    @pytest.mark.parametrize("p", [11, 13])
+    def test_rational_tables_against_sorted_sweep(self, p):
+        K = 5
+        m = p**K
+        cache = GammaCache(PrecisionContext(p, K))
+        for den in (p - 1, 12 * (p - 1)):
+            ns = [c * pow(den, -1, m) % m for c in range(den)]
+            oracle = gamma_oracle_table(ns, p, K)
+            assert cache.rational_table(den) == [oracle[n] for n in ns], (p, den)
+
+    @pytest.mark.parametrize("p", [89, 199])
+    def test_reflection_beyond_2_32(self, p):
+        # 89^5 and 199^5 exceed 2^32
+        cache = gamma_cache(p, 5)
+        for c in range(p - 1):
+            assert verify_reflection(Fraction(c, p - 1), cache), (p, c)
+
+    def test_lemma31_at_89(self):
+        u = unramified_context(89, 5, 1)
+        for t in (2, 3):
+            for j in range(88):
+                assert verify_lemma31(t, j, u), (t, j)
+
+    def test_mc_sweep_at_p_89_to_97(self):
+        report = run_suite(RangeSpec(theorems=("mc",), pmin=89, pmax=97, r_values=(1,), sample=3))
+        assert report.records
+        assert all(rec.passed for rec in report.records)
+
+
+class TestTeichmuellerIntegerForm:
+    """omega on integers and omega-bar(-1) as integers, against the Z_q lift."""
+
+    @pytest.mark.parametrize("p,K,r", [(5, 4, 1), (7, 3, 2), (5, 3, 3), (11, 5, 1), (3, 4, 2)])
+    def test_omega_power_matches_lift(self, p, K, r):
+        u = unramified_context(p, K, r)
+        q = p**r
+        for a in range(1, p):
+            lift = teichmueller(a, u)
+            assert _omega_power(a, 1, u).coeffs == lift.coeffs, (p, K, r, a)
+            for e in (0, 2, -1, q - 2, 3 * q):
+                expected = zq_pow(lift, e % (q - 1))
+                assert _omega_power(a + p, e, u).coeffs == expected.coeffs, (a, e)
+
+    @pytest.mark.parametrize("p,K,r", [(5, 4, 1), (7, 3, 2), (5, 3, 3)])
+    def test_eq29_sign_matches_lift(self, p, K, r):
+        u = unramified_context(p, K, r)
+        q = p**r
+        bar = zq_inv(teichmueller(p - 1, u))
+        for l in range(1, min(q - 1, 40)):
+            expected = zq_pow(bar, l)
+            if r % 2:
+                expected = -expected
+            assert eq29_sides(l, u)[1].coeffs == expected.coeffs, (p, r, l)

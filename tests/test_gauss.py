@@ -1,10 +1,12 @@
 import cmath
+import gc
 import math
+import weakref
 
 import pytest
 
 from padichyper.errors import ModulusMismatch, TrivialCharacter, ZeroArgument
-from padichyper.fields import build_field
+from padichyper.fields import FqField, build_field, trace
 from padichyper.gauss import (
     check_davenport_hasse,
     check_gk_product,
@@ -38,6 +40,35 @@ class TestGaussSum:
         direct = sum(z4[(2 * s) % 4] * z5[pow(g, s, 5)] for s in range(4))
         assert abs(gauss_sum(2, f) - direct) < 1e-9
         assert abs(abs(direct) ** 2 - 5) < 1e-9
+
+    def test_tables_follow_the_field_not_its_id(self):
+        # a freed field's id can be reused by the next field built outside
+        # build_field; that field must still get its own tables
+        old = FqField(5, 1)
+        gauss_sum(1, old)
+        old_id = id(old)
+        del old
+        built = []
+        for _ in range(50):
+            built.append(FqField(7, 1))
+            if id(built[-1]) == old_id:
+                break
+        f = built[-1]
+        q1 = f.q - 1
+        for m in range(q1):
+            direct = sum(
+                cmath.exp(2j * cmath.pi * (m * s / q1 + trace(f.from_index(f.exp[s])) / f.p))
+                for s in range(q1)
+            )
+            assert abs(gauss_sum(m, f) - direct) < 1e-9, m
+
+    def test_tables_do_not_keep_the_field_alive(self):
+        f = FqField(5, 1)
+        gauss_sum(1, f)
+        ref = weakref.ref(f)
+        del f
+        gc.collect()
+        assert ref() is None
 
     @pytest.mark.parametrize("p,r", [(5, 1), (7, 1), (5, 2)])
     def test_conjugation_relation(self, p, r):
