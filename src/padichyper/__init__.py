@@ -3,14 +3,16 @@ counting and character machinery to verify their transformation identities.
 
 Layers, bottom up:
 
-- ``padic``: Z/p^K, the unramified extension Z_q, Teichmueller lifts, and
-  valuation/unit p-adic numbers with tracked absolute precision.
+- ``padic``: the unramified extension Z_q mod p^K (Z/p^K is its r = 1
+  case), Teichmueller lifts, and valuation/unit p-adic numbers with tracked
+  absolute precision.
 - ``gamma``: Morita's p-adic gamma at rational arguments (polynomial time
   in p and K, memoized) and the gamma product identities.
 - ``fields``: F_{p^r} with deterministic generator and discrete-log tables,
   multiplicative characters, trace.
 - ``gauss``: complex-float Gauss sums and their product relations.
-- ``hyper``: the nGn series evaluator and integer recovery.
+- ``hyper``: the nGn series evaluator (``g_eval`` and ``GProfile.eval_qg``
+  share one gather-and-dot-product sum) and integer recovery.
 - ``curves``: Weierstrass/Hessian point counts and the parameter bridge.
 - ``verify``: identity checks as records, range sweeps, reports.
 - ``cli``: the command-line entry point.
@@ -36,23 +38,18 @@ from .errors import (
 )
 from .padic import (
     PadicNumber,
-    PrecisionContext,
     UnramifiedContext,
-    ZpElement,
     ZqElement,
     default_precision,
     frac_floor,
     padic_sum,
     teichmueller,
     unramified_context,
-    zp_from_rational,
-    zq_arith,
     zq_inv,
     zq_pow,
 )
-from .gamma import GammaCache, gamma_cache, gamma_p, verify_eq29, verify_lemma31, verify_lemma5, verify_reflection
+from .gamma import GammaCache, gamma_cache, verify_eq29, verify_lemma31, verify_lemma5, verify_reflection
 from .fields import (
-    CharacterIndex,
     FqElement,
     FqField,
     build_field,
@@ -81,7 +78,6 @@ from .curves import (
     j_invariant,
 )
 from .verify import (
-    AlphaValue,
     RangeSpec,
     Report,
     VerifyRecord,

@@ -261,19 +261,6 @@ class FqElement:
         return f"Fq{self.coeffs}@{self.field.p}^{self.field.r}"
 
 
-@dataclass(frozen=True)
-class CharacterIndex:
-    """Index m of the character T^m for a fixed generator T of the dual group."""
-
-    m: int
-
-
-def as_char_exponent(m: Union[int, CharacterIndex], q1: int) -> int:
-    if isinstance(m, CharacterIndex):
-        m = m.m
-    return m % q1
-
-
 _FIELD_CACHE: dict[tuple, FqField] = {}
 
 
@@ -316,13 +303,19 @@ def check_context(field: FqField, uctx: UnramifiedContext) -> None:
         raise ValueError("field and p-adic context present different extensions")
 
 
+def residue_dtype(modulus: int):
+    """Array dtype for residues mod p^K that are multiplied then reduced:
+    int64 while p^K < 2^31, so a product of two stays below 2^62, else
+    Python ints."""
+    return np.int64 if modulus < 2**31 else object
+
+
 class TeichmuellerPowers:
     """T[s] = omega(g)^s in Z_q mod p^K for s in [0, q-1), g the field's
     generator; then omega^m(x) = T[m * dlog(x) mod (q-1)].
 
     One Teichmueller lift and q-2 ring multiplies build it.  ``array`` holds
-    the coordinates as a (q-1, r) array for gathers: int64 while p^K < 2^31,
-    so a product of two residues stays below 2^62, else Python ints.
+    the coordinates as a (q-1, r) array of ``residue_dtype`` for gathers.
     """
 
     def __init__(self, field: FqField, uctx: UnramifiedContext):
@@ -334,8 +327,7 @@ class TeichmuellerPowers:
         for _ in range(field.q - 2):
             powers.append(powers[-1] * g)
         self.powers = powers
-        dtype = np.int64 if uctx.modulus < 2**31 else object
-        self.array = np.array([z.coeffs for z in powers], dtype=dtype)
+        self.array = np.array([z.coeffs for z in powers], dtype=residue_dtype(uctx.modulus))
 
     def dlog(self, x: FqElement) -> int:
         if x.idx == 0:
@@ -355,11 +347,10 @@ def teichmueller_powers(field: FqField, uctx: UnramifiedContext) -> Teichmueller
     return _TEICH_CACHE[key]
 
 
-def char_eval_padic(m: Union[int, CharacterIndex], x: FqElement, uctx: UnramifiedContext) -> ZqElement:
+def char_eval_padic(m: int, x: FqElement, uctx: UnramifiedContext) -> ZqElement:
     """omega^m(x) in Z_q mod p^K via the Teichmueller lift."""
-    q1 = x.field.q - 1
     table = teichmueller_powers(x.field, uctx)
-    return table.powers[as_char_exponent(m, q1) * table.dlog(x) % q1]
+    return table.powers[m * table.dlog(x) % (x.field.q - 1)]
 
 
 def check_orthogonality(field: FqField) -> bool:

@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable
 
 from .errors import DenominatorDivisibleByP
-from .padic import PrecisionContext, UnramifiedContext, ZpElement, frac_floor
+from .padic import UnramifiedContext, frac_floor, odd_prime_modulus
 
 
 def _mul(a: list[int], b: list[int], m: int) -> list[int]:
@@ -62,26 +62,28 @@ def _digit_blocks(p: int, K: int) -> list[list[list[int]]]:
 
 
 class GammaCache:
-    """Gamma_p mod p^K for one (p, K).
+    """Gamma_p mod p^K for one odd prime p and K >= 1.
 
     ``table[n]`` memoizes f(n), the product of all p-free 0 < j < n mod p^K,
     at every point evaluated so far; ``blocks`` holds the digit-block
     polynomials every new point is evaluated from.
     """
 
-    def __init__(self, context: PrecisionContext):
-        self.context = context
+    def __init__(self, p: int, K: int):
+        self.modulus = odd_prime_modulus(p, K)
+        self.p = p
+        self.K = K
         self.table: dict[int, int] = {0: 1}
 
     @cached_property
     def blocks(self) -> list[list[list[int]]]:
-        return _digit_blocks(self.context.p, self.context.K)
+        return _digit_blocks(self.p, self.K)
 
     def _f(self, n: int) -> int:
         """f(n) for 0 <= n < p^K, one block per base-p digit of n."""
         f = self.table.get(n)
         if f is None:
-            p, m = self.context.p, self.context.modulus
+            p, m = self.p, self.modulus
             f, y = 1, n
             for level in self.blocks:
                 y, d = divmod(y, p)
@@ -96,16 +98,14 @@ class GammaCache:
     # -- gamma values ---------------------------------------------------------
 
     def _reduce_argument(self, x: Fraction) -> int:
-        if x.denominator % self.context.p == 0:
-            raise DenominatorDivisibleByP(
-                f"{x} has denominator divisible by {self.context.p}"
-            )
-        m = self.context.modulus
+        if x.denominator % self.p == 0:
+            raise DenominatorDivisibleByP(f"{x} has denominator divisible by {self.p}")
+        m = self.modulus
         return x.numerator * pow(x.denominator, -1, m) % m
 
     def _gamma_of_n(self, n: int) -> int:
         f = self._f(n)
-        return f if n % 2 == 0 else -f % self.context.modulus
+        return f if n % 2 == 0 else -f % self.modulus
 
     def gamma_many(self, args: Iterable[Fraction]) -> dict[Fraction, int]:
         """Gamma values for a batch of rationals."""
@@ -124,20 +124,14 @@ class GammaCache:
 
 @lru_cache(maxsize=None)
 def gamma_cache(p: int, K: int) -> GammaCache:
-    return GammaCache(PrecisionContext(p, K))
-
-
-def gamma_p(x, cache: GammaCache) -> ZpElement:
-    """Morita p-adic gamma of a rational with p-free denominator, mod p^K."""
-    return ZpElement(cache.gamma(Fraction(x)), cache.context)
+    return GammaCache(p, K)
 
 
 def verify_reflection(x, cache: GammaCache) -> bool:
     """Gamma_p(x) * Gamma_p(1-x) must be the sign (-1)^{x0}, where x0 is the
     representative of x mod p in {1, ..., p}."""
     x = Fraction(x)
-    m = cache.context.modulus
-    p = cache.context.p
+    m, p = cache.modulus, cache.p
     vals = cache.gamma_many([x, 1 - x])
     prod = vals[x] * vals[1 - x] % m
     r0 = x.numerator * pow(x.denominator, -1, p) % p

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Union
 
 import numpy as np
 
 from .errors import ModulusMismatch, TrivialCharacter, ZeroArgument
-from .fields import CharacterIndex, FqElement, FqField, as_char_exponent, trace
+from .fields import FqElement, FqField, trace
 
 #: Complex values are plain double-precision Python complex numbers.
 ComplexVal = complex
@@ -53,10 +52,10 @@ def gauss_tables(field: FqField) -> GaussTables:
     return tables
 
 
-def gauss_sum(m: Union[int, CharacterIndex], field: FqField) -> ComplexVal:
+def gauss_sum(m: int, field: FqField) -> ComplexVal:
     """G(T^m) = sum over x != 0 of T^m(x) theta(x); the x = 0 term vanishes
     by the chi(0) = 0 convention."""
-    e = as_char_exponent(m, field.q - 1)
+    e = m % (field.q - 1)
     return complex(gauss_tables(field).G[e])
 
 
@@ -66,10 +65,10 @@ def _char_value(e: int, x: FqElement) -> ComplexVal:
     return complex(tab.zeta_q1[e * x.dlog() % (x.field.q - 1)])
 
 
-def gk_product_sides(k: Union[int, CharacterIndex], field: FqField) -> tuple[ComplexVal, ComplexVal]:
+def gk_product_sides(k: int, field: FqField) -> tuple[ComplexVal, ComplexVal]:
     """(G_k G_{-k}, q T^k(-1)) for a nontrivial character index k."""
     q1 = field.q - 1
-    e = as_char_exponent(k, q1)
+    e = k % q1
     if e == 0:
         raise TrivialCharacter("k must be nonzero mod q-1")
     tab = gauss_tables(field)
@@ -79,7 +78,7 @@ def gk_product_sides(k: Union[int, CharacterIndex], field: FqField) -> tuple[Com
     return lhs, rhs
 
 
-def check_gk_product(k: Union[int, CharacterIndex], field: FqField, tol: float | None = None) -> bool:
+def check_gk_product(k: int, field: FqField, tol: float | None = None) -> bool:
     """|G_k G_{-k} - q T^k(-1)| < tol for a nontrivial character index k."""
     lhs, rhs = gk_product_sides(k, field)
     if tol is None:
@@ -108,15 +107,13 @@ def check_theta_expansion(alpha: FqElement, field: FqField, tol: float | None = 
     return abs(lhs - rhs) < tol
 
 
-def davenport_hasse_sides(
-    m: int, psi: Union[int, CharacterIndex], field: FqField
-) -> tuple[ComplexVal, ComplexVal]:
+def davenport_hasse_sides(m: int, psi: int, field: FqField) -> tuple[ComplexVal, ComplexVal]:
     """Both sides of the Davenport-Hasse product relation for the m-torsion
     characters twisted by psi."""
     q1 = field.q - 1
     if m <= 0 or q1 % m != 0:
         raise ModulusMismatch(f"q = {field.q} is not 1 mod {m}")
-    e = as_char_exponent(psi, q1)
+    e = psi % q1
     tab = gauss_tables(field)
     step = q1 // m
     lhs = 1 + 0j
@@ -131,9 +128,7 @@ def davenport_hasse_sides(
     return complex(lhs), complex(rhs)
 
 
-def check_davenport_hasse(
-    m: int, psi: Union[int, CharacterIndex], field: FqField, tol: float | None = None
-) -> bool:
+def check_davenport_hasse(m: int, psi: int, field: FqField, tol: float | None = None) -> bool:
     """Product of G over the m-torsion characters twisted by psi against
     -G(psi^m) psi(m^-m) times the untwisted product."""
     lhs, rhs = davenport_hasse_sides(m, psi, field)

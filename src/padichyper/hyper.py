@@ -1,4 +1,4 @@
-"""Term-by-term evaluator for the p-adic hypergeometric series nGn over F_q,
+"""Evaluator for the p-adic hypergeometric series nGn over F_q,
 with exact rational floor bookkeeping, reusable per-field term profiles, and
 symmetric-lift integer recovery.
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -31,18 +31,20 @@ from .errors import (
     PrecisionExhausted,
     ZeroArgument,
 )
-from .fields import FqElement, FqField, TeichmuellerPowers, check_context, teichmueller_powers, uctx_for
-from .gamma import gamma_cache
-from .padic import (
-    PadicNumber,
-    UnramifiedContext,
-    ZqElement,
-    frac_floor,
-    padic_sum,
+from .fields import (
+    FqElement,
+    FqField,
+    TeichmuellerPowers,
+    check_context,
+    residue_dtype,
+    teichmueller_powers,
+    uctx_for,
 )
+from .gamma import gamma_cache
+from .padic import PadicNumber, UnramifiedContext, ZqElement, frac_floor
 
-# Not called here any more; perfbench/tracing.py wraps them under these names.
-from .padic import teichmueller, zq_inv  # noqa: F401
+# Not called here; perfbench/tracing.py wraps them under these names.
+from .padic import padic_sum, teichmueller, zq_inv  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -99,14 +101,58 @@ def _valuation_bounds(n: int, p: int, r: int) -> tuple[int, int]:
     return -n * geo, 2 * n * geo
 
 
+@lru_cache(maxsize=64)
+def term_exponents(params: GParams, p: int, r: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """The gamma-free part of every summand, exactly: (D, vals, args).
+
+    D = lcm(param denominators, q-1) is the common denominator; vals[j] is
+    the (-p)-exponent total v_j of summand j; args[:, j] holds the numerators
+    over D of the fractional parts <a_i p^k - j p^k/(q-1)> and
+    <-b_i p^k + j p^k/(q-1)>, whose gamma values make up summand j.  At j = 0
+    they are the j-independent gamma denominators, and v_0 = 0.
+    """
+    q = p**r
+    D = q - 1
+    for x in params.a + params.b:
+        D = D * x.denominator // math.gcd(D, x.denominator)
+    j = np.arange(q - 1, dtype=np.int64)
+    vals = np.zeros(q - 1, dtype=np.int64)
+    args = []
+    for i in range(params.n):
+        for k in range(r):
+            pk = p**k
+            fa = frac_floor(params.a[i] * pk)[0]
+            fb = frac_floor(-params.b[i] * pk)[0]
+            ca = fa.numerator * (D // fa.denominator)
+            cb = fb.numerator * (D // fb.denominator)
+            step = j * (pk * (D // (q - 1)))
+            for num in (ca - step, cb + step):
+                floor, arg = np.divmod(num, D)
+                vals -= floor
+                args.append(arg)
+    lo, hi = _valuation_bounds(params.n, p, r)
+    if vals.min() < lo or vals.max() > hi:
+        raise AssertionError(f"term valuations [{vals.min()}, {vals.max()}] escape [{lo}, {hi}]")
+    args = np.array(args)
+    vals.flags.writeable = args.flags.writeable = False
+    return D, vals, args
+
+
+def _times_p_power(x: PadicNumber, s: int) -> PadicNumber:
+    """x * p^s, for an integer s of either sign."""
+    if x.exact_zero:
+        return PadicNumber.zero(x.abs_prec + s)
+    return PadicNumber(x.valuation + s, x.unit, x.abs_prec + s)
+
+
 class GProfile:
     """j-indexed exact valuations and unit scalars for one (params, field, K).
 
     The gamma ratios and (-p)-exponents do not depend on the evaluation point,
-    so one profile serves every t.  ``eval_qg`` gathers the twists from the
-    field's Teichmueller power table and takes one modular dot product per
-    point: no ring multiplies.  Built from the shared gamma table over the
-    common denominator lcm(param denominators, q-1).
+    so one profile serves every t.  ``eval_qg`` and ``g_eval`` share one sum:
+    it gathers the twists from the field's Teichmueller power table and takes
+    one modular dot product per point, with no ring multiplies.  Built from
+    ``term_exponents`` and the shared gamma table over its common denominator.
     """
 
     def __init__(self, params: GParams, field: FqField, uctx: UnramifiedContext):
@@ -115,70 +161,54 @@ class GProfile:
         self.field = field
         self.uctx = uctx
         p, r, q = field.p, field.r, field.q
-        K = uctx.K
         m = uctx.modulus
-        cache = gamma_cache(p, K)
-
-        D = q - 1
-        for x in params.a + params.b:
-            D = D * x.denominator // math.gcd(D, x.denominator)
-        gtab = cache.rational_table(D)
-
-        # per (i, k): integer numerators over D of <a_i p^k>, <-b_i p^k>, and
-        # the step p^k/(q-1); gamma denominators are j-independent
-        entries = []
-        den_prod = 1
-        for i in range(params.n):
-            for k in range(r):
-                pk = p**k
-                fa = frac_floor(params.a[i] * pk)[0]
-                fb = frac_floor(-params.b[i] * pk)[0]
-                ca = fa.numerator * (D // fa.denominator)
-                cb = fb.numerator * (D // fb.denominator)
-                cs = pk * (D // (q - 1))
-                entries.append((ca, cb, cs))
-                den_prod = den_prod * gtab[ca] % m * gtab[cb] % m
-        den_inv = pow(den_prod, -1, m)
-
-        lo, hi = _valuation_bounds(params.n, p, r)
-        v = [0] * (q - 1)
-        c = [0] * (q - 1)
-        n_par = params.n
-        for j in range(q - 1):
-            num = 1
-            e_tot = 0
-            for ca, cb, cs in entries:
-                f1, a1 = divmod(ca - j * cs, D)
-                f2, a2 = divmod(cb + j * cs, D)
-                e_tot -= f1 + f2
-                num = num * gtab[a1] % m * gtab[a2] % m
-            if not lo <= e_tot <= hi:
-                raise AssertionError(f"term valuation {e_tot} escapes [{lo}, {hi}]")
-            unit = num * den_inv % m
-            if (j * n_par + e_tot) % 2:
-                unit = -unit % m
-            v[j] = e_tot
-            c[j] = unit
-        self.vals = v
-        self.units = c
-        self.vmin = min(v)
-        self.vmax = max(v)
-        # -q/(q-1) prefactor of q*G, a unit scalar
+        D, vals, args = term_exponents(params, p, r)
+        dtype = residue_dtype(m)
+        gtab = np.array(gamma_cache(p, uctx.K).rational_table(D), dtype=dtype)
+        num = np.ones(q - 1, dtype=dtype)
+        for row in args:
+            num = num * gtab[row] % m
+        units = num * pow(int(num[0]), -1, m) % m
+        # (-1)^(jn) times the sign of (-p)^(v_j)
+        odd = (np.arange(q - 1) * params.n + vals) % 2 == 1
+        units[odd] = -units[odd] % m
+        self.vals = vals.tolist()
+        self.units = units.tolist()
+        self.vmin = min(self.vals)
+        self.vmax = max(self.vals)
+        # the -1/(q-1) prefactor, a unit scalar
         self.neg_inv_q1 = -pow(q - 1, -1, m) % m
-        if self.vmin + r >= 0:
-            self.qg_scaled = [c[j] * p ** (r + v[j]) % m for j in range(q - 1)]
-        else:
-            self.qg_scaled = None
+        self._minus_j = -np.arange(q - 1, dtype=np.int64)
+        self._columns: dict[int, np.ndarray] = {}
 
     @cached_property
     def _powers(self) -> TeichmuellerPowers:
         return teichmueller_powers(self.field, self.uctx)
 
-    @cached_property
-    def _gather(self) -> tuple[np.ndarray, np.ndarray]:
-        """(-j for each j, qg_scaled as a column in the power table's dtype)."""
-        minus_j = -np.arange(self.field.q - 1, dtype=np.int64)
-        return minus_j, np.array(self.qg_scaled, dtype=self._powers.array.dtype)[:, None]
+    def _sum(self, t: FqElement, shift: int) -> PadicNumber:
+        """p^shift * G at t, to absolute precision K; needs v_j + shift >= 0
+        for every j.
+
+        The twist omega-bar(t)^j = T[-j dlog t] is gathered from the power
+        table for every j at once, and one modular dot product takes it
+        against the column c_j p^(v_j + shift); each product is reduced
+        before the sum, so the int64 gather stays exact.
+        """
+        ctx = self.uctx
+        m = ctx.modulus
+        powers = self._powers
+        column = self._columns.get(shift)
+        if column is None:
+            p = self.field.p
+            scaled = [c * pow(p, v + shift, m) % m for c, v in zip(self.units, self.vals)]
+            column = self._columns[shift] = np.array(scaled, dtype=powers.array.dtype)[:, None]
+        twists = powers.array[self._minus_j * powers.dlog(t) % (self.field.q - 1)]
+        acc = (column * twists % m).sum(axis=0) % m
+        total = ZqElement(tuple(int(c) for c in acc), ctx).scale(self.neg_inv_q1)
+        if total.is_zero:
+            return PadicNumber.zero(ctx.K)
+        w0 = total.valuation()
+        return PadicNumber(w0, total.unshift(w0), ctx.K)
 
     def eval_qg(self, t: FqElement) -> PadicNumber:
         """q * G at t, to absolute precision K.
@@ -187,33 +217,16 @@ class GProfile:
         holds for all parameter families used by the identity suite; the
         general path is g_eval, which adds guard digits instead.
         """
-        if self.qg_scaled is None:
+        r = self.uctx.r
+        if self.vmin + r < 0:
             raise PrecisionExhausted(
                 "q*G has terms below valuation 0; evaluate via g_eval with guard digits"
             )
-        ctx = self.uctx
-        m = ctx.modulus
-        powers = self._powers
-        minus_j, scaled = self._gather
-        # omega-bar(t)^j = T[-j dlog t]; each product is reduced before the
-        # sum, so the int64 gather stays exact
-        twists = powers.array[minus_j * powers.dlog(t) % (self.field.q - 1)]
-        acc = (scaled * twists % m).sum(axis=0) % m
-        total = ZqElement(tuple(int(c) for c in acc), ctx).scale(self.neg_inv_q1)
-        K = ctx.K
-        if total.is_zero:
-            return PadicNumber.zero(K)
-        w0 = total.valuation()
-        unit = total.unshift(w0)
-        return PadicNumber(w0, unit, K)
+        return self._sum(t, r)
 
     def eval_g(self, t: FqElement) -> PadicNumber:
         """G itself (absolute precision K - r)."""
-        qg = self.eval_qg(t)
-        r = self.uctx.r
-        if qg.exact_zero:
-            return PadicNumber.zero(qg.abs_prec - r)
-        return PadicNumber(qg.valuation - r, qg.unit, qg.abs_prec - r)
+        return _times_p_power(self.eval_qg(t), -self.uctx.r)
 
     def term(self, t: FqElement, j: int) -> PadicNumber:
         """The j-th summand (without the -1/(q-1) prefactor)."""
@@ -241,47 +254,21 @@ def g_term(inst: GInstance, j: int) -> PadicNumber:
     return profile_for(inst.params, inst.field, inst.uctx).term(inst.t, j)
 
 
-def term_valuations(params: GParams, p: int, r: int) -> list[int]:
-    """Exact (-p)-exponent totals of every summand, gamma-free."""
-    q = p**r
-    D = q - 1
-    for x in params.a + params.b:
-        D = D * x.denominator // math.gcd(D, x.denominator)
-    entries = []
-    for i in range(params.n):
-        for k in range(r):
-            pk = p**k
-            fa = frac_floor(params.a[i] * pk)[0]
-            fb = frac_floor(-params.b[i] * pk)[0]
-            entries.append(
-                (fa.numerator * (D // fa.denominator), fb.numerator * (D // fb.denominator), pk * (D // (q - 1)))
-            )
-    out = []
-    for j in range(q - 1):
-        e_tot = 0
-        for ca, cb, cs in entries:
-            e_tot -= (ca - j * cs) // D + (cb + j * cs) // D
-        out.append(e_tot)
-    return out
-
-
 def g_eval(inst: GInstance) -> PadicNumber:
-    """Full series value as a PadicNumber.
+    """Full series value as a PadicNumber, at absolute precision K + v_max >= K.
 
-    Follows the guard rule: term valuations are computed exactly first, the
-    unit sum then runs at working precision K + (v_max - v_min), and the
-    -1/(q-1) prefactor is applied last.  The result's absolute precision is
-    at least K + v_max >= K.
+    Follows the guard rule.  The term valuations v_j come first, from the
+    gamma-free ``term_exponents``; the profile at K + (v_max - v_min) then
+    sums c_j p^(v_j - v_min) omega-bar(t)^j with the -1/(q-1) prefactor, and
+    the result is that sum times p^(v_min).
     """
-    K = inst.uctx.K
-    vals = term_valuations(inst.params, inst.field.p, inst.field.r)
-    guard = max(vals) - min(vals)
-    work_ctx = uctx_for(inst.field, K + guard) if guard else inst.uctx
-    prof = profile_for(inst.params, inst.field, work_ctx)
-    terms = [prof.term(inst.t, j) for j in range(inst.field.q - 1)]
-    total = padic_sum(terms)
-    prefactor = PadicNumber.from_rational(Fraction(-1, inst.field.q - 1), work_ctx)
-    return total * prefactor
+    _, vals, _ = term_exponents(inst.params, inst.field.p, inst.field.r)
+    vmin, vmax = int(vals.min()), int(vals.max())
+    uctx = inst.uctx
+    if vmax > vmin:
+        uctx = uctx_for(inst.field, uctx.K + vmax - vmin)
+    prof = profile_for(inst.params, inst.field, uctx)
+    return _times_p_power(prof._sum(inst.t, -vmin), vmin)
 
 
 def recover_integer(x: PadicNumber, bound: int, p: int | None = None) -> int:

@@ -1,5 +1,5 @@
-"""Exact arithmetic in Z/p^K, the unramified extension Z_q mod p^K, and
-valuation/unit p-adic numbers.
+"""Exact arithmetic in the unramified extension Z_q mod p^K (Z/p^K is its
+r = 1 case) and valuation/unit p-adic numbers.
 
 Everything here is exact: residues are Python integers reduced mod p^K,
 extension elements are coefficient vectors in the power basis of a lifted
@@ -19,7 +19,6 @@ from typing import Iterable, Sequence, Union
 from .errors import (
     CompositeP,
     ContextMismatch,
-    DenominatorDivisibleByP,
     NotAUnit,
     PrecisionExhausted,
     ZeroArgument,
@@ -86,69 +85,13 @@ def padic_valuation(n: int, p: int) -> int:
     return w
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
-    """Working ring Z/p^K for an odd prime p."""
-
-    p: int
-    K: int
-    modulus: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.p == 2 or not is_prime(self.p):
-            raise CompositeP(f"p must be an odd prime, got {self.p}")
-        if self.K < 1:
-            raise ValueError(f"precision exponent must be >= 1, got {self.K}")
-        object.__setattr__(self, "modulus", self.p**self.K)
-
-
-@dataclass(frozen=True)
-class ZpElement:
-    """Residue in Z/p^K."""
-
-    residue: int
-    context: PrecisionContext
-
-    def __post_init__(self):
-        if not 0 <= self.residue < self.context.modulus:
-            raise ValueError("residue out of range")
-
-    def _check(self, other: "ZpElement"):
-        if self.context != other.context:
-            raise ContextMismatch("Zp operands from different contexts")
-
-    def __add__(self, other):
-        self._check(other)
-        return ZpElement((self.residue + other.residue) % self.context.modulus, self.context)
-
-    def __sub__(self, other):
-        self._check(other)
-        return ZpElement((self.residue - other.residue) % self.context.modulus, self.context)
-
-    def __mul__(self, other):
-        self._check(other)
-        return ZpElement((self.residue * other.residue) % self.context.modulus, self.context)
-
-    def __neg__(self):
-        return ZpElement(-self.residue % self.context.modulus, self.context)
-
-    @property
-    def is_unit(self) -> bool:
-        return self.residue % self.context.p != 0
-
-    def inverse(self) -> "ZpElement":
-        if not self.is_unit:
-            raise NotAUnit("element is divisible by p")
-        return ZpElement(pow(self.residue, -1, self.context.modulus), self.context)
-
-
-def zp_from_rational(x: RationalLike, ctx: PrecisionContext) -> ZpElement:
-    """Embed a rational with p-free denominator into Z/p^K."""
-    x = Fraction(x)
-    if x.denominator % ctx.p == 0:
-        raise DenominatorDivisibleByP(f"{x} has denominator divisible by {ctx.p}")
-    res = x.numerator * pow(x.denominator, -1, ctx.modulus) % ctx.modulus
-    return ZpElement(res, ctx)
+def odd_prime_modulus(p: int, K: int) -> int:
+    """p^K, after checking that p is an odd prime and K >= 1."""
+    if p == 2 or not is_prime(p):
+        raise CompositeP(f"p must be an odd prime, got {p}")
+    if K < 1:
+        raise ValueError(f"precision exponent must be >= 1, got {K}")
+    return p**K
 
 
 # ---------------------------------------------------------------------------
@@ -246,15 +189,6 @@ def _root_is_primitive(poly: Sequence[int], p: int) -> bool:
     return True
 
 
-def smallest_primitive_root(p: int) -> int:
-    """Least primitive root modulo an odd prime p."""
-    facs = prime_factors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // ell, p) != 1 for ell in facs):
-            return g
-    raise CompositeP(f"no primitive root mod {p}; is p prime?")
-
-
 @lru_cache(maxsize=None)
 def find_defining_poly(p: int, r: int, variant: int = 0) -> tuple[int, ...]:
     """Deterministic defining polynomial for F_{p^r}: lower coefficients of the
@@ -293,39 +227,32 @@ def find_defining_poly(p: int, r: int, variant: int = 0) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class UnramifiedContext:
-    """Z_q mod p^K presented as Z/p^K[x] modulo a monic lifted polynomial.
+    """Z_q mod p^K presented as Z/p^K[x] modulo a monic lifted polynomial;
+    r = 1 is Z/p^K itself.
 
-    ``poly`` holds the lower coefficients (c_0, ..., c_{r-1}) of
-    x^r + c_{r-1} x^{r-1} + ... + c_0, reduced mod p^K; its reduction mod p
-    must be irreducible with a primitive root (checked at construction).
+    ``p`` must be an odd prime and ``K`` at least 1.  ``poly`` holds the
+    lower coefficients (c_0, ..., c_{r-1}) of x^r + c_{r-1} x^{r-1} + ... + c_0,
+    reduced mod p^K; its reduction mod p must be irreducible with a primitive
+    root (checked at construction).
     """
 
-    base: PrecisionContext
+    p: int
+    K: int
     r: int
     poly: tuple[int, ...]
+    modulus: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "modulus", odd_prime_modulus(self.p, self.K))
         if self.r < 1 or len(self.poly) != self.r:
             raise ValueError("poly must have exactly r lower coefficients")
-        if any(not 0 <= c < self.base.modulus for c in self.poly):
+        if any(not 0 <= c < self.modulus for c in self.poly):
             raise ValueError("poly coefficients must be reduced mod p^K")
         pm = self.poly_mod_p
         if not _is_irreducible(pm, self.p):
             raise ValueError("defining polynomial is reducible mod p")
         if not _root_is_primitive(pm, self.p):
             raise ValueError("root of defining polynomial is not primitive")
-
-    @property
-    def p(self) -> int:
-        return self.base.p
-
-    @property
-    def K(self) -> int:
-        return self.base.K
-
-    @property
-    def modulus(self) -> int:
-        return self.base.modulus
 
     @property
     def q(self) -> int:
@@ -352,15 +279,6 @@ class UnramifiedContext:
     def zero_elt(self) -> "ZqElement":
         return self.from_int(0)
 
-    def reduce_to(self, K2: int) -> "UnramifiedContext":
-        """The same extension at a smaller precision exponent."""
-        if K2 > self.K:
-            raise ValueError("can only reduce precision")
-        if K2 == self.K:
-            return self
-        m2 = self.p**K2
-        return unramified_context(self.p, K2, self.r, tuple(c % m2 for c in self.poly))
-
 
 @lru_cache(maxsize=None)
 def unramified_context(p: int, K: int, r: int, poly: tuple[int, ...] | None = None) -> UnramifiedContext:
@@ -368,7 +286,7 @@ def unramified_context(p: int, K: int, r: int, poly: tuple[int, ...] | None = No
     if poly is None:
         poly = find_defining_poly(p, r)
         poly = tuple(c % p**K for c in poly)
-    return UnramifiedContext(PrecisionContext(p, K), r, poly)
+    return UnramifiedContext(p, K, r, poly)
 
 
 @dataclass(frozen=True)
@@ -446,10 +364,6 @@ class ZqElement:
             return None
         return min(padic_valuation(c, self.context.p) for c in self.coeffs if c)
 
-    def shift(self, w: int) -> "ZqElement":
-        """Multiply by p^w (w >= 0)."""
-        return self.scale(self.context.p**w)
-
     def unshift(self, w: int) -> "ZqElement":
         """Divide exactly by p^w; every coefficient must be divisible."""
         pw = self.context.p**w
@@ -457,27 +371,8 @@ class ZqElement:
             raise ValueError("not divisible by p^w")
         return ZqElement(tuple(c // pw for c in self.coeffs), self.context)
 
-    def reduce_to(self, K2: int) -> "ZqElement":
-        ctx2 = self.context.reduce_to(K2)
-        m2 = ctx2.modulus
-        return ZqElement(tuple(c % m2 for c in self.coeffs), ctx2)
-
-    def inverse(self) -> "ZqElement":
-        return zq_inv(self)
-
     def __repr__(self):
         return f"Zq{self.coeffs}@{self.context.p}^{self.context.K}"
-
-
-def zq_arith(kind: str, x: ZqElement, y: ZqElement) -> ZqElement:
-    """Ring operation in Z_q mod p^K; kind in {'add', 'sub', 'mul'}."""
-    if kind == "add":
-        return x + y
-    if kind == "sub":
-        return x - y
-    if kind == "mul":
-        return x * y
-    raise ValueError(f"unknown operation {kind!r}")
 
 
 def zq_inv(x: ZqElement) -> ZqElement:
@@ -642,15 +537,6 @@ class PadicNumber:
         w = padic_valuation(n, self.unit.context.p)
         unit = self.unit.scale(n // self.unit.context.p**w)
         return PadicNumber(self.valuation + w, unit, self.abs_prec + w)
-
-    def reduce_to(self, K2: int) -> "PadicNumber":
-        """Re-express with units stored mod p^K2 (abs precision capped accordingly)."""
-        if self.exact_zero:
-            return self
-        prec = min(self.abs_prec, self.valuation + K2)
-        if prec <= self.valuation:
-            return PadicNumber.zero(prec)
-        return PadicNumber(self.valuation, self.unit.reduce_to(K2), prec)
 
     def agrees_to(self, other: "PadicNumber", prec: int) -> bool:
         """True iff self - other is O(p^prec); both must carry that much precision.

@@ -66,17 +66,11 @@ THEOREM_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class AlphaValue:
+def _alpha(field: FqField) -> int:
     """The branch scalar 5 - 6 phi(-3) for q = 1 mod 3, else 1."""
-
-    value: int
-
-    @classmethod
-    def for_field(cls, field: FqField) -> "AlphaValue":
-        if field.q % 3 == 1:
-            return cls(5 - 6 * phi(field.element(-3)))
-        return cls(1)
+    if field.q % 3 == 1:
+        return 5 - 6 * phi(field.element(-3))
+    return 1
 
 
 @dataclass
@@ -170,7 +164,7 @@ def verify_mt1(p: int, r: int, d, K: int | None = None, variant: int = 0) -> Ver
     with _Timer() as tm:
         m, n, t2 = _mt1_gates(field, d)
         lhs = _lhs_mt1(field, uctx, d)
-        scal = AlphaValue.for_field(field).value + phi(field.element(-3))
+        scal = _alpha(field) + phi(field.element(-3))
         rhs_g = profile_for(PARAMS_QUARTER_THIRD, field, uctx).eval_qg(t2).scale_int(phi(n))
         rhs = padic_sum([PadicNumber.from_int(scal, uctx), rhs_g])
         passed = lhs.agrees_to(rhs, K)
@@ -190,7 +184,7 @@ def verify_cor2(branch: int, p: int, r: int, d, aux, K: int | None = None, varia
     with _Timer() as tm:
         m, n, _ = _mt1_gates(field, d)
         lhs = _lhs_mt1(field, uctx, d)
-        scal = AlphaValue.for_field(field).value + phi(field.element(-3))
+        scal = _alpha(field) + phi(field.element(-3))
         if branch == 1:
             k = aux
             _gate(not k.is_zero, "k_is_zero")
@@ -324,7 +318,7 @@ def verify_hessian(
             .eval_qg(1 / a**3)
             .scale_int(phi(-3 * a))
         )
-        alpha = AlphaValue.for_field(field).value
+        alpha = _alpha(field)
         bound = field.q + 6 * math.isqrt(field.q) + 6
         try:
             X = recover_integer(H, bound, p=p)

@@ -23,6 +23,12 @@ class TestGammaCommand:
     def test_p_divisible_denominator_is_usage_error(self, capsys):
         assert main(["gamma", "1/5", "--p", "5", "--K", "2"]) == 2
 
+    def test_bad_p_or_K_is_usage_error(self, capsys):
+        assert main(["gamma", "1/2", "--p", "9"]) == 2
+        assert main(["gamma", "1/2", "--p", "5", "--K", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "CompositeP" in err and "precision exponent" in err
+
     def test_large_p_satisfies_reflection(self, capsys):
         # 101^5 > 2^32; Gamma(1/3) Gamma(2/3) = 1 because 1/3 = 34 mod 101 is even
         values = []

@@ -3,20 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from padichyper.errors import DenominatorDivisibleByP
+from padichyper.errors import CompositeP, DenominatorDivisibleByP
 from padichyper.gamma import (
     GammaCache,
     _omega_power,
     eq29_sides,
     gamma_cache,
-    gamma_p,
     verify_eq29,
     verify_lemma31,
     verify_lemma5,
     verify_reflection,
 )
 from padichyper.padic import (
-    PrecisionContext,
     teichmueller,
     unramified_context,
     zq_inv,
@@ -89,7 +87,7 @@ class TestGammaValues:
             assert cache.gamma(Fraction(n)) == (1 if n == 0 else gamma_brute(n, p, K))
 
     def test_batched_equals_single(self):
-        cache = GammaCache(PrecisionContext(7, 4))
+        cache = GammaCache(7, 4)
         args = [Fraction(a, b) for a in range(-6, 7) for b in (1, 2, 3, 4, 6) ]
         batch = cache.gamma_many(args)
         fresh = gamma_cache(7, 4)
@@ -107,10 +105,15 @@ class TestGammaValues:
         with pytest.raises(DenominatorDivisibleByP):
             cache.gamma(Fraction(1, 14))
 
-    def test_gamma_p_wraps_zp(self):
-        cache = gamma_cache(5, 3)
-        z = gamma_p(Fraction(1, 2), cache)
-        assert z.context.p == 5 and z.residue == cache.gamma(Fraction(1, 2))
+    def test_cache_rejects_bad_p_and_K(self):
+        with pytest.raises(CompositeP):
+            GammaCache(9, 5)
+        with pytest.raises(CompositeP):
+            GammaCache(2, 5)
+        with pytest.raises(ValueError):
+            GammaCache(5, 0)
+        cache = GammaCache(5, 3)
+        assert (cache.p, cache.K, cache.modulus) == (5, 3, 125)
 
     def test_segment_product_beyond_int64_direct_range(self):
         # plain product of a segment at 11^9 (between 2^31 and 2^32), read back
@@ -216,7 +219,7 @@ class TestOracles:
     @pytest.mark.parametrize("p,K", [(3, 7), (5, 6), (7, 5), (11, 4), (13, 4)])
     def test_running_product_exhaustive(self, p, K):
         m = p**K
-        cache = GammaCache(PrecisionContext(p, K))
+        cache = GammaCache(p, K)
         acc = 1
         for n in range(m):
             expected = acc if n % 2 == 0 else -acc % m
@@ -228,7 +231,7 @@ class TestOracles:
     def test_rational_tables_against_sorted_sweep(self, p):
         K = 5
         m = p**K
-        cache = GammaCache(PrecisionContext(p, K))
+        cache = GammaCache(p, K)
         for den in (p - 1, 12 * (p - 1)):
             ns = [c * pow(den, -1, m) % m for c in range(den)]
             oracle = gamma_oracle_table(ns, p, K)

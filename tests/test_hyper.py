@@ -22,30 +22,45 @@ from padichyper.hyper import (
     gparams,
     profile_for,
     recover_integer,
-    term_valuations,
+    term_exponents,
 )
-from padichyper.padic import PadicNumber, default_precision, frac_floor, teichmueller, zq_inv, zq_pow
+from padichyper.padic import PadicNumber, default_precision, frac_floor, padic_sum, teichmueller, zq_inv, zq_pow
+from padichyper.verify import _alpha
 
 QT = GParams(2, (Fraction(1, 4), Fraction(3, 4)), (Fraction(1, 3), Fraction(2, 3)))
 HS = GParams(2, (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 6), Fraction(5, 6)))
 HS2 = GParams(4, HS.a + HS.a, HS.b + HS.b)  # term valuations reach -2: g_eval needs guard digits
+H3 = gparams("1/2,1/2,1/2;1,1,1")  # negative term valuations as well
 
 
 def oracle_qg(prof, t):
     """q*G at t by the plain per-point loop: lift t, invert, then multiply
     the twist up one power of omega-bar(t) per term."""
     ctx = prof.uctx
+    p, r, m = ctx.p, ctx.r, ctx.modulus
     wbar = zq_inv(teichmueller(t, ctx))
     w = ctx.one
     acc = ctx.zero_elt
     for j in range(prof.field.q - 1):
-        acc = acc + w.scale(prof.qg_scaled[j])
+        acc = acc + w.scale(prof.units[j] * p ** (r + prof.vals[j]))
         w = w * wbar
-    total = acc.scale(prof.neg_inv_q1)
+    total = acc.scale(-pow(prof.field.q - 1, -1, m))
     if total.is_zero:
         return PadicNumber.zero(ctx.K)
     v = total.valuation()
     return PadicNumber(v, total.unshift(v), ctx.K)
+
+
+def oracle_g_eval(inst):
+    """G at t as a PadicNumber sum of every summand: the valuations at K fix
+    the guard, then the terms at K + guard are summed with padic_sum and
+    multiplied by -1/(q-1)."""
+    q = inst.field.q
+    vals = [g_term(inst, j).valuation for j in range(q - 1)]
+    work = uctx_for(inst.field, inst.uctx.K + max(vals) - min(vals))
+    deep = GInstance(inst.params, inst.field, work, inst.t)
+    total = padic_sum(g_term(deep, j) for j in range(q - 1))
+    return total * PadicNumber.from_rational(Fraction(-1, q - 1), work)
 
 
 def oracle_term_unit(prof, t, j):
@@ -110,14 +125,39 @@ class TestTerms:
         assert got.valuation == e_tot
         assert got.unit.coeffs == (unit,)
 
+    @pytest.mark.parametrize(
+        "p,r,params,K", [(7, 1, QT, 5), (5, 2, HS, 6), (13, 1, H3, 5), (5, 3, QT, 8), (11, 1, HS2, 9)]
+    )
+    def test_profile_matches_fraction_loop(self, p, r, params, K):
+        # every v_j and unit c_j against a per-j loop over Fraction floors and
+        # single gamma calls; 11^9 >= 2^31 takes the Python-int product
+        field = build_field(p, r)
+        prof = profile_for(params, field, uctx_for(field, K))
+        cache = gamma_cache(p, K)
+        q, m = field.q, p**K
+        for j in range(q - 1):
+            num = den = 1
+            e_tot = 0
+            for a_i, b_i in zip(params.a, params.b):
+                for k in range(r):
+                    s = Fraction(j * p**k, q - 1)
+                    fa, fb = frac_floor(a_i * p**k)[0], frac_floor(-b_i * p**k)[0]
+                    e_tot -= frac_floor(fa - s)[1] + frac_floor(fb + s)[1]
+                    num = num * cache.gamma(frac_floor(fa - s)[0]) * cache.gamma(frac_floor(fb + s)[0]) % m
+                    den = den * cache.gamma(fa) * cache.gamma(fb) % m
+            unit = num * pow(den, -1, m) % m
+            if (j * params.n + e_tot) % 2:
+                unit = -unit % m
+            assert (prof.vals[j], prof.units[j]) == (e_tot, unit), j
+
     def test_exponent_bounds_r1(self):
-        vals = term_valuations(QT, 7, 1)
+        vals = term_exponents(QT, 7, 1)[1]
         assert all(-QT.n <= v <= 2 * QT.n for v in vals)
 
     def test_exponent_bounds_r2(self):
         p, r = 5, 2
         geo = (p**r - 1) // (p - 1)
-        vals = term_valuations(HS, p, r)
+        vals = term_exponents(HS, p, r)[1]
         assert all(-HS.n * geo <= v <= 2 * HS.n * geo for v in vals)
 
     def test_j_out_of_range(self):
@@ -140,12 +180,11 @@ class TestEval:
     def test_hessian_oracle_p11(self):
         # the [1/2,1/2;1/6,5/6] value at 1/d^3 is pinned by the affine count
         from padichyper.curves import HessianCurve, count_hessian
-        from padichyper.verify import AlphaValue
 
         field = build_field(11, 1)
         d = field.element(2)
         count = count_hessian(HessianCurve(d), field)
-        alpha = AlphaValue.for_field(field).value
+        alpha = _alpha(field)
         inst = make_instance(11, 1, HS, (1 / d**3).idx)
         X = recover_integer(
             g_eval(inst).scale_int(11 * phi(-3 * d)), 11 + 6 * math.isqrt(11) + 6, p=11
@@ -162,11 +201,13 @@ class TestEval:
 
     @pytest.mark.parametrize("p,r", [(5, 1), (7, 1), (5, 2)])
     def test_precision_independence(self, p, r):
-        # evaluating at K and K+2 then truncating must agree exactly
+        # evaluating at K and K+2 then truncating must agree exactly; HS2
+        # takes the guard-digit path
         K = default_precision(p, r)
-        lo = g_eval(make_instance(p, r, QT, 2, K=K))
-        hi = g_eval(make_instance(p, r, QT, 2, K=K + 2))
-        assert lo.agrees_to(hi, int(min(lo.abs_prec, hi.abs_prec)))
+        for params in (QT, HS2):
+            lo = g_eval(make_instance(p, r, params, 2, K=K))
+            hi = g_eval(make_instance(p, r, params, 2, K=K + 2))
+            assert lo.agrees_to(hi, int(min(lo.abs_prec, hi.abs_prec)))
 
     def test_profile_agrees_with_g_eval(self):
         field = build_field(11, 1)
@@ -199,6 +240,17 @@ class TestEval:
         prof = profile_for(params, field, uctx_for(field, 5))
         with pytest.raises(PrecisionExhausted):
             prof.eval_qg(field.element(2))
+
+    @pytest.mark.parametrize("p,r", [(11, 1), (13, 1), (5, 2)])
+    @pytest.mark.parametrize("params", [QT, H3, HS2], ids=["trace", "guard3", "guard4"])
+    def test_g_eval_matches_term_sum(self, p, r, params):
+        # the dot product at K + guard against the summed PadicNumber terms
+        field = build_field(p, r)
+        K = default_precision(p, r)
+        for t in field.units():
+            inst = GInstance(params, field, uctx_for(field, K), t)
+            got, want = g_eval(inst), oracle_g_eval(inst)
+            assert (got.digits(), got.valuation, got.abs_prec) == (want.digits(), want.valuation, want.abs_prec)
 
     def test_g_eval_handles_deep_terms_with_guard(self):
         params = GParams(4, HS.a + HS.a, HS.b + HS.b)

@@ -7,22 +7,19 @@ from hypothesis import strategies as st
 from padichyper.errors import (
     CompositeP,
     ContextMismatch,
-    DenominatorDivisibleByP,
     NotAUnit,
     PrecisionExhausted,
     ZeroArgument,
 )
 from padichyper.padic import (
     PadicNumber,
-    PrecisionContext,
+    UnramifiedContext,
     default_precision,
     find_defining_poly,
     frac_floor,
     padic_sum,
     teichmueller,
     unramified_context,
-    zp_from_rational,
-    zq_arith,
     zq_inv,
     zq_pow,
 )
@@ -52,46 +49,61 @@ class TestFracFloor:
 
 
 class TestZpEmbedding:
+    """Z/p^K is the r = 1 context; rationals enter it through from_rational."""
+
     def test_half_mod_25(self):
-        ctx = PrecisionContext(5, 2)
-        assert zp_from_rational(Fraction(1, 2), ctx).residue == 13
+        x = PadicNumber.from_rational(Fraction(1, 2), unramified_context(5, 2, 1))
+        assert x.valuation == 0 and x.unit.coeffs == (13,)
 
     def test_sixth_mod_5(self):
-        ctx = PrecisionContext(5, 1)
-        assert zp_from_rational(Fraction(1, 6), ctx).residue == 1
+        x = PadicNumber.from_rational(Fraction(1, 6), unramified_context(5, 1, 1))
+        assert x.valuation == 0 and x.unit.coeffs == (1,)
 
     def test_denominator_divisible(self):
-        ctx = PrecisionContext(5, 2)
-        with pytest.raises(DenominatorDivisibleByP):
-            zp_from_rational(Fraction(1, 5), ctx)
+        # a p in the denominator becomes a negative valuation, not a residue
+        ctx = unramified_context(5, 2, 1)
+        x = PadicNumber.from_rational(Fraction(1, 5), ctx)
+        assert x.valuation == -1 and x.unit.coeffs == (1,)
+        y = PadicNumber.from_rational(Fraction(2, 25), ctx)
+        assert y.valuation == -2 and y.unit.coeffs == (2,)
 
     def test_ring_homomorphism_small_rationals(self):
         # exhaustive over small numerators/denominators with p-free denominator
-        ctx = PrecisionContext(7, 3)
+        ctx = unramified_context(7, 3, 1)
         xs = [
             Fraction(a, b)
             for a in range(-6, 7)
             for b in range(1, 7)
             if b % 7
         ]
+
+        def emb(x):
+            return PadicNumber.from_rational(x, ctx)
+
         for x in xs[::3]:
             for y in xs[::5]:
-                assert zp_from_rational(x + y, ctx) == zp_from_rational(x, ctx) + zp_from_rational(y, ctx)
-                assert zp_from_rational(x * y, ctx) == zp_from_rational(x, ctx) * zp_from_rational(y, ctx)
+                assert emb(x + y).agrees_to(emb(x) + emb(y), ctx.K)
+                assert emb(x * y).agrees_to(emb(x) * emb(y), ctx.K)
 
 
 class TestContexts:
     def test_rejects_even_prime(self):
         with pytest.raises(CompositeP):
-            PrecisionContext(2, 3)
+            UnramifiedContext(2, 3, 1, (1,))
+        with pytest.raises(CompositeP):
+            unramified_context(2, 3, 1)
 
     def test_rejects_composite(self):
         with pytest.raises(CompositeP):
-            PrecisionContext(9, 1)
+            UnramifiedContext(9, 1, 1, (7,))
+        with pytest.raises(CompositeP):
+            unramified_context(9, 1, 1)
 
     def test_rejects_bad_precision(self):
         with pytest.raises(ValueError):
-            PrecisionContext(5, 0)
+            UnramifiedContext(5, 0, 1, (0,))
+        with pytest.raises(ValueError):
+            unramified_context(5, 0, 1)
 
     def test_default_precision_rule(self):
         assert default_precision(7, 1) == 5
@@ -109,18 +121,18 @@ class TestZqArithmetic:
     def test_mul_identity(self):
         u = unramified_context(7, 3, 2)
         x = u.element((3, 5))
-        assert zq_arith("mul", x, u.one).coeffs == x.coeffs
+        assert (x * u.one).coeffs == x.coeffs
 
     def test_additive_inverse(self):
         u = unramified_context(7, 3, 2)
         x = u.element((3, 5))
-        assert zq_arith("add", x, -x).is_zero
+        assert (x + -x).is_zero
 
     def test_context_mismatch(self):
         u1 = unramified_context(7, 3, 2)
         u2 = unramified_context(7, 4, 2)
         with pytest.raises(ContextMismatch):
-            zq_arith("add", u1.one, u2.one)
+            u1.one + u2.one
 
     def test_square_of_root_matches_long_division(self):
         # multiply T * T and reduce by the defining polynomial by hand
@@ -128,7 +140,7 @@ class TestZqArithmetic:
         c0, c1 = u.poly
         m = u.modulus
         T = u.element((0, 1))
-        got = zq_arith("mul", T, T)
+        got = T * T
         # T^2 = -c1 T - c0
         assert got.coeffs == ((-c0) % m, (-c1) % m)
 

@@ -5,7 +5,6 @@ import pytest
 from padichyper.errors import PreconditionFailed
 from padichyper.fields import build_field, phi
 from padichyper.verify import (
-    AlphaValue,
     RangeSpec,
     run_suite,
     verify_bs1,
@@ -20,20 +19,21 @@ from padichyper.verify import (
     verify_mc,
     verify_mt1,
     verify_ortho_record,
+    _alpha,
 )
 
 
 class TestAlpha:
     def test_branches(self):
-        assert AlphaValue.for_field(build_field(11, 1)).value == 1
-        assert AlphaValue.for_field(build_field(13, 1)).value == -1
+        assert _alpha(build_field(11, 1)) == 1
+        assert _alpha(build_field(13, 1)) == -1
 
     def test_verbatim_formula_equals_minus_one_when_q_1_mod_3(self):
         # 5 - 6 phi(-3) with phi(-3) forced to +1
         for (p, r) in [(7, 1), (13, 1), (31, 1), (5, 2), (11, 2)]:
             f = build_field(p, r)
             if f.q % 3 == 1:
-                assert AlphaValue.for_field(f).value == -1
+                assert _alpha(f) == -1
 
 
 class TestMT1:
