@@ -125,7 +125,7 @@ def count_hessian_enumerate(C: HessianCurve, field: FqField | None = None) -> in
     return total
 
 
-def hessian_bridge(d: FqElement, field: FqField | None = None) -> tuple[FqElement, FqElement]:
+def hessian_bridge(d: FqElement) -> tuple[FqElement, FqElement]:
     """Weierstrass coefficients (m, n) of the model isomorphic to the (projective)
     Hessian cubic with parameter d: m = -27 d (d^3 + 8), n = 54 (d^6 - 20 d^3 - 8).
 
@@ -155,7 +155,7 @@ def check_count_relation(d: FqElement, field: FqField | None = None) -> bool:
     return lhs == rhs
 
 
-def j_invariant(E: WeierstrassCurve, field: FqField | None = None) -> FqElement:
+def j_invariant(E: WeierstrassCurve) -> FqElement:
     """j = 1728 * 4a^3 / (4a^3 + 27b^2)."""
     a3 = 4 * E.a**3
     return 1728 * a3 / (a3 + 27 * E.b**2)

@@ -20,6 +20,7 @@ from .errors import CompositeP, FieldTooLarge, ZeroArgument
 from .padic import (
     UnramifiedContext,
     ZqElement,
+    _poly_mulmod,
     find_defining_poly,
     is_prime,
     teichmueller,
@@ -81,22 +82,9 @@ class FqField:
 
     def _mul_poly(self, i: int, j: int) -> int:
         """Schoolbook product with polynomial reduction (table-free, for builds)."""
-        p, r = self.p, self.r
-        if r == 1:
-            return i * j % p
-        a, b = self._unpack(i), self._unpack(j)
-        prod = [0] * (2 * r - 1)
-        for s, av in enumerate(a):
-            if av:
-                for t, bv in enumerate(b):
-                    prod[s + t] = (prod[s + t] + av * bv) % p
-        for d in range(2 * r - 2, r - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                for k, ck in enumerate(self.poly):
-                    prod[d - r + k] = (prod[d - r + k] - c * ck) % p
-        return self._pack(prod[:r])
+        if self.r == 1:
+            return i * j % self.p
+        return self._pack(_poly_mulmod(self._unpack(i), self._unpack(j), self.poly, self.p))
 
     def add_idx(self, i: int, j: int) -> int:
         if self.r == 1:

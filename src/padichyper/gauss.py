@@ -78,12 +78,10 @@ def gk_product_sides(k: int, field: FqField) -> tuple[ComplexVal, ComplexVal]:
     return lhs, rhs
 
 
-def check_gk_product(k: int, field: FqField, tol: float | None = None) -> bool:
-    """|G_k G_{-k} - q T^k(-1)| < tol for a nontrivial character index k."""
+def check_gk_product(k: int, field: FqField) -> bool:
+    """G_k G_{-k} against q T^k(-1) for a nontrivial character index k."""
     lhs, rhs = gk_product_sides(k, field)
-    if tol is None:
-        tol = default_tolerance(field)
-    return abs(lhs - rhs) < tol
+    return abs(lhs - rhs) < default_tolerance(field)
 
 
 def theta_expansion_sides(alpha: FqElement, field: FqField) -> tuple[ComplexVal, ComplexVal]:
@@ -99,12 +97,10 @@ def theta_expansion_sides(alpha: FqElement, field: FqField) -> tuple[ComplexVal,
     return lhs, rhs
 
 
-def check_theta_expansion(alpha: FqElement, field: FqField, tol: float | None = None) -> bool:
+def check_theta_expansion(alpha: FqElement, field: FqField) -> bool:
     """theta(alpha) against its Gauss-sum expansion."""
     lhs, rhs = theta_expansion_sides(alpha, field)
-    if tol is None:
-        tol = default_tolerance(field)
-    return abs(lhs - rhs) < tol
+    return abs(lhs - rhs) < default_tolerance(field)
 
 
 def davenport_hasse_sides(m: int, psi: int, field: FqField) -> tuple[ComplexVal, ComplexVal]:
@@ -128,10 +124,8 @@ def davenport_hasse_sides(m: int, psi: int, field: FqField) -> tuple[ComplexVal,
     return complex(lhs), complex(rhs)
 
 
-def check_davenport_hasse(m: int, psi: int, field: FqField, tol: float | None = None) -> bool:
+def check_davenport_hasse(m: int, psi: int, field: FqField) -> bool:
     """Product of G over the m-torsion characters twisted by psi against
     -G(psi^m) psi(m^-m) times the untwisted product."""
     lhs, rhs = davenport_hasse_sides(m, psi, field)
-    if tol is None:
-        tol = default_tolerance(field)
-    return abs(lhs - rhs) < tol
+    return abs(lhs - rhs) < default_tolerance(field)

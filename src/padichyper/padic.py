@@ -95,24 +95,26 @@ def odd_prime_modulus(p: int, K: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial helpers over F_p, used to pick and validate defining polynomials.
-# Polynomials are dense coefficient lists, lowest degree first.
+# Polynomial helpers over F_p, used to pick and validate defining polynomials
+# (``_poly_mulmod`` is also the Z_q and F_q multiply).  Polynomials are dense
+# coefficient lists, lowest degree first.
 
 
-def _poly_mulmod(a: Sequence[int], b: Sequence[int], poly: Sequence[int], p: int) -> list[int]:
-    """a*b reduced by the monic polynomial x^r + poly, all mod p."""
+def _poly_mulmod(a: Sequence[int], b: Sequence[int], poly: Sequence[int], m: int) -> list[int]:
+    """Schoolbook a*b reduced by the monic polynomial x^r + poly, all mod m
+    (p for F_q, p^K for Z_q)."""
     r = len(poly)
     prod = [0] * (2 * r - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
+                prod[i + j] = (prod[i + j] + ai * bj) % m
     for d in range(2 * r - 2, r - 1, -1):
         c = prod[d]
         if c:
             prod[d] = 0
             for j, cj in enumerate(poly):
-                prod[d - r + j] = (prod[d - r + j] - c * cj) % p
+                prod[d - r + j] = (prod[d - r + j] - c * cj) % m
     return prod[:r]
 
 
@@ -323,23 +325,9 @@ class ZqElement:
             return self.scale(other)
         self._check(other)
         ctx = self.context
-        m = ctx.modulus
-        r = ctx.r
-        if r == 1:
-            return ZqElement((self.coeffs[0] * other.coeffs[0] % m,), ctx)
-        prod = [0] * (2 * r - 1)
-        for i, ai in enumerate(self.coeffs):
-            if ai:
-                for j, bj in enumerate(other.coeffs):
-                    prod[i + j] = (prod[i + j] + ai * bj) % m
-        poly = ctx.poly
-        for d in range(2 * r - 2, r - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                for j, cj in enumerate(poly):
-                    prod[d - r + j] = (prod[d - r + j] - c * cj) % m
-        return ZqElement(tuple(prod[:r]), ctx)
+        if ctx.r == 1:
+            return ZqElement((self.coeffs[0] * other.coeffs[0] % ctx.modulus,), ctx)
+        return ZqElement(tuple(_poly_mulmod(self.coeffs, other.coeffs, ctx.poly, ctx.modulus)), ctx)
 
     __rmul__ = __mul__
 

@@ -6,12 +6,31 @@ PreconditionFailed with the violated gate's name), and returns a
 VerifyRecord.  ``run_suite`` sweeps primes and parameters, aggregates the
 records into a report, and renders it as a table, JSON, or CSV.
 
+The five series checks are compositions of three series sides, each a value
+phi(twist) q 2G2[... | t] (``_qg``):
+
+- the Hessian side phi(-3d) q 2G2[1/2,1/2;1/6,5/6 | 1/d^3];
+- McCarthy's trace side phi(twist) q 2G2[1/4,3/4;1/3,2/3 | -27b^2/4a^3];
+- the branch side, the right side of BS1 through a root k of 3k^2 + a = 0
+  or a root h of x^3 + ax + b = 0, which also runs that branch's gates.
+
+MT1 compares the Hessian side at d with alpha + phi(-3) plus the trace side
+at the bridged Weierstrass model (m, n), twisted by n.  COR2 is MT1 with that
+trace side rewritten by BS1 at (m, n): the branch side times phi(n).  BS1
+compares the untwisted trace side with the branch side.  MC and HESSIAN
+recover one side as an integer and compare it with an enumerated count.
+Every check hands (lhs, rhs, passed) to one record builder, ``_timed``.
+
 The transformation identities are implemented in the form that the
 enumeration cross-checks force: the Weierstrass model bridged to the Hessian
 cubic carries n = 54(d^6 - 20d^3 - 8), the scalar correction is
 alpha + phi(-3) (identically zero, kept in the alpha-verbatim bookkeeping),
 and the square-root-free branch characters carry the phi(3h) twist.  Each of
 these is pinned by exhaustive point-count agreement in the test suite.
+
+The sweep is the table ``_PLANS``: per theorem, the smallest p and rows of
+(sample tag, argument lister, call).  ``run_suite`` builds each field, applies
+the p and q limits, and attempts each call on each listed argument.
 """
 
 from __future__ import annotations
@@ -22,9 +41,10 @@ import json
 import math
 import random
 import time
+from itertools import islice
 
 import numpy as np
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -52,18 +72,8 @@ PARAMS_HALF_SIXTH = GParams(2, (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 6)
 PARAMS_HALF_THIRD = GParams(2, (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 3)))
 PARAMS_HALF_QUARTER = GParams(2, (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 4), Fraction(3, 4)))
 
-THEOREM_NAMES = (
-    "mt1",
-    "cor2",
-    "bs1",
-    "mc",
-    "hessian",
-    "lemma31",
-    "lemma5",
-    "eq29",
-    "gauss",
-    "ortho",
-)
+# the parameter name of each branch's root
+_ROOT = {1: "k", 2: "h"}
 
 
 def _alpha(field: FqField) -> int:
@@ -88,17 +98,12 @@ class VerifyRecord:
     elapsed_ms: int
 
     def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "p": self.p,
-            "r": self.r,
-            "K": self.K,
-            "params": self.params,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "pass": self.passed,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        """The report fields in report order; JSON and CSV both render these."""
+        return {key: getattr(self, name) for key, name in _COLUMNS.items()}
+
+
+# report key -> record field, in report order
+_COLUMNS = {("pass" if f.name == "passed" else f.name): f.name for f in fields(VerifyRecord)}
 
 
 def _param(x: FqElement):
@@ -125,23 +130,70 @@ def _zq_str(z) -> str:
     return ".".join(str(c) for c in z.coeffs)
 
 
-class _Timer:
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
+def _timed(theorem: str, p: int, r: int, K: int, params: dict, check) -> VerifyRecord:
+    """Run ``check() -> (lhs, rhs, passed)`` and record it with its wall time."""
+    t0 = time.perf_counter()
+    lhs, rhs, passed = check()
+    ms = int(round((time.perf_counter() - t0) * 1000))
+    return VerifyRecord(theorem, p, r, K, params, lhs, rhs, passed, ms)
 
-    def __exit__(self, *exc):
-        self.ms = int(round((time.perf_counter() - self.t0) * 1000))
-        return False
+
+# ---------------------------------------------------------------------------
+# series sides
+
+
+def _qg(params: GParams, uctx, t: FqElement, twist: FqElement) -> PadicNumber:
+    """phi(twist) q 2G2[params | t] over t's field."""
+    return profile_for(params, t.field, uctx).eval_qg(t).scale_int(phi(twist))
+
+
+def _trace_arg(a: FqElement, b: FqElement) -> FqElement:
+    return -27 * b * b / (4 * a**3)
+
+
+def _trace_side(uctx, a: FqElement, b: FqElement, twist: FqElement) -> PadicNumber:
+    """phi(twist) q 2G2[1/4,3/4;1/3,2/3 | -27b^2/4a^3]."""
+    return _qg(PARAMS_QUARTER_THIRD, uctx, _trace_arg(a, b), twist)
+
+
+def _hessian_side(uctx, d: FqElement) -> PadicNumber:
+    """phi(-3d) q 2G2[1/2,1/2;1/6,5/6 | 1/d^3]."""
+    return _qg(PARAMS_HALF_SIXTH, uctx, 1 / d**3, -3 * d)
+
+
+def _branch_side(uctx, branch: int, a: FqElement, b: FqElement, aux: FqElement) -> PadicNumber:
+    """BS1's right side at (a, b), after the branch's gates: through a root
+    k of 3k^2 + a = 0 (branch 1) or a root h of x^3 + ax + b = 0 (branch 2)."""
+    _gate(not aux.is_zero, f"{_ROOT[branch]}_is_zero")
+    if branch == 1:
+        k = aux
+        _gate((a + 3 * k * k).is_zero, "branch_equation")
+        val = k**3 + a * k + b
+        _gate(not val.is_zero, "branch_value_zero")
+        return _qg(PARAMS_HALF_THIRD, uctx, -val / (4 * k**3), b * val)
+    h = aux
+    _gate((h**3 + a * h + b).is_zero, "branch_equation")
+    w = 3 * h * h + a
+    _gate(not w.is_zero, "branch_value_zero")
+    return _qg(PARAMS_HALF_QUARTER, uctx, 4 * w / (9 * h * h), -3 * b * h * w)
+
+
+def _agree(lhs: PadicNumber, rhs: PadicNumber, K: int):
+    return lhs.digits(), rhs.digits(), lhs.agrees_to(rhs, K)
+
+
+def _recovered(count: int, side: PadicNumber, bound: int, p: int, closed_form=lambda x: x):
+    """Recover ``side`` as an integer, map it through ``closed_form`` and
+    compare it with the enumerated ``count``."""
+    try:
+        value = closed_form(recover_integer(side, bound, p=p))
+    except PadicHyperError as exc:
+        return str(count), f"unrecoverable({exc.__class__.__name__})", False
+    return str(count), str(value), value == count
 
 
 # ---------------------------------------------------------------------------
 # transformation checks
-
-
-def _lhs_mt1(field: FqField, uctx, d: FqElement) -> PadicNumber:
-    prof = profile_for(PARAMS_HALF_SIXTH, field, uctx)
-    return prof.eval_qg(1 / d**3).scale_int(phi(-3 * d))
 
 
 def _mt1_gates(field: FqField, d: FqElement):
@@ -151,9 +203,17 @@ def _mt1_gates(field: FqField, d: FqElement):
     m, n = hessian_bridge(d)
     _gate(not m.is_zero, "m_is_zero")
     _gate(not n.is_zero, "n_is_zero")
-    t2 = -27 * n * n / (4 * m**3)
-    _gate(t2 != field.one, "g_argument_is_one")
-    return m, n, t2
+    _gate(_trace_arg(m, n) != field.one, "g_argument_is_one")
+    return m, n
+
+
+def _mt1_check(field: FqField, uctx, K: int, d: FqElement, series):
+    """The Hessian side at d against alpha + phi(-3) + series(m, n), for the
+    Weierstrass model (m, n) bridged from d."""
+    m, n = _mt1_gates(field, d)
+    lhs = _hessian_side(uctx, d)
+    scal = _alpha(field) + phi(field.element(-3))
+    return _agree(lhs, padic_sum([PadicNumber.from_int(scal, uctx), series(m, n)]), K)
 
 
 def verify_mt1(p: int, r: int, d, K: int | None = None, variant: int = 0) -> VerifyRecord:
@@ -161,16 +221,11 @@ def verify_mt1(p: int, r: int, d, K: int | None = None, variant: int = 0) -> Ver
     the [1/4,3/4;1/3,2/3] series at the bridged Weierstrass argument."""
     field, K, uctx = _setup(p, r, K, variant)
     d = field.element(d)
-    with _Timer() as tm:
-        m, n, t2 = _mt1_gates(field, d)
-        lhs = _lhs_mt1(field, uctx, d)
-        scal = _alpha(field) + phi(field.element(-3))
-        rhs_g = profile_for(PARAMS_QUARTER_THIRD, field, uctx).eval_qg(t2).scale_int(phi(n))
-        rhs = padic_sum([PadicNumber.from_int(scal, uctx), rhs_g])
-        passed = lhs.agrees_to(rhs, K)
-    return VerifyRecord(
-        "MT1", p, r, K, {"d": _param(d)}, lhs.digits(), rhs.digits(), passed, tm.ms
-    )
+
+    def check():
+        return _mt1_check(field, uctx, K, d, lambda m, n: _trace_side(uctx, m, n, n))
+
+    return _timed("MT1", p, r, K, {"d": _param(d)}, check)
 
 
 def verify_cor2(branch: int, p: int, r: int, d, aux, K: int | None = None, variant: int = 0) -> VerifyRecord:
@@ -181,41 +236,14 @@ def verify_cor2(branch: int, p: int, r: int, d, aux, K: int | None = None, varia
     field, K, uctx = _setup(p, r, K, variant)
     d = field.element(d)
     aux = field.element(aux)
-    with _Timer() as tm:
-        m, n, _ = _mt1_gates(field, d)
-        lhs = _lhs_mt1(field, uctx, d)
-        scal = _alpha(field) + phi(field.element(-3))
-        if branch == 1:
-            k = aux
-            _gate(not k.is_zero, "k_is_zero")
-            _gate((3 * k * k + m).is_zero, "branch_equation")
-            val = k**3 + m * k + n
-            _gate(not val.is_zero, "branch_value_zero")
-            char = phi(val)
-            rhs_g = (
-                profile_for(PARAMS_HALF_THIRD, field, uctx)
-                .eval_qg(-val / (4 * k**3))
-                .scale_int(char)
-            )
-            params = {"d": _param(d), "k": _param(k)}
-        else:
-            h = aux
-            _gate(not h.is_zero, "h_is_zero")
-            _gate((h**3 + m * h + n).is_zero, "branch_equation")
-            w = 3 * h * h + m
-            _gate(not w.is_zero, "branch_value_zero")
-            char = phi(-3 * h * w)
-            rhs_g = (
-                profile_for(PARAMS_HALF_QUARTER, field, uctx)
-                .eval_qg(4 * w / (9 * h * h))
-                .scale_int(char)
-            )
-            params = {"d": _param(d), "h": _param(h)}
-        rhs = padic_sum([PadicNumber.from_int(scal, uctx), rhs_g])
-        passed = lhs.agrees_to(rhs, K)
-    return VerifyRecord(
-        f"COR2_{branch}", p, r, K, params, lhs.digits(), rhs.digits(), passed, tm.ms
-    )
+
+    def series(m, n):
+        # BS1 at (m, n) carries phi(n val) or phi(-3n hw); phi(n) turns it
+        # into the corollary's phi(val) or phi(-3hw)
+        return _branch_side(uctx, branch, m, n, aux).scale_int(phi(n))
+
+    params = {"d": _param(d), _ROOT[branch]: _param(aux)}
+    return _timed(f"COR2_{branch}", p, r, K, params, lambda: _mt1_check(field, uctx, K, d, series))
 
 
 def verify_bs1(branch: int, p: int, r: int, a, b, aux, K: int | None = None, variant: int = 0) -> VerifyRecord:
@@ -231,41 +259,17 @@ def verify_bs1(branch: int, p: int, r: int, a, b, aux, K: int | None = None, var
     a = field.element(a)
     b = field.element(b)
     aux = field.element(aux)
-    with _Timer() as tm:
+
+    def check():
         _gate(field.p > 3, "p_too_small")
         _gate(not a.is_zero, "a_is_zero")
         _gate(not b.is_zero, "b_is_zero")
-        t1 = -27 * b * b / (4 * a**3)
-        _gate(t1 != field.one, "g_argument_is_one")
-        lhs = profile_for(PARAMS_QUARTER_THIRD, field, uctx).eval_qg(t1)
-        if branch == 1:
-            k = aux
-            _gate(not k.is_zero, "k_is_zero")
-            _gate((a + 3 * k * k).is_zero, "branch_equation")
-            val = k**3 + a * k + b
-            _gate(not val.is_zero, "branch_value_zero")
-            rhs = (
-                profile_for(PARAMS_HALF_THIRD, field, uctx)
-                .eval_qg(-val / (4 * k**3))
-                .scale_int(phi(b * val))
-            )
-            params = {"a": _param(a), "b": _param(b), "k": _param(k)}
-        else:
-            h = aux
-            _gate(not h.is_zero, "h_is_zero")
-            _gate((h**3 + a * h + b).is_zero, "branch_equation")
-            w = 3 * h * h + a
-            _gate(not w.is_zero, "branch_value_zero")
-            rhs = (
-                profile_for(PARAMS_HALF_QUARTER, field, uctx)
-                .eval_qg(4 * w / (9 * h * h))
-                .scale_int(phi(-3 * b * h * w))
-            )
-            params = {"a": _param(a), "b": _param(b), "h": _param(h)}
-        passed = lhs.agrees_to(rhs, K)
-    return VerifyRecord(
-        f"BS1_{branch}", p, r, K, params, lhs.digits(), rhs.digits(), passed, tm.ms
-    )
+        _gate(_trace_arg(a, b) != field.one, "g_argument_is_one")
+        lhs = _trace_side(uctx, a, b, field.one)
+        return _agree(lhs, _branch_side(uctx, branch, a, b, aux), K)
+
+    params = {"a": _param(a), "b": _param(b), _ROOT[branch]: _param(aux)}
+    return _timed(f"BS1_{branch}", p, r, K, params, check)
 
 
 def verify_mc(p: int, r: int, a, b, K: int | None = None, variant: int = 0) -> VerifyRecord:
@@ -274,7 +278,8 @@ def verify_mc(p: int, r: int, a, b, K: int | None = None, variant: int = 0) -> V
     field, K, uctx = _setup(p, r, K, variant)
     a = field.element(a)
     b = field.element(b)
-    with _Timer() as tm:
+
+    def check():
         _gate(field.p > 3, "p_too_small")
         _gate(not a.is_zero, "j_is_zero")
         _gate(not b.is_zero, "j_is_1728")
@@ -283,22 +288,9 @@ def verify_mc(p: int, r: int, a, b, K: int | None = None, variant: int = 0) -> V
         except SingularCurve:
             raise PreconditionFailed("singular_curve")
         tr = count_weierstrass(E, field).trace
-        H = (
-            profile_for(PARAMS_QUARTER_THIRD, field, uctx)
-            .eval_qg(-27 * b * b / (4 * a**3))
-            .scale_int(phi(b))
-        )
-        bound = math.isqrt(4 * field.q)
-        try:
-            rec = recover_integer(H, bound, p=p)
-            rhs = str(rec)
-            passed = rec == tr
-        except PadicHyperError as exc:
-            rhs = f"unrecoverable({exc.__class__.__name__})"
-            passed = False
-    return VerifyRecord(
-        "MC", p, r, K, {"a": _param(a), "b": _param(b)}, str(tr), rhs, passed, tm.ms
-    )
+        return _recovered(tr, _trace_side(uctx, a, b, b), math.isqrt(4 * field.q), p)
+
+    return _timed("MC", p, r, K, {"a": _param(a), "b": _param(b)}, check)
 
 
 def verify_hessian(
@@ -308,29 +300,17 @@ def verify_hessian(
     alpha - 1 + q - q phi(-3a) 2G2[1/2,1/2;1/6,5/6 | 1/a^3]."""
     field, K, uctx = _setup(p, r, K, variant)
     a = field.element(a)
-    with _Timer() as tm:
+    q = field.q
+
+    def check():
         _gate(p > 5 or (allow_small_p and p > 3), "p_too_small")
         _gate(not a.is_zero, "a_is_zero")
         _gate(not (a**3 - 1).is_zero, "a_cubed_is_one")
         count = count_hessian(HessianCurve(a), field)
-        H = (
-            profile_for(PARAMS_HALF_SIXTH, field, uctx)
-            .eval_qg(1 / a**3)
-            .scale_int(phi(-3 * a))
-        )
-        alpha = _alpha(field)
-        bound = field.q + 6 * math.isqrt(field.q) + 6
-        try:
-            X = recover_integer(H, bound, p=p)
-            formula = alpha - 1 + field.q - X
-            rhs = str(formula)
-            passed = count == formula
-        except PadicHyperError as exc:
-            rhs = f"unrecoverable({exc.__class__.__name__})"
-            passed = False
-    return VerifyRecord(
-        "HESSIAN", p, r, K, {"a": _param(a)}, str(count), rhs, passed, tm.ms
-    )
+        bound = q + 6 * math.isqrt(q) + 6
+        return _recovered(count, _hessian_side(uctx, a), bound, p, lambda X: _alpha(field) - 1 + q - X)
+
+    return _timed("HESSIAN", p, r, K, {"a": _param(a)}, check)
 
 
 # ---------------------------------------------------------------------------
@@ -339,77 +319,203 @@ def verify_hessian(
 
 def verify_lemma31_record(p: int, r: int, t: int, j: int, K: int | None = None) -> VerifyRecord:
     field, K, uctx = _setup(p, r, K)
-    with _Timer() as tm:
+
+    def check():
         _gate(t % p != 0, "t_divisible_by_p")
         (l1, r1), (l2, r2) = lemma31_sides(t, j, uctx)
         passed = l1.coeffs == r1.coeffs and l2.coeffs == r2.coeffs
-    lhs = f"{_zq_str(l1)};{_zq_str(l2)}"
-    rhs = f"{_zq_str(r1)};{_zq_str(r2)}"
-    return VerifyRecord("LEMMA31", p, r, K, {"t": t, "j": j}, lhs, rhs, passed, tm.ms)
+        return f"{_zq_str(l1)};{_zq_str(l2)}", f"{_zq_str(r1)};{_zq_str(r2)}", passed
+
+    return _timed("LEMMA31", p, r, K, {"t": t, "j": j}, check)
 
 
 def verify_eq29_record(p: int, r: int, l: int, K: int | None = None) -> VerifyRecord:
     field, K, uctx = _setup(p, r, K)
-    with _Timer() as tm:
+
+    def check():
         lhs, rhs = eq29_sides(l, uctx)
-        passed = lhs.coeffs == rhs.coeffs
-    return VerifyRecord(
-        "EQ29", p, r, K, {"l": l}, _zq_str(lhs), _zq_str(rhs), passed, tm.ms
-    )
+        return _zq_str(lhs), _zq_str(rhs), lhs.coeffs == rhs.coeffs
+
+    return _timed("EQ29", p, r, K, {"l": l}, check)
 
 
 def verify_lemma5_record(p: int, r: int, l: int, i: int) -> VerifyRecord:
-    K = default_precision(p, r)
-    with _Timer() as tm:
+    def check():
         lhs, rhs = lemma5_sides(l, i, p, r)
-        passed = lhs == rhs
-    return VerifyRecord(
-        "LEMMA5", p, r, K, {"l": l, "i": i}, str(lhs), str(rhs), passed, tm.ms
-    )
+        return str(lhs), str(rhs), lhs == rhs
+
+    return _timed("LEMMA5", p, r, default_precision(p, r), {"l": l, "i": i}, check)
+
+
+def _float_record(theorem: str, field: FqField, params: dict, sides, *args) -> VerifyRecord:
+    """A complex-float identity: sides(*args, field) within default_tolerance."""
+
+    def check():
+        lhs, rhs = sides(*args, field)
+        return _cplx(lhs), _cplx(rhs), abs(lhs - rhs) < default_tolerance(field)
+
+    return _timed(theorem, field.p, field.r, 0, params, check)
 
 
 def verify_gauss_gk_record(p: int, r: int, k: int) -> VerifyRecord:
-    field = build_field(p, r)
-    with _Timer() as tm:
-        lhs, rhs = gk_product_sides(k, field)
-        passed = abs(lhs - rhs) < default_tolerance(field)
-    return VerifyRecord(
-        "GAUSS_GK", p, r, 0, {"k": k}, _cplx(lhs), _cplx(rhs), passed, tm.ms
-    )
+    return _float_record("GAUSS_GK", build_field(p, r), {"k": k}, gk_product_sides, k)
 
 
 def verify_gauss_theta_record(p: int, r: int, alpha_idx: int) -> VerifyRecord:
     field = build_field(p, r)
-    with _Timer() as tm:
-        alpha = field.from_index(alpha_idx)
-        lhs, rhs = theta_expansion_sides(alpha, field)
-        passed = abs(lhs - rhs) < default_tolerance(field)
-    return VerifyRecord(
-        "GAUSS_THETA", p, r, 0, {"alpha": _param(alpha)}, _cplx(lhs), _cplx(rhs), passed, tm.ms
-    )
+    alpha = field.from_index(alpha_idx)
+    return _float_record("GAUSS_THETA", field, {"alpha": _param(alpha)}, theta_expansion_sides, alpha)
 
 
 def verify_gauss_dh_record(p: int, r: int, m: int, psi: int) -> VerifyRecord:
-    field = build_field(p, r)
-    with _Timer() as tm:
-        lhs, rhs = davenport_hasse_sides(m, psi, field)
-        passed = abs(lhs - rhs) < default_tolerance(field)
-    return VerifyRecord(
-        "GAUSS_DH", p, r, 0, {"m": m, "psi": psi}, _cplx(lhs), _cplx(rhs), passed, tm.ms
-    )
+    params = {"m": m, "psi": psi}
+    return _float_record("GAUSS_DH", build_field(p, r), params, davenport_hasse_sides, m, psi)
 
 
 def verify_ortho_record(p: int, r: int) -> VerifyRecord:
     field = build_field(p, r)
-    with _Timer() as tm:
+
+    def check():
         passed = check_orthogonality(field)
-    return VerifyRecord(
-        "ORTHO", p, r, 0, {}, "exact", "exact" if passed else "violated", passed, tm.ms
-    )
+        return "exact", "exact" if passed else "violated", passed
+
+    return _timed("ORTHO", p, r, 0, {}, check)
 
 
 # ---------------------------------------------------------------------------
 # the suite
+
+
+class _SuiteRun:
+    def __init__(self, spec: RangeSpec):
+        self.spec = spec
+        self.records: list[VerifyRecord] = []
+        self.skipped = 0
+
+    def attempt(self, fn, *args):
+        try:
+            self.records.append(fn(*args))
+        except PreconditionFailed:
+            self.skipped += 1
+
+    def sampled(self, items: list, tag: str) -> list:
+        n = self.spec.sample
+        if n is None or len(items) <= n:
+            return items
+        rng = random.Random(f"{self.spec.seed}:{tag}")
+        return rng.sample(items, n)
+
+
+# Argument listers: (run, field, tag) -> the arguments of one row's calls.
+
+
+def _each(values):
+    """The lister of values(field), sampled under the row's tag."""
+    return lambda run, field, tag: run.sampled(list(values(field)), tag)
+
+
+_units = _each(lambda f: range(1, f.q))
+
+
+def _cubic_roots(field: FqField, m: FqElement, n: FqElement) -> list[int]:
+    """Indices of the roots of x^3 + m x + n, by a vectorized scan."""
+    xs = np.arange(field.q, dtype=np.int64)
+    fx = field.np_add(
+        field.np_add(field.np_pow(xs, 3), field.np_mul_const(m.idx, xs)), n.idx
+    )
+    return [int(i) for i in np.nonzero(fx == 0)[0]]
+
+
+def _cor2_roots(run: _SuiteRun, field: FqField, tag: str) -> list:
+    """(branch, d, root) over every branch root at each sampled d; a d that
+    fails MT1's gates is a skip."""
+    q = field.q
+    out = []
+    for di in _units(run, field, tag):
+        d = field.from_index(di)
+        try:
+            m, n = _mt1_gates(field, d)
+        except PreconditionFailed:
+            run.skipped += 1
+            continue
+        # branch 1: square roots of -m/3
+        s = field.dlog[(-m / 3).idx]
+        if s % 2 == 0:
+            halves = (s // 2, s // 2 + (q - 1) // 2)
+            out += [(1, d, field.from_index(field.exp[half % (q - 1)])) for half in halves]
+        # branch 2: nonzero roots of x^3 + mx + n
+        out += [(2, d, field.from_index(hi)) for hi in _cubic_roots(field, m, n) if hi]
+    return out
+
+
+def _bs1_instances(run: _SuiteRun, field: FqField, tag: str, partners: int = 3) -> list:
+    """(branch, a, b, root): for each root, its first ``partners`` admissible
+    partners in index order, so listing stays O(q) per field; then sampled."""
+    one = field.one
+    units = [field.from_index(i) for i in range(1, field.q)]
+    instances = []
+    for k in units:
+        a = -3 * k * k
+        bs = (b for b in units if _trace_arg(a, b) != one and not (k**3 + a * k + b).is_zero)
+        instances += [(1, a, b, k) for b in islice(bs, partners)]
+    for h in units:
+        pairs = ((a, -(h**3 + a * h)) for a in units if not (3 * h * h + a).is_zero)
+        pairs = ((a, b) for a, b in pairs if not b.is_zero and _trace_arg(a, b) != one)
+        instances += [(2, a, b, h) for a, b in islice(pairs, partners)]
+    return run.sampled(instances, tag)
+
+
+def _mc_draws(run: _SuiteRun, field: FqField, tag: str) -> list:
+    """The seeded curve draw, not sampled: up to ``sample`` (default 20)
+    nonsingular (a, b); each singular draw is a skip."""
+    want = run.spec.sample if run.spec.sample is not None else 20
+    rng = random.Random(f"{run.spec.seed}:{tag}")
+    draws = []
+    for _ in range(100 * want):
+        if len(draws) >= want:
+            break
+        a = field.from_index(rng.randrange(1, field.q))
+        b = field.from_index(rng.randrange(1, field.q))
+        if (4 * a**3 + 27 * b * b).is_zero:
+            run.skipped += 1
+        else:
+            draws.append((a, b))
+    return draws
+
+
+def _dh_row(m: int):
+    lister = _each(lambda f: range(f.q - 1) if (f.q - 1) % m == 0 else ())
+    return f"gauss_dh:{{p}}:{{r}}:{m}", lister, lambda s, f, psi: verify_gauss_dh_record(f.p, f.r, m, psi)
+
+
+_exponents = _each(lambda f: range(1, f.q - 1))
+_lemma31_pairs = _each(lambda f: [(t, j) for t in (2, 3, 6) if t % f.p for j in range(f.q - 1)])
+_lemma5_pairs = _each(lambda f: [(l, i) for l in range(1, f.q - 1) if 2 * l != f.q - 1 for i in range(f.r)])
+
+# theorem -> (smallest p, rows of (sample tag, argument lister, call)).  A call
+# (spec, field, argument) names its verify_* function in its body, so that
+# function is looked up in this module each time the call runs.
+_PLANS = {
+    "mt1": (5, [("mt1:{p}:{r}", _units, lambda s, f, d: verify_mt1(f.p, f.r, f.from_index(d), K=s.K))]),
+    "cor2": (5, [("cor2:{p}:{r}", _cor2_roots, lambda s, f, x: verify_cor2(x[0], f.p, f.r, *x[1:], K=s.K))]),
+    "bs1": (5, [("bs1:{p}:{r}", _bs1_instances, lambda s, f, x: verify_bs1(x[0], f.p, f.r, *x[1:], K=s.K))]),
+    "mc": (5, [("mc:{p}:{r}", _mc_draws, lambda s, f, ab: verify_mc(f.p, f.r, *ab, K=s.K))]),
+    "hessian": (5, [("hessian:{p}:{r}", _units, lambda s, f, a: verify_hessian(
+        f.p, f.r, f.from_index(a), K=s.K, allow_small_p=s.allow_p5))]),
+    "lemma31": (3, [("lemma31:{p}:{r}", _lemma31_pairs, lambda s, f, tj: verify_lemma31_record(
+        f.p, f.r, *tj, K=s.K))]),
+    "lemma5": (5, [("lemma5:{p}:{r}", _lemma5_pairs, lambda s, f, li: verify_lemma5_record(f.p, f.r, *li))]),
+    "eq29": (3, [("eq29:{p}:{r}", _exponents, lambda s, f, l: verify_eq29_record(f.p, f.r, l, K=s.K))]),
+    "gauss": (3, [
+        ("gauss_gk:{p}:{r}", _exponents, lambda s, f, k: verify_gauss_gk_record(f.p, f.r, k)),
+        ("gauss_theta:{p}:{r}", _units, lambda s, f, i: verify_gauss_theta_record(f.p, f.r, i)),
+        *(_dh_row(m) for m in (2, 3, 6)),
+    ]),
+    "ortho": (3, [(None, lambda run, f, tag: [None], lambda s, f, _: verify_ortho_record(f.p, f.r))]),
+}
+
+
+THEOREM_NAMES = tuple(_PLANS)
 
 
 @dataclass(frozen=True)
@@ -461,21 +567,11 @@ class Report:
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(["theorem", "p", "r", "K", "params", "lhs", "rhs", "pass", "elapsed_ms"])
+        writer.writerow(_COLUMNS)
         for rec in self.records:
-            writer.writerow(
-                [
-                    rec.theorem,
-                    rec.p,
-                    rec.r,
-                    rec.K,
-                    json.dumps(rec.params, sort_keys=True, separators=(",", ":")),
-                    rec.lhs,
-                    rec.rhs,
-                    rec.passed,
-                    rec.elapsed_ms,
-                ]
-            )
+            row = rec.to_dict()
+            row["params"] = json.dumps(rec.params, sort_keys=True, separators=(",", ":"))
+            writer.writerow(row.values())
         return buf.getvalue()
 
     def to_table(self) -> str:
@@ -498,187 +594,6 @@ class Report:
         return self.summary["failed"] == 0
 
 
-class _SuiteRun:
-    def __init__(self, spec: RangeSpec):
-        self.spec = spec
-        self.records: list[VerifyRecord] = []
-        self.skipped = 0
-
-    def attempt(self, fn, *args, **kwargs):
-        try:
-            self.records.append(fn(*args, **kwargs))
-        except PreconditionFailed:
-            self.skipped += 1
-
-    def sampled(self, items: list, tag: str) -> list:
-        n = self.spec.sample
-        if n is None or len(items) <= n:
-            return items
-        rng = random.Random(f"{self.spec.seed}:{tag}")
-        return rng.sample(items, n)
-
-
-def _plan_mt1(run: _SuiteRun, p: int, r: int):
-    q = p**r
-    for di in run.sampled(list(range(1, q)), f"mt1:{p}:{r}"):
-        run.attempt(verify_mt1, p, r, build_field(p, r).from_index(di), K=run.spec.K)
-
-
-def _cubic_roots(field: FqField, m: FqElement, n: FqElement) -> list[int]:
-    """Indices of the roots of x^3 + m x + n, by a vectorized scan."""
-    xs = np.arange(field.q, dtype=np.int64)
-    fx = field.np_add(
-        field.np_add(field.np_pow(xs, 3), field.np_mul_const(m.idx, xs)), n.idx
-    )
-    return [int(i) for i in np.nonzero(fx == 0)[0]]
-
-
-def _plan_cor2(run: _SuiteRun, p: int, r: int):
-    field = build_field(p, r)
-    q = field.q
-    for di in run.sampled(list(range(1, q)), f"cor2:{p}:{r}"):
-        d = field.from_index(di)
-        try:
-            m, n, _ = _mt1_gates(field, d)
-        except PreconditionFailed:
-            run.skipped += 1
-            continue
-        # branch 1: square roots of -m/3
-        target = -m / 3
-        s = field.dlog[target.idx]
-        if s % 2 == 0:
-            for half in (s // 2, s // 2 + (q - 1) // 2):
-                k = field.from_index(field.exp[half % (q - 1)])
-                run.attempt(verify_cor2, 1, p, r, d, k, K=run.spec.K)
-        # branch 2: roots of x^3 + mx + n
-        for hi in _cubic_roots(field, m, n):
-            if hi:
-                run.attempt(verify_cor2, 2, p, r, d, field.from_index(hi), K=run.spec.K)
-
-
-def _plan_bs1(run: _SuiteRun, p: int, r: int, partners: int = 3):
-    field = build_field(p, r)
-    q = field.q
-    one = field.one
-    instances: list[tuple[int, FqElement, FqElement, FqElement]] = []
-    for ki in range(1, q):
-        k = field.from_index(ki)
-        a = -3 * k * k
-        if a.is_zero:
-            continue
-        found = 0
-        for bi in range(1, q):
-            if found >= partners:
-                break
-            b = field.from_index(bi)
-            t1 = -27 * b * b / (4 * a**3)
-            if t1 == one or (k**3 + a * k + b).is_zero:
-                continue
-            instances.append((1, a, b, k))
-            found += 1
-    for hi in range(1, q):
-        h = field.from_index(hi)
-        found = 0
-        for ai in range(1, q):
-            if found >= partners:
-                break
-            a = field.from_index(ai)
-            b = -(h**3 + a * h)
-            if b.is_zero:
-                continue
-            t1 = -27 * b * b / (4 * a**3)
-            if t1 == one or (3 * h * h + a).is_zero:
-                continue
-            instances.append((2, a, b, h))
-            found += 1
-    for branch, a, b, aux in run.sampled(instances, f"bs1:{p}:{r}"):
-        run.attempt(verify_bs1, branch, p, r, a, b, aux, K=run.spec.K)
-
-
-def _plan_mc(run: _SuiteRun, p: int, r: int):
-    field = build_field(p, r)
-    q = field.q
-    want = run.spec.sample if run.spec.sample is not None else 20
-    rng = random.Random(f"{run.spec.seed}:mc:{p}:{r}")
-    drawn = 0
-    attempts = 0
-    while drawn < want and attempts < 100 * want:
-        attempts += 1
-        a = field.from_index(rng.randrange(1, q))
-        b = field.from_index(rng.randrange(1, q))
-        if (4 * a**3 + 27 * b * b).is_zero:
-            run.skipped += 1
-            continue
-        run.attempt(verify_mc, p, r, a, b, K=run.spec.K)
-        drawn += 1
-
-
-def _plan_hessian(run: _SuiteRun, p: int, r: int):
-    q = p**r
-    field = build_field(p, r)
-    for ai in run.sampled(list(range(1, q)), f"hessian:{p}:{r}"):
-        run.attempt(
-            verify_hessian, p, r, field.from_index(ai), K=run.spec.K, allow_small_p=run.spec.allow_p5
-        )
-
-
-def _plan_lemma31(run: _SuiteRun, p: int, r: int):
-    q = p**r
-    pairs = [(t, j) for t in (2, 3, 6) if t % p for j in range(q - 1)]
-    for t, j in run.sampled(pairs, f"lemma31:{p}:{r}"):
-        run.attempt(verify_lemma31_record, p, r, t, j, K=run.spec.K)
-
-
-def _plan_lemma5(run: _SuiteRun, p: int, r: int):
-    q = p**r
-    pairs = [
-        (l, i) for l in range(1, q - 1) if 2 * l != q - 1 for i in range(r)
-    ]
-    for l, i in run.sampled(pairs, f"lemma5:{p}:{r}"):
-        run.attempt(verify_lemma5_record, p, r, l, i)
-
-
-def _plan_eq29(run: _SuiteRun, p: int, r: int):
-    q = p**r
-    for l in run.sampled(list(range(1, q - 1)), f"eq29:{p}:{r}"):
-        run.attempt(verify_eq29_record, p, r, l, K=run.spec.K)
-
-
-def _plan_gauss(run: _SuiteRun, p: int, r: int):
-    q = p**r
-    for k in run.sampled(list(range(1, q - 1)), f"gauss_gk:{p}:{r}"):
-        run.attempt(verify_gauss_gk_record, p, r, k)
-    for idx in run.sampled(list(range(1, q)), f"gauss_theta:{p}:{r}"):
-        run.attempt(verify_gauss_theta_record, p, r, idx)
-    for m in (2, 3, 6):
-        if (q - 1) % m:
-            continue
-        for psi in run.sampled(list(range(q - 1)), f"gauss_dh:{p}:{r}:{m}"):
-            run.attempt(verify_gauss_dh_record, p, r, m, psi)
-
-
-def _plan_ortho(run: _SuiteRun, p: int, r: int):
-    run.attempt(verify_ortho_record, p, r)
-
-
-_PLANS = {
-    "mt1": _plan_mt1,
-    "cor2": _plan_cor2,
-    "bs1": _plan_bs1,
-    "mc": _plan_mc,
-    "hessian": _plan_hessian,
-    "lemma31": _plan_lemma31,
-    "lemma5": _plan_lemma5,
-    "eq29": _plan_eq29,
-    "gauss": _plan_gauss,
-    "ortho": _plan_ortho,
-}
-
-# mt1/cor2/bs1/mc need p > 3, hessian handles its own p gate, gauss/ortho
-# only need odd p, lemma5 needs p coprime to 6
-_MIN_P = {"mt1": 5, "cor2": 5, "bs1": 5, "mc": 5, "hessian": 5, "lemma5": 5}
-
-
 def run_suite(spec: RangeSpec) -> Report:
     """Execute every selected check over the prime range; deterministic given
     the RangeSpec (fields, polynomials, generators, and sampling are all seeded)."""
@@ -691,14 +606,15 @@ def run_suite(spec: RangeSpec) -> Report:
     started = datetime.now(timezone.utc).isoformat(timespec="seconds")
     run = _SuiteRun(spec)
     for theorem in spec.theorems:
-        plan = _PLANS[theorem]
+        min_p, rows = _PLANS[theorem]
         for r in sorted(spec.r_values):
             for p in primes:
-                if p < _MIN_P.get(theorem, 3):
+                if p < min_p or p**r > spec.qmax:
                     continue
-                if p**r > spec.qmax:
-                    continue
-                plan(run, p, r)
+                field = build_field(p, r)
+                for tag, lister, call in rows:
+                    for arg in lister(run, field, tag and tag.format(p=p, r=r)):
+                        run.attempt(call, spec, field, arg)
     passed = sum(rec.passed for rec in run.records)
     summary = {
         "total": len(run.records),

@@ -1,7 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
+import padichyper.verify as verify_module
 from padichyper.errors import PreconditionFailed
 from padichyper.fields import build_field, phi
 from padichyper.verify import (
@@ -353,3 +355,63 @@ class TestSuite:
         names = {rec.theorem for rec in report.records}
         assert names == {"COR2_1", "COR2_2"}
         assert report.all_passed
+
+
+def _report_digest(report) -> str:
+    """sha256 over theorem, p, r, K, params, lhs, rhs and pass of every record,
+    plus the summary.  GAUSS_* sides are platform floats, so only their
+    verdicts are hashed."""
+    doc = json.loads(report.to_json())
+    records = []
+    for rec in doc["records"]:
+        keys = ["theorem", "p", "r", "K", "params", "lhs", "rhs", "pass"]
+        if rec["theorem"].startswith("GAUSS_"):
+            keys = [k for k in keys if k not in ("lhs", "rhs")]
+        records.append({k: rec[k] for k in keys})
+    body = json.dumps({"records": records, "summary": doc["summary"]}, sort_keys=True)
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
+class TestGoldenReports:
+    """Every plan's records, pinned: a refactor of the checks or of the plan
+    table must leave these digests unchanged."""
+
+    def test_all_theorems(self):
+        report = run_suite(RangeSpec(pmin=5, pmax=11, r_values=(1, 2)))
+        assert report.summary == {"total": 4260, "passed": 4260, "failed": 0, "skipped": 147}
+        assert _report_digest(report) == "5111f41a767c7a3f6f233232fbdd256ae9398271fcfc066d3c34d1440043fbb9"
+
+    def test_sampled(self):
+        spec = RangeSpec(pmin=5, pmax=11, r_values=(1, 2), sample=4, seed=3, allow_p5=True)
+        report = run_suite(spec)
+        assert report.summary == {"total": 272, "passed": 272, "failed": 0, "skipped": 31}
+        assert _report_digest(report) == "772b5aee2c201be796914d04ea9198a66efcdfcc3a80802e9b939ad889717e9a"
+
+
+class TestPlanCallsByName:
+    """The plans look each check up by its module name when they call it, so
+    a wrapper installed on the module (as a tracer does) sees every call."""
+
+    @pytest.mark.parametrize(
+        "theorem, exact",
+        [("mt1", True), ("hessian", True), ("bs1", True), ("cor2", False), ("mc", False)],
+    )
+    def test_wrapper_sees_every_call(self, monkeypatch, theorem, exact):
+        name = f"verify_{theorem}"
+        check = getattr(verify_module, name)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(verify_module, name, counting)
+        spec = RangeSpec(theorems=(theorem,), pmin=5, pmax=11, r_values=(1,), allow_p5=True, sample=6)
+        summary = run_suite(spec).summary
+        assert summary["total"] > 0
+        if exact:
+            # each call gives a record or a gate skip, and every skip is a call
+            assert len(calls) == summary["total"] + summary["skipped"]
+        else:
+            # cor2 and mc also skip in the plan, before any call
+            assert len(calls) >= summary["total"]
