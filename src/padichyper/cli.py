@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gg.add_argument("--K", type=int, default=None)
     p_gg.set_defaults(fn=_cmd_gg)
 
-    p_count = sub.add_parser("count", help="brute-force point counts")
+    p_count = sub.add_parser("count", help="point counts")
     p_count.add_argument("kind", choices=("weier", "hessian"))
     p_count.add_argument("--p", type=int, required=True)
     p_count.add_argument("--r", type=int, default=1)

@@ -1,9 +1,8 @@
-"""Brute-force point counting for Weierstrass and Hessian cubics, the trace
-of Frobenius, the j-invariant gate, and the Hessian-to-Weierstrass parameter
-bridge used by the transformation checks.
+"""Point counting for Weierstrass and Hessian cubics, the trace of Frobenius,
+the j-invariant gate, and the Hessian-to-Weierstrass parameter bridge used by
+the transformation checks.
 
-Weierstrass counting is O(q) through the quadratic-character sum; the Hessian
-count is an O(q^2) vectorized scan (one numpy row per x value).
+Both counts are O(q) quadratic-character sums; ``*_enumerate`` are the oracles.
 """
 
 from __future__ import annotations
@@ -57,20 +56,30 @@ class CurveCount:
     trace: int
 
 
+def _own_field(own: FqField, field: FqField | None) -> FqField:
+    """The curve's field; ``field`` may only repeat it."""
+    if field is not None and field is not own:
+        raise ValueError("element belongs to another field")
+    return own
+
+
+def _phi_sum(f: FqField, arr: np.ndarray) -> int:
+    """Sum of the quadratic character over an array of element indices."""
+    return int(np.where(arr == 0, 0, 1 - 2 * (f.dlog_np[arr] & 1)).sum())
+
+
 def count_weierstrass(E: WeierstrassCurve, field: FqField | None = None) -> CurveCount:
     """Point count via the character sum: each x contributes 1 + phi(x^3+ax+b)
     affine points, plus the single point at infinity."""
-    f = field or E.field
+    f = _own_field(E.field, field)
     q = f.q
     xs = np.arange(q, dtype=np.int64)
     fx = f.np_add(f.np_add(f.np_pow(xs, 3), f.np_mul_const(E.a.idx, xs)), E.b.idx)
-    phis = np.where(fx == 0, 0, 1 - 2 * (f.dlog_np[fx] & 1))
-    affine = int(q + phis.sum())
-    projective = affine + 1
-    tr = q + 1 - projective
+    affine = q + _phi_sum(f, fx)
+    tr = q - affine
     if tr * tr > 4 * q:
         raise AssertionError(f"trace {tr} violates the Hasse bound for q={q}")
-    return CurveCount(affine=affine, projective=projective, trace=tr)
+    return CurveCount(affine=affine, projective=affine + 1, trace=tr)
 
 
 def count_weierstrass_enumerate(E: WeierstrassCurve, field: FqField | None = None) -> CurveCount:
@@ -85,31 +94,22 @@ def count_weierstrass_enumerate(E: WeierstrassCurve, field: FqField | None = Non
     return CurveCount(affine=affine, projective=affine + 1, trace=f.q - affine)
 
 
-_HESSIAN_GRID_LIMIT = 3000  # q*q int64 grids stay under ~100 MB
-
-
 def count_hessian(C: HessianCurve, field: FqField | None = None) -> int:
-    """Number of affine solutions of x^3 + y^3 + 1 = 3 d x y."""
-    f = field or C.field
-    q = f.q
-    ys = np.arange(q, dtype=np.int64)
-    cube = f.np_pow(ys, 3)
-    three_d = (f.element(3) * C.d).idx
-    if q > _HESSIAN_GRID_LIMIT:
-        total = 0
-        for x in range(q):
-            lhs = f.np_add(f.np_add(cube, f.pow_idx(x, 3)), 1)
-            rhs = f.np_mul_const(f.mul_idx(three_d, x), ys)
-            total += int(np.count_nonzero(lhs == rhs))
-        return total
-    # one q-by-q pass: lhs = x^3 + y^3 + 1, rhs = (3d) x y
-    lhs = f.np_add(f.np_add(cube[:, None], cube[None, :]), 1)
-    if three_d == 0:
-        rhs = np.zeros_like(lhs)
-    else:
-        exponents = (f.dlog_np[ys][:, None] + f.dlog_np[ys][None, :] + f.dlog[three_d]) % (q - 1)
-        rhs = np.where((ys[:, None] == 0) | (ys[None, :] == 0), 0, f.exp_np[exponents])
-    return int(np.count_nonzero(lhs == rhs))
+    """Number of affine solutions of x^3 + y^3 + 1 = 3 d x y.  With u = x + y,
+    v = xy it reads 3 v (u + d) = u^3 + 1: u = -d gives no point (1 - d^3 != 0),
+    any other u fixes v and gives the 1 + phi(u^2 - 4v) ordered roots (x, y) of
+    z^2 - u z + v.  In characteristic 3 it is (x + y + 1)^3 = 0, q points."""
+    f = _own_field(C.field, field)
+    if f.p == 3:
+        return f.q
+    us = np.delete(np.arange(f.q, dtype=np.int64), (-C.d).idx)
+    num = f.np_add(f.np_pow(us, 3), 1)
+    den = f.np_add(us, C.d.idx)
+    # -4v = (-4/3) (u^3 + 1) / (u + d) through the dlog tables; den is never 0
+    shift = (f.element(-4) / f.element(3)).dlog()
+    minus_4v = f.exp_np[(f.dlog_np[num] - f.dlog_np[den] + shift) % (f.q - 1)]
+    disc = f.np_add(f.np_pow(us, 2), np.where(num == 0, 0, minus_4v))
+    return us.size + _phi_sum(f, disc)
 
 
 def count_hessian_enumerate(C: HessianCurve, field: FqField | None = None) -> int:

@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 
 from padichyper.curves import (
@@ -13,7 +16,37 @@ from padichyper.curves import (
     j_invariant,
 )
 from padichyper.errors import SingularCurve, SingularHessian
-from padichyper.fields import build_field, phi
+from padichyper.fields import FqField, build_field, phi
+
+
+def count_hessian_grid(C: HessianCurve, f: FqField) -> int:
+    """Oracle: x^3 + y^3 + 1 against 3dxy on a q-by-q grid of element
+    indices, or one numpy row per x once q*q int64 grids would pass ~100 MB."""
+    q = f.q
+    ys = np.arange(q, dtype=np.int64)
+    cube = f.np_pow(ys, 3)
+    three_d = (f.element(3) * C.d).idx
+    if q > 3000:
+        total = 0
+        for x in range(q):
+            lhs = f.np_add(f.np_add(cube, f.pow_idx(x, 3)), 1)
+            rhs = f.np_mul_const(f.mul_idx(three_d, x), ys)
+            total += int(np.count_nonzero(lhs == rhs))
+        return total
+    lhs = f.np_add(f.np_add(cube[:, None], cube[None, :]), 1)
+    if three_d == 0:
+        rhs = np.zeros_like(lhs)
+    else:
+        exponents = (f.dlog_np[ys][:, None] + f.dlog_np[ys][None, :] + f.dlog[three_d]) % (q - 1)
+        rhs = np.where((ys[:, None] == 0) | (ys[None, :] == 0), 0, f.exp_np[exponents])
+    return int(np.count_nonzero(lhs == rhs))
+
+
+def smooth_hessians(f: FqField):
+    for di in range(f.q):
+        d = f.from_index(di)
+        if not (d**3 - 1).is_zero:
+            yield HessianCurve(d)
 
 
 class TestWeierstrassCount:
@@ -44,6 +77,12 @@ class TestWeierstrassCount:
         cc = count_weierstrass(WeierstrassCurve(f.element(1), f.element(1)), f)
         assert cc.trace**2 <= 4 * 7
         assert cc.projective == cc.affine + 1
+
+    def test_foreign_field_rejected(self):
+        f = build_field(7, 1)
+        E = WeierstrassCurve(f.element(1), f.element(1))
+        with pytest.raises(ValueError, match="element belongs to another field"):
+            count_weierstrass(E, build_field(7, 2))
 
     def test_quadratic_twist_by_square_preserves_trace(self):
         f = build_field(13, 1)
@@ -84,6 +123,41 @@ class TestHessianCount:
             C = HessianCurve(d)
             assert count_hessian(C, f) == count_hessian_enumerate(C, f)
 
+    def test_foreign_field_rejected(self):
+        C = HessianCurve(build_field(7, 1).element(3))
+        with pytest.raises(ValueError, match="element belongs to another field"):
+            count_hessian(C, build_field(11, 1))
+
+    @pytest.mark.parametrize("p,r", [(3, 1), (3, 2), (3, 3)])
+    def test_characteristic_three_is_a_line(self, p, r):
+        # (x + y + 1)^3 = 0: the count is q for every smooth d
+        f = build_field(p, r)
+        for C in smooth_hessians(f):
+            assert count_hessian(C, f) == count_hessian_enumerate(C, f) == f.q
+
+    @pytest.mark.parametrize(
+        "p,r",
+        [(5, 1), (5, 2), (7, 1), (7, 2), (11, 1), (13, 1), (17, 1), (19, 1),
+         (23, 1), (29, 1), (31, 1), (37, 1), (41, 1), (43, 1), (47, 1)],
+    )
+    def test_every_d_matches_enumeration(self, p, r):
+        # with the p = 3 fields above, every field with q <= 49, d = 0 included
+        f = build_field(p, r)
+        for C in smooth_hessians(f):
+            assert count_hessian(C, f) == count_hessian_enumerate(C, f), (p, r, C.d)
+
+    @pytest.mark.parametrize("p,r", [(5, 3), (13, 2)])
+    def test_every_d_matches_grid(self, p, r):
+        f = build_field(p, r)
+        for C in smooth_hessians(f):
+            assert count_hessian(C, f) == count_hessian_grid(C, f), (p, r, C.d)
+
+    def test_row_oracle_above_the_grid_limit(self):
+        f = build_field(59, 2)
+        for di in random.Random(0).sample(range(f.q), 3):
+            C = HessianCurve(f.from_index(di))
+            assert count_hessian(C, f) == count_hessian_grid(C, f), di
+
 
 class TestBridge:
     def test_d_zero(self):
@@ -123,6 +197,21 @@ class TestBridge:
             except SingularCurve:
                 continue
         assert checked > 0
+
+    @pytest.mark.parametrize("p,r", [(101, 2), (99_991, 1)])
+    def test_count_relation_large_q(self, p, r):
+        f = build_field(p, r)
+        rng = random.Random(p)
+        checked = 0
+        while checked < 3:
+            d = f.from_index(rng.randrange(f.q))
+            if (d**3 - 1).is_zero:
+                continue
+            try:
+                assert check_count_relation(d, f), (p, r, d)
+                checked += 1
+            except SingularCurve:
+                continue
 
     def test_half_scaled_bridge_admits_counterexamples(self):
         # the relation pins the 54-coefficient: halving it yields a genuinely
