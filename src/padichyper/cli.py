@@ -58,16 +58,17 @@ def _cmd_gg(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    needed = ("a", "b") if args.kind == "weier" else ("d",)
+    missing = [f"--{name}" for name in needed if getattr(args, name) is None]
+    if missing:
+        print(f"count {args.kind} needs {' and '.join(missing)}", file=sys.stderr)
+        return 2
     field = build_field(args.p, args.r)
     if args.kind == "weier":
-        if args.a is None or args.b is None:
-            raise SystemExit(2)
         E = WeierstrassCurve(_parse_element(field, args.a), _parse_element(field, args.b))
         cc = count_weierstrass(E, field)
         print(f"affine={cc.affine} projective={cc.projective} trace={cc.trace}")
     else:
-        if args.d is None:
-            raise SystemExit(2)
         C = HessianCurve(_parse_element(field, args.d))
         print(f"affine={count_hessian(C, field)}")
     return 0

@@ -60,6 +60,12 @@ class GParams:
             raise ValueError("parameter lists must both have length n")
         object.__setattr__(self, "a", tuple(Fraction(x) for x in self.a))
         object.__setattr__(self, "b", tuple(Fraction(x) for x in self.b))
+        # hashing 2n Fractions is slow and every profile and exponent lookup
+        # hashes its params, so the dataclass hash is taken once
+        object.__setattr__(self, "_hash", hash((self.n, self.a, self.b)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def check_padic(self, p: int) -> None:
         for x in self.a + self.b:
@@ -243,9 +249,10 @@ _PROFILES: dict[tuple, GProfile] = {}
 
 def profile_for(params: GParams, field: FqField, uctx: UnramifiedContext) -> GProfile:
     key = (field.p, field.r, field.variant, uctx.K, params)
-    if key not in _PROFILES:
-        _PROFILES[key] = GProfile(params, field, uctx)
-    return _PROFILES[key]
+    profile = _PROFILES.get(key)
+    if profile is None:
+        profile = _PROFILES[key] = GProfile(params, field, uctx)
+    return profile
 
 
 def g_term(inst: GInstance, j: int) -> PadicNumber:

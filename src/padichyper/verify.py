@@ -41,7 +41,9 @@ import json
 import math
 import random
 import time
-from itertools import islice
+from bisect import bisect_right
+from functools import cache
+from itertools import accumulate, islice
 
 import numpy as np
 from dataclasses import dataclass, fields
@@ -398,20 +400,28 @@ class _SuiteRun:
         except PreconditionFailed:
             self.skipped += 1
 
-    def sampled(self, items: list, tag: str) -> list:
+    def sampled(self, size: int, tag: str):
+        """The positions a row draws among its ``size`` arguments: all of
+        them in order, or ``sample`` seeded positions.  ``random.sample``
+        picks by the population's length alone, so these are the positions
+        that sampling the argument list itself would pick."""
         n = self.spec.sample
-        if n is None or len(items) <= n:
-            return items
-        rng = random.Random(f"{self.spec.seed}:{tag}")
-        return rng.sample(items, n)
+        if n is None or size <= n:
+            return range(size)
+        return random.Random(f"{self.spec.seed}:{tag}").sample(range(size), n)
 
 
 # Argument listers: (run, field, tag) -> the arguments of one row's calls.
 
 
 def _each(values):
-    """The lister of values(field), sampled under the row's tag."""
-    return lambda run, field, tag: run.sampled(list(values(field)), tag)
+    """The lister of the sequence values(field), sampled under the row's tag."""
+
+    def lister(run, field, tag):
+        seq = values(field)
+        return [seq[i] for i in run.sampled(len(seq), tag)]
+
+    return lister
 
 
 _units = _each(lambda f: range(1, f.q))
@@ -448,21 +458,38 @@ def _cor2_roots(run: _SuiteRun, field: FqField, tag: str) -> list:
     return out
 
 
-def _bs1_instances(run: _SuiteRun, field: FqField, tag: str, partners: int = 3) -> list:
-    """(branch, a, b, root): for each root, its first ``partners`` admissible
-    partners in index order, so listing stays O(q) per field; then sampled."""
+def _bs1_row(field: FqField, branch: int, root: FqElement, partners: int) -> list:
+    """(branch, a, b, root) for the root's first ``partners`` admissible
+    partners in index order: b for k (a = -3k^2), a for h (b = -h^3 - ah)."""
     one = field.one
-    units = [field.from_index(i) for i in range(1, field.q)]
-    instances = []
-    for k in units:
-        a = -3 * k * k
-        bs = (b for b in units if _trace_arg(a, b) != one and not (k**3 + a * k + b).is_zero)
-        instances += [(1, a, b, k) for b in islice(bs, partners)]
-    for h in units:
-        pairs = ((a, -(h**3 + a * h)) for a in units if not (3 * h * h + a).is_zero)
-        pairs = ((a, b) for a, b in pairs if not b.is_zero and _trace_arg(a, b) != one)
-        instances += [(2, a, b, h) for a, b in islice(pairs, partners)]
-    return run.sampled(instances, tag)
+    if branch == 1:
+        k, a = root, -3 * root * root
+        bs = (b for b in field.units() if _trace_arg(a, b) != one and not (k**3 + a * k + b).is_zero)
+        return [(1, a, b, k) for b in islice(bs, partners)]
+    h = root
+    pairs = ((a, -(h**3 + a * h)) for a in field.units() if not (3 * h * h + a).is_zero)
+    pairs = ((a, b) for a, b in pairs if not b.is_zero and _trace_arg(a, b) != one)
+    return [(2, a, b, h) for a, b in islice(pairs, partners)]
+
+
+def _bs1_instances(run: _SuiteRun, field: FqField, tag: str, partners: int = 3) -> list:
+    """The sampled (branch, a, b, root).  The listing is the rows of every
+    root, branch 1 then branch 2, in index order; row j belongs to root
+    1 + j mod (q-1) of branch 1 + j div (q-1).  Only drawn rows are built.
+
+    From q = 9 on every row is full: branch 1 excludes at most 3 values of b
+    (b = 2k^3 and two with trace argument 1), branch 2 at most 5 values of a
+    (a = -3h^2, b = 0 and three with trace argument 1).  Below that the rows
+    are built to learn their lengths."""
+    q = field.q
+    row = cache(lambda j: _bs1_row(field, 1 + j // (q - 1), field.from_index(1 + j % (q - 1)), partners))
+    sizes = (partners if q >= 9 else len(row(j)) for j in range(2 * (q - 1)))
+    starts = list(accumulate(sizes, initial=0))
+    out = []
+    for pos in run.sampled(starts[-1], tag):
+        j = bisect_right(starts, pos) - 1
+        out.append(row(j)[pos - starts[j]])
+    return out
 
 
 def _mc_draws(run: _SuiteRun, field: FqField, tag: str) -> list:
@@ -600,6 +627,8 @@ def run_suite(spec: RangeSpec) -> Report:
     unknown = set(spec.theorems) - set(THEOREM_NAMES)
     if unknown:
         raise ValueError(f"unknown theorems: {sorted(unknown)}")
+    if spec.sample is not None and spec.sample < 0:
+        raise ValueError(f"sample must be >= 0, got {spec.sample}")
     primes = [p for p in range(max(spec.pmin, 3), spec.pmax + 1) if p % 2 and is_prime(p)]
     if not primes:
         raise ValueError(f"no odd primes in [{spec.pmin}, {spec.pmax}]")

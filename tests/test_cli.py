@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from padichyper.cli import main
 
 
@@ -61,6 +63,14 @@ class TestCountCommand:
         assert main(["count", "hessian", "--p", "11", "--d", "2"]) == 0
         assert "affine=17" in capsys.readouterr().out
 
+    def test_missing_curve_flags_are_named(self, capsys):
+        assert main(["count", "weier", "--p", "7", "--a", "1"]) == 2
+        assert capsys.readouterr().err.strip() == "count weier needs --b"
+        assert main(["count", "weier", "--p", "7"]) == 2
+        assert capsys.readouterr().err.strip() == "count weier needs --a and --b"
+        assert main(["count", "hessian", "--p", "11"]) == 2
+        assert capsys.readouterr().err.strip() == "count hessian needs --d"
+
     def test_extension_coefficients(self, capsys):
         assert main(["count", "weier", "--p", "5", "--r", "2", "--a", "1,1", "--b", "2,0"]) == 0
         assert "projective=" in capsys.readouterr().out
@@ -104,6 +114,14 @@ class TestVerifyCommand:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["summary"]["total"] > 0 and doc["summary"]["failed"] == 0
+
+    @pytest.mark.parametrize("theorem", ["mc", "bs1", "hessian"])
+    def test_negative_sample_exits_2(self, capsys, theorem):
+        code = main(["verify", theorem, "--pmin", "11", "--pmax", "13", "--r", "1", "--sample", "-1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sample must be >= 0" in captured.err
 
     def test_sample_flag(self, capsys):
         code = main(

@@ -92,6 +92,17 @@ class TestGParams:
         with pytest.raises(ZeroArgument):
             GInstance(QT, field, uctx_for(field, 5), field.zero)
 
+    def test_equal_spellings_hash_alike_and_share_a_profile(self):
+        parsed = gparams("1/2,1/2;1/6,5/6")
+        mixed = GParams(2, (Fraction(1, 2), Fraction(2, 4)), ("1/6", Fraction(5, 6)))
+        assert parsed == HS == mixed
+        assert hash(parsed) == hash(HS) == hash(mixed) == hash((HS.n, HS.a, HS.b))
+        assert len({parsed, HS, mixed}) == 1
+        assert parsed != QT and hash(parsed) != hash(QT)
+        field = build_field(7, 1)
+        uctx = uctx_for(field, 5)
+        assert profile_for(parsed, field, uctx) is profile_for(HS, field, uctx) is profile_for(mixed, field, uctx)
+
 
 class TestTerms:
     def test_j_zero_is_unit_one(self):

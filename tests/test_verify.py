@@ -1,11 +1,15 @@
 import hashlib
 import json
+import random
+from collections import Counter
+from itertools import islice
 
 import pytest
 
 import padichyper.verify as verify_module
 from padichyper.errors import PreconditionFailed
 from padichyper.fields import build_field, phi
+from padichyper.padic import is_prime
 from padichyper.verify import (
     RangeSpec,
     run_suite,
@@ -307,6 +311,15 @@ class TestSuite:
         with pytest.raises(ValueError):
             run_suite(RangeSpec(theorems=("mt1",), pmin=24, pmax=28))
 
+    @pytest.mark.parametrize("theorem", ["mc", "bs1", "hessian"])
+    def test_negative_sample_rejected_before_any_field(self, monkeypatch, theorem):
+        def no_fields(*args, **kwargs):
+            raise AssertionError("a field was built")
+
+        monkeypatch.setattr(verify_module, "build_field", no_fields)
+        with pytest.raises(ValueError, match="sample"):
+            run_suite(RangeSpec(theorems=(theorem,), pmin=11, pmax=11, r_values=(1,), sample=-1))
+
     def test_unknown_theorem_rejected(self):
         with pytest.raises(ValueError):
             run_suite(RangeSpec(theorems=("nope",)))
@@ -415,3 +428,96 @@ class TestPlanCallsByName:
         else:
             # cor2 and mc also skip in the plan, before any call
             assert len(calls) >= summary["total"]
+
+
+def oracle_bs1_instances(field, partners=3):
+    """The eager BS1 listing: every root's first ``partners`` admissible
+    partners in index order, branch 1 then branch 2, unsampled."""
+    one = field.one
+    units = [field.from_index(i) for i in range(1, field.q)]
+    trace_arg = lambda a, b: -27 * b * b / (4 * a**3)
+    instances = []
+    for k in units:
+        a = -3 * k * k
+        bs = (b for b in units if trace_arg(a, b) != one and not (k**3 + a * k + b).is_zero)
+        instances += [(1, a, b, k) for b in islice(bs, partners)]
+    for h in units:
+        pairs = ((a, -(h**3 + a * h)) for a in units if not (3 * h * h + a).is_zero)
+        pairs = ((a, b) for a, b in pairs if not b.is_zero and trace_arg(a, b) != one)
+        instances += [(2, a, b, h) for a, b in islice(pairs, partners)]
+    return instances
+
+
+def oracle_bs1_draw(field, seed, sample, tag):
+    """The oracle listing, sampled as the suite samples an argument list."""
+    instances = oracle_bs1_instances(field)
+    if sample is None or len(instances) <= sample:
+        return instances
+    return random.Random(f"{seed}:{tag}").sample(instances, sample)
+
+
+def _indices(instances):
+    return [(branch, a.idx, b.idx, root.idx) for branch, a, b, root in instances]
+
+
+def _bs1_listing(field, seed=0, sample=None):
+    run = verify_module._SuiteRun(RangeSpec(seed=seed, sample=sample))
+    return verify_module._bs1_instances(run, field, f"bs1:{field.p}:{field.r}")
+
+
+def _fields(qmin, qmax):
+    return [
+        (p, r)
+        for r in (1, 2, 3)
+        for p in range(5, qmax + 1)
+        if is_prime(p) and qmin <= p**r <= qmax
+    ]
+
+
+class TestBS1Listing:
+    """The positional BS1 lister against the eager listing it replaced."""
+
+    @pytest.mark.parametrize("p, r", _fields(5, 49))
+    def test_every_position(self, p, r):
+        field = build_field(p, r)
+        expected = _indices(oracle_bs1_instances(field))
+        assert _indices(_bs1_listing(field)) == expected
+        if field.q >= 9:
+            assert len(expected) == 2 * 3 * (field.q - 1)
+
+    def test_short_rows_at_q5(self):
+        field = build_field(5, 1)
+        lengths = Counter((branch, root.idx) for branch, _, _, root in oracle_bs1_instances(field))
+        assert min(lengths.values()) < 3
+        assert len(_bs1_listing(field)) == sum(lengths.values())
+
+    @pytest.mark.parametrize("p, r", [(17, 2), (47, 2)])
+    def test_seeded_positions_on_large_fields(self, p, r):
+        field = build_field(p, r)
+        for seed in (0, 1):
+            drawn = _bs1_listing(field, seed=seed, sample=200)
+            expected = oracle_bs1_draw(field, seed, 200, f"bs1:{p}:{r}")
+            assert len(drawn) == 200
+            assert _indices(drawn) == _indices(expected)
+
+    @pytest.mark.parametrize("p, r", _fields(9, 121))
+    def test_every_root_has_full_row(self, p, r):
+        field = build_field(p, r)
+        lengths = Counter((branch, root.idx) for branch, _, _, root in oracle_bs1_instances(field))
+        assert len(lengths) == 2 * (field.q - 1)
+        assert set(lengths.values()) == {3}
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sampled_reports_match_oracle_draw(self, monkeypatch, seed):
+        spec = RangeSpec(theorems=("bs1",), pmin=5, pmax=23, r_values=(1, 2), sample=40, seed=seed)
+        report = run_suite(spec)
+        min_p, [(tag, _, call)] = verify_module._PLANS["bs1"]
+
+        def oracle_lister(run, field, tag):
+            return oracle_bs1_draw(field, run.spec.seed, run.spec.sample, tag)
+
+        monkeypatch.setitem(verify_module._PLANS, "bs1", (min_p, [(tag, oracle_lister, call)]))
+        expected = run_suite(spec)
+        assert report.summary == expected.summary
+        assert report.summary["total"] > 0
+        assert _report_digest(report) == _report_digest(expected)
