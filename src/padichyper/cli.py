@@ -29,7 +29,10 @@ def _parse_element(field: FqField, text: str) -> FqElement:
 
 
 def _cmd_gamma(args) -> int:
-    x = Fraction(args.x)
+    try:
+        x = Fraction(args.x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {args.x!r}") from None
     K = args.K if args.K is not None else default_precision(args.p, 1)
     cache = gamma_cache(args.p, K)
     value = cache.gamma(x)

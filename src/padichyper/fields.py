@@ -303,7 +303,8 @@ class TeichmuellerPowers:
     generator; then omega^m(x) = T[m * dlog(x) mod (q-1)].
 
     One Teichmueller lift and q-2 ring multiplies build it.  ``array`` holds
-    the coordinates as a (q-1, r) array of ``residue_dtype`` for gathers.
+    the coordinates as a (q-1, r) array of ``residue_dtype`` for gathers;
+    ``table[s]`` reads one row back as a Z_q element.
     """
 
     def __init__(self, field: FqField, uctx: UnramifiedContext):
@@ -311,11 +312,15 @@ class TeichmuellerPowers:
         self.field = field
         self.uctx = uctx
         g = teichmueller(field.generator, uctx)
-        powers = [uctx.one]
+        z = uctx.one
+        rows = [z.coeffs]
         for _ in range(field.q - 2):
-            powers.append(powers[-1] * g)
-        self.powers = powers
-        self.array = np.array([z.coeffs for z in powers], dtype=residue_dtype(uctx.modulus))
+            z = z * g
+            rows.append(z.coeffs)
+        self.array = np.array(rows, dtype=residue_dtype(uctx.modulus))
+
+    def __getitem__(self, s: int) -> ZqElement:
+        return ZqElement(tuple(int(c) for c in self.array[s]), self.uctx)
 
     def dlog(self, x: FqElement) -> int:
         if x.idx == 0:
@@ -338,7 +343,7 @@ def teichmueller_powers(field: FqField, uctx: UnramifiedContext) -> Teichmueller
 def char_eval_padic(m: int, x: FqElement, uctx: UnramifiedContext) -> ZqElement:
     """omega^m(x) in Z_q mod p^K via the Teichmueller lift."""
     table = teichmueller_powers(x.field, uctx)
-    return table.powers[m * table.dlog(x) % (x.field.q - 1)]
+    return table[m * table.dlog(x) % (x.field.q - 1)]
 
 
 def check_orthogonality(field: FqField) -> bool:

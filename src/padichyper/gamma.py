@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable
-
 from .errors import DenominatorDivisibleByP
 from .padic import UnramifiedContext, frac_floor, odd_prime_modulus
 
@@ -97,29 +95,27 @@ class GammaCache:
 
     # -- gamma values ---------------------------------------------------------
 
-    def _reduce_argument(self, x: Fraction) -> int:
-        if x.denominator % self.p == 0:
-            raise DenominatorDivisibleByP(f"{x} has denominator divisible by {self.p}")
+    def _reduce(self, num: int, den: int) -> int:
+        """num/den mod p^K, the integer whose Gamma_p value num/den shares."""
+        if den % self.p == 0:
+            raise DenominatorDivisibleByP(f"{num}/{den} has denominator divisible by {self.p}")
         m = self.modulus
-        return x.numerator * pow(x.denominator, -1, m) % m
+        return num * pow(den, -1, m) % m
 
     def _gamma_of_n(self, n: int) -> int:
         f = self._f(n)
         return f if n % 2 == 0 else -f % self.modulus
 
-    def gamma_many(self, args: Iterable[Fraction]) -> dict[Fraction, int]:
-        """Gamma values for a batch of rationals."""
-        return {x: self._gamma_of_n(self._reduce_argument(x)) for x in map(Fraction, args)}
-
     def gamma(self, x) -> int:
         x = Fraction(x)
-        return self.gamma_many([x])[x]
+        return self._gamma_of_n(self._reduce(x.numerator, x.denominator))
 
     @lru_cache(maxsize=64)
     def rational_table(self, denominator: int) -> list[int]:
         """Gamma_p(c/denominator) for every c in [0, denominator), as a list."""
-        vals = self.gamma_many(Fraction(c, denominator) for c in range(denominator))
-        return [vals[Fraction(c, denominator)] for c in range(denominator)]
+        inv = self._reduce(1, denominator)
+        m = self.modulus
+        return [self._gamma_of_n(c * inv % m) for c in range(denominator)]
 
 
 @lru_cache(maxsize=None)
@@ -132,8 +128,7 @@ def verify_reflection(x, cache: GammaCache) -> bool:
     representative of x mod p in {1, ..., p}."""
     x = Fraction(x)
     m, p = cache.modulus, cache.p
-    vals = cache.gamma_many([x, 1 - x])
-    prod = vals[x] * vals[1 - x] % m
+    prod = cache.gamma(x) * cache.gamma(1 - x) % m
     r0 = x.numerator * pow(x.denominator, -1, p) % p
     x0 = p if r0 == 0 else r0
     expected = (m - 1) if x0 % 2 else 1
@@ -161,20 +156,8 @@ def lemma31_sides(t: int, j: int, uctx: UnramifiedContext):
     cache = gamma_cache(p, uctx.K)
     m = uctx.modulus
 
-    args = set()
-    for i in range(r):
-        pi = p**i
-        args.add(frac_floor(Fraction(t * pi * j, q - 1))[0])
-        args.add(frac_floor(Fraction(-t * pi * j, q - 1))[0])
-        for h in range(t):
-            if h:
-                args.add(frac_floor(Fraction(h * pi, t))[0])
-            args.add(frac_floor(Fraction(h * pi, t) + Fraction(pi * j, q - 1))[0])
-            args.add(frac_floor(Fraction((1 + h) * pi, t) - Fraction(pi * j, q - 1))[0])
-    g = cache.gamma_many(args)
-
     def gv(x: Fraction) -> int:
-        return g[frac_floor(x)[0]]
+        return cache.gamma(frac_floor(x)[0])
 
     lhs1 = rhs1 = lhs2 = rhs2 = 1
     for i in range(r):
@@ -207,17 +190,11 @@ def eq29_sides(l: int, uctx: UnramifiedContext):
         raise ValueError("l must satisfy 0 < l < q-1")
     cache = gamma_cache(p, uctx.K)
     m = uctx.modulus
-    args = set()
-    for i in range(r):
-        pi = p**i
-        args.add(frac_floor(Fraction((q - 1 - l) * pi, q - 1))[0])
-        args.add(frac_floor(Fraction(l * pi, q - 1))[0])
-    g = cache.gamma_many(args)
     lhs = 1
     for i in range(r):
         pi = p**i
-        lhs = lhs * g[frac_floor(Fraction((q - 1 - l) * pi, q - 1))[0]] % m
-        lhs = lhs * g[frac_floor(Fraction(l * pi, q - 1))[0]] % m
+        lhs = lhs * cache.gamma(frac_floor(Fraction((q - 1 - l) * pi, q - 1))[0]) % m
+        lhs = lhs * cache.gamma(frac_floor(Fraction(l * pi, q - 1))[0]) % m
     # omega-bar(-1) = -1 for odd p
     return uctx.from_int(lhs), uctx.from_int((-1) ** (r + l))
 

@@ -79,7 +79,7 @@ def gparams(text: str) -> GParams:
         top, bottom = text.split(";")
         a = tuple(Fraction(s) for s in top.split(","))
         b = tuple(Fraction(s) for s in bottom.split(","))
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse parameter spec {text!r}") from exc
     if len(a) != len(b):
         raise ValueError("upper and lower parameter lists differ in length")
@@ -240,7 +240,7 @@ class GProfile:
         if not 0 <= j <= q - 2:
             raise ValueError("j out of range")
         powers = self._powers
-        unit = powers.powers[-j * powers.dlog(t) % (q - 1)].scale(self.units[j])
+        unit = powers[-j * powers.dlog(t) % (q - 1)].scale(self.units[j])
         return PadicNumber(self.vals[j], unit, self.vals[j] + self.uctx.K)
 
 

@@ -97,7 +97,10 @@ def odd_prime_modulus(p: int, K: int) -> int:
 # ---------------------------------------------------------------------------
 # Polynomial helpers over F_p, used to pick and validate defining polynomials
 # (``_poly_mulmod`` is also the Z_q and F_q multiply).  Polynomials are dense
-# coefficient lists, lowest degree first.
+# coefficient lists, lowest degree first.  A defining polynomial f is
+# admissible iff x has multiplicative order exactly q - 1 mod (p, f): then
+# F_p[x]/(f) has q - 1 distinct units, so it is a field, f is irreducible and
+# its root generates the multiplicative group.
 
 
 def _poly_mulmod(a: Sequence[int], b: Sequence[int], poly: Sequence[int], m: int) -> list[int]:
@@ -130,97 +133,39 @@ def _poly_powmod(a: Sequence[int], e: int, poly: Sequence[int], p: int) -> list[
     return result
 
 
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd of dense polynomials over F_p."""
-
-    def deg(f):
-        d = len(f) - 1
-        while d >= 0 and f[d] == 0:
-            d -= 1
-        return d
-
-    while deg(b) >= 0:
-        da, db = deg(a), deg(b)
-        if da < db:
-            a, b = b, a
-            continue
-        inv = pow(b[deg(b)], -1, p)
-        while deg(a) >= deg(b):
-            da = deg(a)
-            c = a[da] * inv % p
-            shift = da - deg(b)
-            for j in range(deg(b) + 1):
-                a[shift + j] = (a[shift + j] - c * b[j]) % p
-        a, b = b, a
-    d = deg(a)
-    inv = pow(a[d], -1, p)
-    return [c * inv % p for c in a[: d + 1]]
-
-
-def _is_irreducible(poly: Sequence[int], p: int) -> bool:
-    """Irreducibility of the monic polynomial x^r + poly over F_p."""
-    r = len(poly)
-    if r == 1:
-        return True
-    x = [0, 1] + [0] * (r - 2)
-    frob = list(x)
-    for _ in range(r):
-        frob = _poly_powmod(frob, p, poly, p)
-    if frob != x[:r]:
-        return False
-    for ell in prime_factors(r):
-        frob = list(x)
-        for _ in range(r // ell):
-            frob = _poly_powmod(frob, p, poly, p)
-        diff = [(frob[i] - x[i]) % p for i in range(r)]
-        full = list(poly) + [1]
-        if len(_poly_gcd(diff, full, p)) - 1 != 0:
-            return False
-    return True
-
-
-def _root_is_primitive(poly: Sequence[int], p: int) -> bool:
-    """Does the residue class of x generate the multiplicative group?"""
+def _is_admissible(poly: Sequence[int], p: int) -> bool:
+    """Does x have multiplicative order exactly q - 1 mod (p, x^r + poly)?"""
     r = len(poly)
     q = p**r
     one = [1] + [0] * (r - 1)
     x = ([0, 1] + [0] * (r - 2)) if r > 1 else [(-poly[0]) % p]
-    for ell in prime_factors(q - 1):
-        if _poly_powmod(x, (q - 1) // ell, poly, p) == one:
-            return False
-    return True
+    if _poly_powmod(x, q - 1, poly, p) != one:
+        return False
+    return all(_poly_powmod(x, (q - 1) // ell, poly, p) != one for ell in prime_factors(q - 1))
 
 
 @lru_cache(maxsize=None)
 def find_defining_poly(p: int, r: int, variant: int = 0) -> tuple[int, ...]:
     """Deterministic defining polynomial for F_{p^r}: lower coefficients of the
-    first monic degree-r polynomial, in lexicographic order of the coefficient
-    tuple (c_0, ..., c_{r-1}), that is irreducible mod p and whose root
-    generates the multiplicative group.
+    first admissible monic degree-r polynomial, one whose root x has
+    multiplicative order exactly q - 1 mod p (so it is irreducible and x
+    generates F_q^*).
 
-    For r = 1 the polynomial is x - g with g the (variant+1)-th primitive
-    root, so the "root" convention matches the prime-field generator.
-    ``variant`` skips that many admissible candidates (test hook for
-    checking model independence).
+    Candidates come in the order of the counter 0, 1, 2, ... read as base-p
+    digits (c_0, ..., c_{r-1}).  For r = 1 they are x - g for g = 2, 3, ...,
+    so the root is a primitive root mod p, the smallest one at variant 0.
+    ``variant`` skips that many admissible candidates (test hook for checking
+    model independence).
     """
+    if r < 1:
+        raise ValueError("extension degree must be >= 1")
     if r == 1:
-        facs = prime_factors(p - 1)
-        skipped = 0
-        for g in range(2, p):
-            if all(pow(g, (p - 1) // ell, p) != 1 for ell in facs):
-                if skipped == variant:
-                    return ((-g) % p,)
-                skipped += 1
-        raise CompositeP(f"no primitive root mod {p}")
+        candidates = (((-g) % p,) for g in range(2, p))
+    else:
+        candidates = (tuple(n // p**i % p for i in range(r)) for n in range(p**r))
     skipped = 0
-    for counter in range(p**r):
-        coeffs = []
-        c = counter
-        for _ in range(r):
-            c, digit = divmod(c, p)
-            coeffs.append(digit)
-        poly = tuple(coeffs)
-        if _is_irreducible(poly, p) and _root_is_primitive(poly, p):
+    for poly in candidates:
+        if _is_admissible(poly, p):
             if skipped == variant:
                 return poly
             skipped += 1
@@ -234,8 +179,9 @@ class UnramifiedContext:
 
     ``p`` must be an odd prime and ``K`` at least 1.  ``poly`` holds the
     lower coefficients (c_0, ..., c_{r-1}) of x^r + c_{r-1} x^{r-1} + ... + c_0,
-    reduced mod p^K; its reduction mod p must be irreducible with a primitive
-    root (checked at construction).
+    reduced mod p^K; mod p its root must have multiplicative order exactly
+    q - 1, which makes the reduction irreducible with a primitive root
+    (checked at construction).
     """
 
     p: int
@@ -250,11 +196,8 @@ class UnramifiedContext:
             raise ValueError("poly must have exactly r lower coefficients")
         if any(not 0 <= c < self.modulus for c in self.poly):
             raise ValueError("poly coefficients must be reduced mod p^K")
-        pm = self.poly_mod_p
-        if not _is_irreducible(pm, self.p):
-            raise ValueError("defining polynomial is reducible mod p")
-        if not _root_is_primitive(pm, self.p):
-            raise ValueError("root of defining polynomial is not primitive")
+        if not _is_admissible(self.poly_mod_p, self.p):
+            raise ValueError("root of defining polynomial does not have order q - 1 mod p")
 
     @property
     def q(self) -> int:
@@ -409,8 +352,8 @@ def teichmueller(t, uctx: UnramifiedContext) -> ZqElement:
     """Teichmueller lift of a nonzero residue-field element: the unique
     (q-1)-th root of unity in Z_q congruent to t mod p.
 
-    Computed by iterating z <- z^q from the coefficient-wise naive lift;
-    each step gains at least one p-digit, so at most K steps are needed.
+    Computed in closed form as z^(q^(K-1)) for the coefficient-wise naive
+    lift z: z = omega(t)(1 + p y), and (1 + p y)^(q^(K-1)) = 1 mod p^K.
     Accepts an integer, a coefficient sequence, or anything with ``.coeffs``.
     """
     coeffs = _coeffs_of(t)
@@ -419,16 +362,7 @@ def teichmueller(t, uctx: UnramifiedContext) -> ZqElement:
         raise ZeroArgument("Teichmueller lift requires a nonzero element")
     if len(coeffs) > uctx.r:
         raise ContextMismatch("element has more coordinates than the extension degree")
-    z = uctx.element(coeffs)
-    q = uctx.q
-    for _ in range(uctx.K + 1):
-        nxt = zq_pow(z, q)
-        if nxt.coeffs == z.coeffs:
-            break
-        z = nxt
-    else:
-        raise AssertionError("q-power iteration did not stabilize")
-    return z
+    return zq_pow(uctx.element(coeffs), uctx.q ** (uctx.K - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,10 @@ class TestGammaCommand:
     def test_p_divisible_denominator_is_usage_error(self, capsys):
         assert main(["gamma", "1/5", "--p", "5", "--K", "2"]) == 2
 
+    def test_zero_denominator_is_usage_error(self, capsys):
+        assert main(["gamma", "--p", "7", "--", "1/0"]) == 2
+        assert "1/0" in capsys.readouterr().err
+
     def test_bad_p_or_K_is_usage_error(self, capsys):
         assert main(["gamma", "1/2", "--p", "9"]) == 2
         assert main(["gamma", "1/2", "--p", "5", "--K", "0"]) == 2
@@ -52,6 +56,10 @@ class TestGGCommand:
 
     def test_bad_params(self):
         assert main(["gg", "--p", "7", "--params", "1/4;1/3,2/3", "--t", "5"]) == 2
+
+    def test_zero_denominator_in_params_exits_2(self, capsys):
+        assert main(["gg", "--p", "7", "--params", "1/0;1/2", "--t", "5"]) == 2
+        assert "1/0;1/2" in capsys.readouterr().err
 
 
 class TestCountCommand:

@@ -87,18 +87,30 @@ class TestGammaValues:
             assert cache.gamma(Fraction(n)) == (1 if n == 0 else gamma_brute(n, p, K))
 
     def test_batched_equals_single(self):
-        cache = GammaCache(7, 4)
-        args = [Fraction(a, b) for a in range(-6, 7) for b in (1, 2, 3, 4, 6) ]
-        batch = cache.gamma_many(args)
-        fresh = gamma_cache(7, 4)
-        for x in set(Fraction(a) for a in args):
-            assert batch[x] == fresh.gamma(x)
+        # a cache warmed by every argument against a fresh cache per argument
+        args = [Fraction(a, b) for a in range(-6, 7) for b in (1, 2, 3, 4, 6)]
+        warm = GammaCache(7, 4)
+        values = [warm.gamma(x) for x in args]
+        for x, value in zip(args, values):
+            assert warm.gamma(x) == value == GammaCache(7, 4).gamma(x), x
 
     def test_rational_table(self):
         cache = gamma_cache(7, 5)
         tab = cache.rational_table(12)
         for c in range(12):
             assert tab[c] == cache.gamma(Fraction(c, 12))
+
+    @pytest.mark.parametrize("p,K,D", [(5, 6, 24), (7, 4, 12), (11, 5, 30), (13, 3, 168)])
+    def test_rational_table_matches_fraction_batch(self, p, K, D):
+        # the former batch path: Gamma_p at each reduced Fraction(c, D),
+        # collected in a Fraction-keyed dict and read back in order of c
+        fresh = GammaCache(p, K)
+        batch = {x: fresh.gamma(x) for x in (Fraction(c, D) for c in range(D))}
+        assert GammaCache(p, K).rational_table(D) == [batch[Fraction(c, D)] for c in range(D)]
+
+    def test_rational_table_rejects_denominator_divisible_by_p(self):
+        with pytest.raises(DenominatorDivisibleByP):
+            GammaCache(7, 3).rational_table(14)
 
     def test_denominator_divisible_by_p(self):
         cache = gamma_cache(7, 3)

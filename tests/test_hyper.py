@@ -82,6 +82,10 @@ class TestGParams:
         with pytest.raises(ValueError):
             gparams("1/2;1/3,2/3")
 
+    def test_zero_denominator_is_a_value_error(self):
+        with pytest.raises(ValueError, match="1/0"):
+            gparams("1/0;1/2")
+
     def test_p_divisible_denominator(self):
         bad = GParams(1, (Fraction(1, 7),), (Fraction(1, 3),))
         with pytest.raises(DenominatorDivisibleByP):
@@ -284,7 +288,7 @@ class TestTwistTable:
         g = field.generator
         for s in range(field.q - 1):
             want = teichmueller(g**s, table.uctx).coeffs
-            assert table.powers[s].coeffs == want
+            assert table[s].coeffs == want
             assert tuple(int(c) for c in table.array[s]) == want
 
     def test_table_rejects_foreign_context(self):

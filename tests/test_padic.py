@@ -14,10 +14,13 @@ from padichyper.errors import (
 from padichyper.padic import (
     PadicNumber,
     UnramifiedContext,
+    _is_admissible,
     default_precision,
     find_defining_poly,
     frac_floor,
+    is_prime,
     padic_sum,
+    prime_factors,
     teichmueller,
     unramified_context,
     zq_inv,
@@ -25,6 +28,100 @@ from padichyper.padic import (
 )
 
 rationals = st.fractions(max_denominator=10_000)
+
+
+# The two-test admissibility check that the order test replaced, kept as its
+# oracle with its own F_p[x] arithmetic: Rabin's irreducibility test (x^(p^r)
+# = x and gcd(x^(p^(r/l)) - x, f) = 1 for every prime l | r), then x^((q-1)/l)
+# != 1 for every prime l | q-1.  At r = 1 it also requires a nonzero root.
+
+
+def _oracle_deg(f):
+    d = len(f) - 1
+    while d >= 0 and f[d] == 0:
+        d -= 1
+    return d
+
+
+def _oracle_rem(a, f, p):
+    """a mod the monic f, over F_p."""
+    a = list(a)
+    r = len(f) - 1
+    for d in range(len(a) - 1, r - 1, -1):
+        c = a[d]
+        if c:
+            for i in range(r + 1):
+                a[d - r + i] = (a[d - r + i] - c * f[i]) % p
+    return (a + [0] * r)[:r]
+
+
+def _oracle_mulmod(a, b, f, p):
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    return _oracle_rem(prod, f, p)
+
+
+def _oracle_powmod(a, e, f, p):
+    result, base = _oracle_rem([1], f, p), list(a)
+    while e:
+        if e & 1:
+            result = _oracle_mulmod(result, base, f, p)
+        base = _oracle_mulmod(base, base, f, p)
+        e >>= 1
+    return result
+
+
+def _oracle_gcd(a, b, p):
+    a, b = list(a), list(b)
+    while _oracle_deg(b) >= 0:
+        if _oracle_deg(a) < _oracle_deg(b):
+            a, b = b, a
+            continue
+        db = _oracle_deg(b)
+        inv = pow(b[db], -1, p)
+        while _oracle_deg(a) >= db:
+            da = _oracle_deg(a)
+            c = a[da] * inv % p
+            for j in range(db + 1):
+                a[da - db + j] = (a[da - db + j] - c * b[j]) % p
+        a, b = b, a
+    return a[: _oracle_deg(a) + 1]
+
+
+def _oracle_is_irreducible(poly, p):
+    r = len(poly)
+    f = list(poly) + [1]
+    x = _oracle_rem([0, 1], f, p)
+
+    def frob(k):
+        z = x
+        for _ in range(k):
+            z = _oracle_powmod(z, p, f, p)
+        return z
+
+    if frob(r) != x:
+        return False
+    for ell in prime_factors(r) if r > 1 else []:
+        diff = [(a - b) % p for a, b in zip(frob(r // ell), x)]
+        if _oracle_deg(_oracle_gcd(diff, f, p)) != 0:
+            return False
+    return True
+
+
+def _oracle_root_is_primitive(poly, p):
+    f = list(poly) + [1]
+    q = p ** len(poly)
+    x = _oracle_rem([0, 1], f, p)
+    one = _oracle_rem([1], f, p)
+    if not any(x):
+        return False
+    return all(_oracle_powmod(x, (q - 1) // ell, f, p) != one for ell in prime_factors(q - 1))
+
+
+def _oracle_admissible(poly, p):
+    return _oracle_is_irreducible(poly, p) and _oracle_root_is_primitive(poly, p)
 
 
 class TestFracFloor:
@@ -115,6 +212,26 @@ class TestContexts:
         # x^2 + 1 is reducible mod 5, so it must be rejected
         with pytest.raises(ValueError):
             unramified_context(5, 2, 2, (1, 0))
+        # x at r = 1: the root 0 is not a unit
+        with pytest.raises(ValueError):
+            UnramifiedContext(7, 3, 1, (0,))
+        # x - 2 at p = 7: 2 has order 3, not 6
+        with pytest.raises(ValueError):
+            UnramifiedContext(7, 3, 1, (5,))
+        # x^2 + 2 is irreducible mod 5, but its root has order 8, not 24
+        assert _oracle_is_irreducible((2, 0), 5) and not _oracle_root_is_primitive((2, 0), 5)
+        with pytest.raises(ValueError):
+            UnramifiedContext(5, 2, 2, (2, 0))
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_order_test_matches_irreducible_and_primitive(self, p):
+        # every monic polynomial of every degree with q <= 2197
+        r = 1
+        while p**r <= 2197:
+            for n in range(p**r):
+                poly = tuple(n // p**i % p for i in range(r))
+                assert _is_admissible(poly, p) == _oracle_admissible(poly, p), (p, poly)
+            r += 1
 
 
 class TestZqArithmetic:
@@ -207,6 +324,30 @@ class TestTeichmueller:
                         z = teichmueller(coeffs, u)
                         assert zq_pow(z, q - 1).coeffs == u.one.coeffs
                         assert tuple(c % p for c in z.coeffs) == tuple(coeffs)
+                r += 1
+
+    def test_closed_form_matches_fixpoint(self):
+        # the closed form z^(q^(K-1)) against iterating z <- z^q until it is
+        # stable, for every unit of every odd prime power q <= 121
+        def fixpoint(coeffs, u):
+            z = u.element(coeffs)
+            for _ in range(u.K + 1):
+                nxt = zq_pow(z, u.q)
+                if nxt.coeffs == z.coeffs:
+                    return z
+                z = nxt
+            raise AssertionError("q-power iteration did not stabilize")
+
+        for p in range(3, 122, 2):
+            if not is_prime(p):
+                continue
+            r = 1
+            while p**r <= 121:
+                for K in (1, 2, 5):
+                    u = unramified_context(p, K, r)
+                    for n in range(1, p**r):
+                        coeffs = tuple(n // p**i % p for i in range(r))
+                        assert teichmueller(coeffs, u).coeffs == fixpoint(coeffs, u).coeffs
                 r += 1
 
     def test_multiplicative_exhaustive(self):
@@ -321,6 +462,20 @@ class TestPadicNumber:
     def test_scale_by_zero(self):
         x = PadicNumber.from_int(7, self.u)
         assert x.scale_int(0).exact_zero
+
+
+def test_defining_poly_is_first_admissible_candidate():
+    # r = 1: x - g for the smallest primitive roots g; r >= 2: counter order
+    for p in (3, 5, 7, 11, 13):
+        roots = [g for g in range(2, p) if _oracle_root_is_primitive(((-g) % p,), p)]
+        for v, g in enumerate(roots[:3]):
+            assert find_defining_poly(p, 1, v) == ((-g) % p,)
+        for r in (2, 3):
+            polys = (tuple(n // p**i % p for i in range(r)) for n in range(p**r))
+            first = [f for f in polys if _oracle_admissible(f, p)][:3]
+            assert [find_defining_poly(p, r, v) for v in range(len(first))] == first
+    with pytest.raises(CompositeP):
+        find_defining_poly(3, 1, 1)
 
 
 def test_defining_poly_deterministic_and_distinct_variants():

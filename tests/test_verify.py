@@ -400,6 +400,12 @@ class TestGoldenReports:
         assert report.summary == {"total": 272, "passed": 272, "failed": 0, "skipped": 31}
         assert _report_digest(report) == "772b5aee2c201be796914d04ea9198a66efcdfcc3a80802e9b939ad889717e9a"
 
+    def test_sampled_cubic_extensions(self):
+        # verify all --pmin 5 --pmax 13 --r 3 --sample 3
+        report = run_suite(RangeSpec(pmin=5, pmax=13, r_values=(3,), sample=3))
+        assert report.summary == {"total": 151, "passed": 151, "failed": 0, "skipped": 5}
+        assert _report_digest(report) == "be48d7b853f0c91a84dbc536034eaee4c0dbc69aa226d136d5f0596063801a3d"
+
 
 class TestPlanCallsByName:
     """The plans look each check up by its module name when they call it, so
