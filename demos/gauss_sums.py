@@ -4,14 +4,8 @@ additive-character expansion, and the Davenport-Hasse relation.
 Run with: python demos/gauss_sums.py
 """
 
-from padichyper import (
-    build_field,
-    check_davenport_hasse,
-    check_gk_product,
-    check_orthogonality,
-    check_theta_expansion,
-    gauss_sum,
-)
+from padichyper import build_field, check_orthogonality, gauss_sum
+from padichyper.verify import verify_gauss_dh_record, verify_gauss_gk_record, verify_gauss_theta_record
 
 field = build_field(13, 1)
 q = field.q
@@ -26,15 +20,14 @@ print("\nExact orthogonality of the character table:", check_orthogonality(field
 
 print("\nProduct relation G_k G_(-k) = q T^k(-1):")
 for k in (1, 3, 6):
-    print(f"  k={k}: {check_gk_product(k, field)}")
+    print(f"  k={k}: {verify_gauss_gk_record(13, 1, k).passed}")
 
 print("\nAdditive character through its Gauss-sum expansion:")
 for idx in (1, 5, 12):
-    alpha = field.from_index(idx)
-    print(f"  alpha={idx}: {check_theta_expansion(alpha, field)}")
+    print(f"  alpha={idx}: {verify_gauss_theta_record(13, 1, idx).passed}")
 
 print("\nDavenport-Hasse products over the m-torsion characters:")
-f = build_field(7, 2)  # q = 49 = 1 mod 2, 3, 6
+# q = 49 = 1 mod 2, 3, 6
 for m in (2, 3, 6):
-    ok = all(check_davenport_hasse(m, e, f) for e in range(0, f.q - 1, 7))
+    ok = all(verify_gauss_dh_record(7, 2, m, e).passed for e in range(0, 49 - 1, 7))
     print(f"  q=49, m={m}, sampled psi: {ok}")

@@ -7,14 +7,15 @@ Layers, bottom up:
   case), Teichmueller lifts, and valuation/unit p-adic numbers with tracked
   absolute precision.
 - ``gamma``: Morita's p-adic gamma at rational arguments (polynomial time
-  in p and K, memoized) and the gamma product identities.
+  in p and K, memoized) and both sides of the gamma product identities.
 - ``fields``: F_{p^r} with deterministic generator and discrete-log tables,
   multiplicative characters, trace.
-- ``gauss``: complex-float Gauss sums and their product relations.
+- ``gauss``: complex-float Gauss sums and both sides of their relations.
 - ``hyper``: the nGn series evaluator (``g_eval`` and ``GProfile.eval_qg``
   share one gather-and-dot-product sum) and integer recovery.
 - ``curves``: Weierstrass/Hessian point counts and the parameter bridge.
-- ``verify``: identity checks as records, range sweeps, reports.
+- ``verify``: identity checks as records, each its identity's one pass/fail
+  decision; range sweeps and reports.
 - ``cli``: the command-line entry point.
 """
 
@@ -48,7 +49,7 @@ from .padic import (
     zq_inv,
     zq_pow,
 )
-from .gamma import GammaCache, gamma_cache, verify_eq29, verify_lemma31, verify_lemma5, verify_reflection
+from .gamma import GammaCache, gamma_cache, verify_reflection
 from .fields import (
     FqElement,
     FqField,
@@ -59,12 +60,7 @@ from .fields import (
     trace,
     uctx_for,
 )
-from .gauss import (
-    check_davenport_hasse,
-    check_gk_product,
-    check_theta_expansion,
-    gauss_sum,
-)
+from .gauss import gauss_sum
 from .hyper import GInstance, GParams, GProfile, g_eval, g_term, gparams, profile_for, recover_integer
 from .curves import (
     CurveCount,
@@ -74,7 +70,6 @@ from .curves import (
     count_hessian,
     count_weierstrass,
     hessian_bridge,
-    is_generic,
     j_invariant,
 )
 from .verify import (

@@ -2,7 +2,7 @@
 the verification suite.
 
 Exit codes: 0 all checks passed, 1 at least one identity failed, 2 usage or
-configuration error.
+configuration error, or a sweep that checked no identity.
 """
 
 from __future__ import annotations
@@ -111,6 +111,9 @@ def _cmd_verify(args) -> int:
                 fh.write("\n")
     else:
         print(rendered)
+    if not report.records:
+        print(f"no identity was checked (skipped={report.summary['skipped']})", file=sys.stderr)
+        return 2
     return 0 if report.all_passed else 1
 
 

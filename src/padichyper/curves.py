@@ -1,8 +1,9 @@
 """Point counting for Weierstrass and Hessian cubics, the trace of Frobenius,
-the j-invariant gate, and the Hessian-to-Weierstrass parameter bridge used by
+the j-invariant, and the Hessian-to-Weierstrass parameter bridge used by
 the transformation checks.
 
-Both counts are O(q) quadratic-character sums; ``*_enumerate`` are the oracles.
+Both counts are O(q) quadratic-character sums; their brute-force oracles
+live in the test suite.
 """
 
 from __future__ import annotations
@@ -68,30 +69,23 @@ def _phi_sum(f: FqField, arr: np.ndarray) -> int:
     return int(np.where(arr == 0, 0, 1 - 2 * (f.dlog_np[arr] & 1)).sum())
 
 
+def cubic_values(a: FqElement, b: FqElement) -> np.ndarray:
+    """x^3 + a x + b at every x of the field, as element indices in index order."""
+    f = a.field
+    xs = np.arange(f.q, dtype=np.int64)
+    return f.np_add(f.np_add(f.np_pow(xs, 3), f.np_mul_const(a.idx, xs)), b.idx)
+
+
 def count_weierstrass(E: WeierstrassCurve, field: FqField | None = None) -> CurveCount:
     """Point count via the character sum: each x contributes 1 + phi(x^3+ax+b)
     affine points, plus the single point at infinity."""
     f = _own_field(E.field, field)
     q = f.q
-    xs = np.arange(q, dtype=np.int64)
-    fx = f.np_add(f.np_add(f.np_pow(xs, 3), f.np_mul_const(E.a.idx, xs)), E.b.idx)
-    affine = q + _phi_sum(f, fx)
+    affine = q + _phi_sum(f, cubic_values(E.a, E.b))
     tr = q - affine
     if tr * tr > 4 * q:
         raise AssertionError(f"trace {tr} violates the Hasse bound for q={q}")
     return CurveCount(affine=affine, projective=affine + 1, trace=tr)
-
-
-def count_weierstrass_enumerate(E: WeierstrassCurve, field: FqField | None = None) -> CurveCount:
-    """Independent oracle: direct (x, y) enumeration."""
-    f = field or E.field
-    affine = 0
-    for x in f.elements():
-        rhs = x**3 + E.a * x + E.b
-        for y in f.elements():
-            if y * y == rhs:
-                affine += 1
-    return CurveCount(affine=affine, projective=affine + 1, trace=f.q - affine)
 
 
 def count_hessian(C: HessianCurve, field: FqField | None = None) -> int:
@@ -110,19 +104,6 @@ def count_hessian(C: HessianCurve, field: FqField | None = None) -> int:
     minus_4v = f.exp_np[(f.dlog_np[num] - f.dlog_np[den] + shift) % (f.q - 1)]
     disc = f.np_add(f.np_pow(us, 2), np.where(num == 0, 0, minus_4v))
     return us.size + _phi_sum(f, disc)
-
-
-def count_hessian_enumerate(C: HessianCurve, field: FqField | None = None) -> int:
-    """Independent oracle: plain double loop."""
-    f = field or C.field
-    three_d = f.element(3) * C.d
-    total = 0
-    for x in f.elements():
-        x3 = x**3
-        for y in f.elements():
-            if x3 + y**3 + 1 == three_d * x * y:
-                total += 1
-    return total
 
 
 def hessian_bridge(d: FqElement) -> tuple[FqElement, FqElement]:
@@ -159,9 +140,3 @@ def j_invariant(E: WeierstrassCurve) -> FqElement:
     """j = 1728 * 4a^3 / (4a^3 + 27b^2)."""
     a3 = 4 * E.a**3
     return 1728 * a3 / (a3 + 27 * E.b**2)
-
-
-def is_generic(E: WeierstrassCurve) -> bool:
-    """True when j(E) avoids the special values 0 and 1728."""
-    j = j_invariant(E)
-    return not j.is_zero and j != E.field.element(1728)

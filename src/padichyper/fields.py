@@ -33,14 +33,14 @@ DEFAULT_MAX_Q = 100_000
 class FqField:
     """Finite field with precomputed exp/dlog tables; immutable after build."""
 
-    def __init__(self, p: int, r: int, variant: int = 0, max_q: int = DEFAULT_MAX_Q):
+    def __init__(self, p: int, r: int, variant: int = 0):
         if p == 2 or not is_prime(p):
             raise CompositeP(f"p must be an odd prime, got {p}")
         if r < 1:
             raise ValueError("extension degree must be >= 1")
         q = p**r
-        if q > max_q:
-            raise FieldTooLarge(f"q = {q} exceeds the table bound {max_q}")
+        if q > DEFAULT_MAX_Q:
+            raise FieldTooLarge(f"q = {q} exceeds the table bound {DEFAULT_MAX_Q}")
         self.p = p
         self.r = r
         self.q = q
@@ -252,12 +252,12 @@ class FqElement:
 _FIELD_CACHE: dict[tuple, FqField] = {}
 
 
-def build_field(p: int, r: int, variant: int = 0, max_q: int = DEFAULT_MAX_Q) -> FqField:
+def build_field(p: int, r: int, variant: int = 0) -> FqField:
     """Deterministic field construction (cached); ``variant`` selects later
     admissible (polynomial, generator) pairs for model-independence tests."""
-    key = (p, r, variant, max_q)
+    key = (p, r, variant)
     if key not in _FIELD_CACHE:
-        _FIELD_CACHE[key] = FqField(p, r, variant=variant, max_q=max_q)
+        _FIELD_CACHE[key] = FqField(p, r, variant=variant)
     return _FIELD_CACHE[key]
 
 
@@ -322,11 +322,6 @@ class TeichmuellerPowers:
     def __getitem__(self, s: int) -> ZqElement:
         return ZqElement(tuple(int(c) for c in self.array[s]), self.uctx)
 
-    def dlog(self, x: FqElement) -> int:
-        if x.idx == 0:
-            raise ZeroArgument("characters vanish at 0 by convention; not a unit value")
-        return self.field.dlog[x.idx]
-
 
 _TEICH_CACHE: dict[tuple, TeichmuellerPowers] = {}
 
@@ -342,8 +337,7 @@ def teichmueller_powers(field: FqField, uctx: UnramifiedContext) -> Teichmueller
 
 def char_eval_padic(m: int, x: FqElement, uctx: UnramifiedContext) -> ZqElement:
     """omega^m(x) in Z_q mod p^K via the Teichmueller lift."""
-    table = teichmueller_powers(x.field, uctx)
-    return table[m * table.dlog(x) % (x.field.q - 1)]
+    return teichmueller_powers(x.field, uctx)[m * x.dlog() % (x.field.q - 1)]
 
 
 def check_orthogonality(field: FqField) -> bool:

@@ -1,6 +1,6 @@
 """Morita's p-adic gamma function at rational arguments with p-free
-denominator, to precision p^K, plus the gamma product identities the
-verification suite checks.
+denominator, to precision p^K, plus both sides of the gamma product and
+floor identities, which the verification suite's records compare.
 
 The continuity estimate Gamma_p(x) = Gamma_p(n) mod p^K for any integer
 n = x mod p^K reduces every evaluation to Gamma_p(n) = (-1)^n f(n), where
@@ -177,12 +177,6 @@ def lemma31_sides(t: int, j: int, uctx: UnramifiedContext):
     return (left1, uctx.from_int(rhs1)), (left2, uctx.from_int(rhs2))
 
 
-def verify_lemma31(t: int, j: int, uctx: UnramifiedContext) -> bool:
-    """Both gamma multiplication identities, checked mod p^K."""
-    (l1, r1), (l2, r2) = lemma31_sides(t, j, uctx)
-    return l1.coeffs == r1.coeffs and l2.coeffs == r2.coeffs
-
-
 def eq29_sides(l: int, uctx: UnramifiedContext):
     """(gamma product over Frobenius twists, (-1)^r omega-bar^l(-1)) mod p^K."""
     p, r, q = uctx.p, uctx.r, uctx.q
@@ -197,13 +191,6 @@ def eq29_sides(l: int, uctx: UnramifiedContext):
         lhs = lhs * cache.gamma(frac_floor(Fraction(l * pi, q - 1))[0]) % m
     # omega-bar(-1) = -1 for odd p
     return uctx.from_int(lhs), uctx.from_int((-1) ** (r + l))
-
-
-def verify_eq29(l: int, uctx: UnramifiedContext) -> bool:
-    """Product over Frobenius twists of Gamma_p at l/(q-1) and its complement
-    equals (-1)^r * omega-bar^l(-1), mod p^K."""
-    lhs, rhs = eq29_sides(l, uctx)
-    return lhs.coeffs == rhs.coeffs
 
 
 def lemma5_sides(l: int, i: int, p: int, r: int) -> tuple[int, int]:
@@ -230,9 +217,3 @@ def lemma5_sides(l: int, i: int, p: int, r: int) -> tuple[int, int]:
     five_sixth = frac_floor(Fraction(-5 * pi, 6))[0]
     rhs = -2 * fl(half - s) - fl(sixth + s) - fl(five_sixth + s)
     return lhs, rhs
-
-
-def verify_lemma5(l: int, i: int, p: int, r: int) -> bool:
-    """Exact integer identity between the two floor sums."""
-    lhs, rhs = lemma5_sides(l, i, p, r)
-    return lhs == rhs

@@ -1,6 +1,8 @@
-"""Complex floating-point Gauss sums over F_q, verifying the character-sum
-facts that live in C rather than Z_q: the G_k G_{-k} product, the expansion of
-the additive character through Gauss sums, and the Davenport-Hasse relation.
+"""Complex floating-point Gauss sums over F_q, and both sides of the
+character-sum facts that live in C rather than Z_q: the G_k G_{-k} product,
+the expansion of the additive character through Gauss sums, and the
+Davenport-Hasse relation.  The verification suite's records compare the sides
+within ``default_tolerance``.
 
 This module is float-only and quarantined: nothing p-adic depends on it.
 Roots of unity are tabulated once per field so each sum is a table gather.
@@ -78,12 +80,6 @@ def gk_product_sides(k: int, field: FqField) -> tuple[ComplexVal, ComplexVal]:
     return lhs, rhs
 
 
-def check_gk_product(k: int, field: FqField) -> bool:
-    """G_k G_{-k} against q T^k(-1) for a nontrivial character index k."""
-    lhs, rhs = gk_product_sides(k, field)
-    return abs(lhs - rhs) < default_tolerance(field)
-
-
 def theta_expansion_sides(alpha: FqElement, field: FqField) -> tuple[ComplexVal, ComplexVal]:
     """(theta(alpha), its expansion (1/(q-1)) sum_m G_{-m} T^m(alpha))."""
     if alpha.is_zero:
@@ -97,15 +93,9 @@ def theta_expansion_sides(alpha: FqElement, field: FqField) -> tuple[ComplexVal,
     return lhs, rhs
 
 
-def check_theta_expansion(alpha: FqElement, field: FqField) -> bool:
-    """theta(alpha) against its Gauss-sum expansion."""
-    lhs, rhs = theta_expansion_sides(alpha, field)
-    return abs(lhs - rhs) < default_tolerance(field)
-
-
 def davenport_hasse_sides(m: int, psi: int, field: FqField) -> tuple[ComplexVal, ComplexVal]:
-    """Both sides of the Davenport-Hasse product relation for the m-torsion
-    characters twisted by psi."""
+    """(product of G over the m-torsion characters twisted by psi,
+    -G(psi^m) psi(m^-m) times the untwisted product): Davenport-Hasse."""
     q1 = field.q - 1
     if m <= 0 or q1 % m != 0:
         raise ModulusMismatch(f"q = {field.q} is not 1 mod {m}")
@@ -122,10 +112,3 @@ def davenport_hasse_sides(m: int, psi: int, field: FqField) -> tuple[ComplexVal,
     if not (cmath.isfinite(lhs) and cmath.isfinite(rhs)):
         raise ArithmeticError("non-finite product")
     return complex(lhs), complex(rhs)
-
-
-def check_davenport_hasse(m: int, psi: int, field: FqField) -> bool:
-    """Product of G over the m-torsion characters twisted by psi against
-    -G(psi^m) psi(m^-m) times the untwisted product."""
-    lhs, rhs = davenport_hasse_sides(m, psi, field)
-    return abs(lhs - rhs) < default_tolerance(field)

@@ -96,6 +96,8 @@ class GInstance:
     t: FqElement
 
     def __post_init__(self):
+        if self.t.field is not self.field:
+            raise ValueError("element belongs to another field")
         self.params.check_padic(self.field.p)
         if self.t.is_zero:
             raise ZeroArgument("evaluation point t must be nonzero")
@@ -208,7 +210,7 @@ class GProfile:
             p = self.field.p
             scaled = [c * pow(p, v + shift, m) % m for c, v in zip(self.units, self.vals)]
             column = self._columns[shift] = np.array(scaled, dtype=powers.array.dtype)[:, None]
-        twists = powers.array[self._minus_j * powers.dlog(t) % (self.field.q - 1)]
+        twists = powers.array[self._minus_j * t.dlog() % (self.field.q - 1)]
         acc = (column * twists % m).sum(axis=0) % m
         total = ZqElement(tuple(int(c) for c in acc), ctx).scale(self.neg_inv_q1)
         if total.is_zero:
@@ -230,17 +232,12 @@ class GProfile:
             )
         return self._sum(t, r)
 
-    def eval_g(self, t: FqElement) -> PadicNumber:
-        """G itself (absolute precision K - r)."""
-        return _times_p_power(self.eval_qg(t), -self.uctx.r)
-
     def term(self, t: FqElement, j: int) -> PadicNumber:
         """The j-th summand (without the -1/(q-1) prefactor)."""
         q = self.field.q
         if not 0 <= j <= q - 2:
             raise ValueError("j out of range")
-        powers = self._powers
-        unit = powers[-j * powers.dlog(t) % (q - 1)].scale(self.units[j])
+        unit = self._powers[-j * t.dlog() % (q - 1)].scale(self.units[j])
         return PadicNumber(self.vals[j], unit, self.vals[j] + self.uctx.K)
 
 

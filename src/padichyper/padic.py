@@ -220,10 +220,6 @@ class UnramifiedContext:
     def one(self) -> "ZqElement":
         return self.from_int(1)
 
-    @property
-    def zero_elt(self) -> "ZqElement":
-        return self.from_int(0)
-
 
 @lru_cache(maxsize=None)
 def unramified_context(p: int, K: int, r: int, poly: tuple[int, ...] | None = None) -> UnramifiedContext:

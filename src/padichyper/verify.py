@@ -55,6 +55,7 @@ from .curves import (
     WeierstrassCurve,
     count_hessian,
     count_weierstrass,
+    cubic_values,
     hessian_bridge,
 )
 from .errors import PreconditionFailed, SingularCurve, PadicHyperError
@@ -427,15 +428,6 @@ def _each(values):
 _units = _each(lambda f: range(1, f.q))
 
 
-def _cubic_roots(field: FqField, m: FqElement, n: FqElement) -> list[int]:
-    """Indices of the roots of x^3 + m x + n, by a vectorized scan."""
-    xs = np.arange(field.q, dtype=np.int64)
-    fx = field.np_add(
-        field.np_add(field.np_pow(xs, 3), field.np_mul_const(m.idx, xs)), n.idx
-    )
-    return [int(i) for i in np.nonzero(fx == 0)[0]]
-
-
 def _cor2_roots(run: _SuiteRun, field: FqField, tag: str) -> list:
     """(branch, d, root) over every branch root at each sampled d; a d that
     fails MT1's gates is a skip."""
@@ -454,7 +446,8 @@ def _cor2_roots(run: _SuiteRun, field: FqField, tag: str) -> list:
             halves = (s // 2, s // 2 + (q - 1) // 2)
             out += [(1, d, field.from_index(field.exp[half % (q - 1)])) for half in halves]
         # branch 2: nonzero roots of x^3 + mx + n
-        out += [(2, d, field.from_index(hi)) for hi in _cubic_roots(field, m, n) if hi]
+        roots = np.nonzero(cubic_values(m, n) == 0)[0]
+        out += [(2, d, field.from_index(int(hi))) for hi in roots if hi]
     return out
 
 

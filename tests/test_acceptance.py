@@ -9,14 +9,8 @@ import time
 from fractions import Fraction
 
 from padichyper.fields import build_field
-from padichyper.gamma import gamma_cache, verify_eq29, verify_lemma5, verify_lemma31, verify_reflection
-from padichyper.gauss import (
-    check_davenport_hasse,
-    check_gk_product,
-    check_theta_expansion,
-)
-from padichyper.fields import check_orthogonality
-from padichyper.padic import default_precision, is_prime, unramified_context
+from padichyper.gamma import gamma_cache, verify_reflection
+from padichyper.padic import default_precision, is_prime
 from padichyper.verify import RangeSpec, run_suite
 
 
@@ -24,6 +18,17 @@ def report_line(label: str, ok: bool, detail: str = ""):
     tag = "PASS" if ok else "FAIL"
     print(f"[{tag}] {label}" + (f"  ({detail})" if detail else ""))
     assert ok, label
+
+
+def sweep_each_field(theorems, cases):
+    """One run_suite per (p, r, K) case, over that field alone; returns
+    (records checked, every record passed and none was skipped)."""
+    total, ok = 0, True
+    for p, r, K in cases:
+        summary = run_suite(RangeSpec(theorems=theorems, pmin=p, pmax=p, r_values=(r,), K=K)).summary
+        total += summary["total"]
+        ok = ok and summary["passed"] == summary["total"] and summary["skipped"] == 0
+    return total, ok
 
 
 def odd_prime_powers(limit: int):
@@ -107,17 +112,11 @@ class TestAcceptance:
 
     def test_floor_identity(self):
         t0 = time.time()
-        total = 0
-        ok = True
-        for (p, r) in [(7, 1), (11, 1), (13, 1), (5, 2), (7, 2), (11, 2), (13, 2)]:
-            q = p**r
-            for l in range(1, q - 1):
-                if 2 * l == q - 1:
-                    continue
-                for i in range(r):
-                    total += 1
-                    ok = ok and verify_lemma5(l, i, p, r)
+        cases = [(7, 1), (11, 1), (13, 1), (5, 2), (7, 2), (11, 2), (13, 2)]
+        total, ok = sweep_each_field(("lemma5",), [(p, r, None) for p, r in cases])
         dt = time.time() - t0
+        # every l in [1, q-2] but (q-1)/2, for each i < r
+        ok = ok and total == sum((p**r - 3) * r for p, r in cases) == 726
         ok = ok and dt < 5
         report_line(
             "floor identity, exhaustive (l, i) for q in {7,11,13,25,49,121,169}",
@@ -126,21 +125,11 @@ class TestAcceptance:
         )
 
     def test_gamma_product_identities(self):
-        total = 0
-        ok = True
-        for (p, r) in [(7, 1), (13, 1), (5, 2), (7, 2)]:
-            q = p**r
-            u = unramified_context(p, max(5, default_precision(p, r)), r)
-            assert u.K >= 5
-            for t in (2, 3, 6):
-                if t % p == 0:
-                    continue
-                for j in range(q - 1):
-                    total += 1
-                    ok = ok and verify_lemma31(t, j, u)
-            for l in range(1, q - 1):
-                total += 1
-                ok = ok and verify_eq29(l, u)
+        cases = [(7, 1), (13, 1), (5, 2), (7, 2)]
+        K = {(p, r): max(5, default_precision(p, r)) for p, r in cases}
+        total, ok = sweep_each_field(("lemma31", "eq29"), [(p, r, K[p, r]) for p, r in cases])
+        # lemma31: t in (2, 3, 6) by every j in [0, q-2]; eq29: every l in [1, q-2]
+        ok = ok and total == sum(3 * (p**r - 1) + p**r - 2 for p, r in cases) == 356
         report_line(
             "gamma product identities, exhaustive j and l for q in {7,13,25,49} at K >= 5",
             ok,
@@ -148,24 +137,12 @@ class TestAcceptance:
         )
 
     def test_gauss_sum_suite(self):
-        total = 0
-        ok = True
-        for (p, r, q) in odd_prime_powers(121):
-            field = build_field(p, r)
-            ok = ok and check_orthogonality(field)
-            total += 1
-            for k in range(1, q - 1):
-                ok = ok and check_gk_product(k, field)
-                total += 1
-            for idx in range(1, q):
-                ok = ok and check_theta_expansion(field.from_index(idx), field)
-                total += 1
-            for m in (2, 3, 6):
-                if (q - 1) % m:
-                    continue
-                for e in range(q - 1):
-                    ok = ok and check_davenport_hasse(m, e, field)
-                    total += 1
+        fields = odd_prime_powers(121)
+        total, ok = sweep_each_field(("ortho", "gauss"), [(p, r, None) for p, r, _ in fields])
+        # one ORTHO, every k in [1, q-2], every unit alpha, and every psi for
+        # each m in (2, 3, 6) dividing q - 1
+        dh = lambda q: sum(q - 1 for m in (2, 3, 6) if (q - 1) % m == 0)
+        ok = ok and total == sum(1 + (q - 2) + (q - 1) + dh(q) for _, _, q in fields) == 7440
         report_line(
             "Gauss sum float suite (orthogonality, products, expansion, Davenport-Hasse) for q <= 121",
             ok,

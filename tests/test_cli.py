@@ -112,6 +112,20 @@ class TestVerifyCommand:
     def test_empty_prime_range_exits_2(self, capsys):
         assert main(["verify", "mt1", "--pmin", "24", "--pmax", "28"]) == 2
 
+    @pytest.mark.parametrize(
+        "theorem,pmin,skipped",
+        [
+            ("mt1", "7", 6),  # every d at p = 7 fails one of MT1's gates
+            ("hessian", "5", 4),  # p = 5 needs --allow-p5
+        ],
+    )
+    def test_sweep_that_checks_nothing_exits_2(self, capsys, theorem, pmin, skipped):
+        code = main(["verify", theorem, "--pmin", pmin, "--pmax", pmin, "--r", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"total=0 passed=0 failed=0 skipped={skipped}" in captured.out
+        assert "no identity was checked" in captured.err
+
     def test_bad_r_list_exits_2(self):
         assert main(["verify", "mt1", "--r", "one"]) == 2
 

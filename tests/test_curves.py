@@ -4,19 +4,41 @@ import numpy as np
 import pytest
 
 from padichyper.curves import (
+    CurveCount,
     HessianCurve,
     WeierstrassCurve,
     check_count_relation,
     count_hessian,
-    count_hessian_enumerate,
     count_weierstrass,
-    count_weierstrass_enumerate,
     hessian_bridge,
-    is_generic,
     j_invariant,
 )
-from padichyper.errors import SingularCurve, SingularHessian
+from padichyper.errors import PreconditionFailed, SingularCurve, SingularHessian
 from padichyper.fields import FqField, build_field, phi
+from padichyper.verify import verify_mc
+
+
+def count_weierstrass_enumerate(E: WeierstrassCurve, f: FqField) -> CurveCount:
+    """Oracle: direct (x, y) enumeration."""
+    affine = 0
+    for x in f.elements():
+        rhs = x**3 + E.a * x + E.b
+        for y in f.elements():
+            if y * y == rhs:
+                affine += 1
+    return CurveCount(affine=affine, projective=affine + 1, trace=f.q - affine)
+
+
+def count_hessian_enumerate(C: HessianCurve, f: FqField) -> int:
+    """Oracle: plain double loop."""
+    three_d = f.element(3) * C.d
+    total = 0
+    for x in f.elements():
+        x3 = x**3
+        for y in f.elements():
+            if x3 + y**3 + 1 == three_d * x * y:
+                total += 1
+    return total
 
 
 def count_hessian_grid(C: HessianCurve, f: FqField) -> int:
@@ -269,17 +291,21 @@ class TestJInvariant:
         f = build_field(13, 1)
         E = WeierstrassCurve(f.element(2), f.zero)
         assert j_invariant(E) == f.element(1728)
-        assert not is_generic(E)
+        # MC's gate for this curve
+        with pytest.raises(PreconditionFailed, match="j_is_1728"):
+            verify_mc(13, 1, 2, 0)
 
     def test_a_zero_gives_zero(self):
         f = build_field(13, 1)
         E = WeierstrassCurve(f.zero, f.element(2))
         assert j_invariant(E).is_zero
-        assert not is_generic(E)
+        with pytest.raises(PreconditionFailed, match="j_is_zero"):
+            verify_mc(13, 1, 0, 2)
 
     def test_generic_curve(self):
         f = build_field(7, 1)
         E = WeierstrassCurve(f.element(1), f.element(1))
         j = j_invariant(E)
         assert j == 1728 * 4 * E.a**3 / (4 * E.a**3 + 27 * E.b**2)
-        assert is_generic(E)
+        assert not j.is_zero and j != f.element(1728)
+        assert verify_mc(7, 1, 1, 1).passed

@@ -27,7 +27,7 @@ class TestBuild:
 
     def test_too_large_rejected(self):
         with pytest.raises(FieldTooLarge):
-            build_field(11, 2, max_q=100)
+            build_field(317, 2)  # q = 100,489, above the table bound
 
     def test_variant_changes_model(self):
         f0 = build_field(7, 1, variant=0)

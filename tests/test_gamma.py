@@ -9,9 +9,7 @@ from padichyper.gamma import (
     _omega_power,
     eq29_sides,
     gamma_cache,
-    verify_eq29,
-    verify_lemma31,
-    verify_lemma5,
+    lemma5_sides,
     verify_reflection,
 )
 from padichyper.padic import (
@@ -20,7 +18,13 @@ from padichyper.padic import (
     zq_inv,
     zq_pow,
 )
-from padichyper.verify import RangeSpec, run_suite
+from padichyper.verify import (
+    RangeSpec,
+    run_suite,
+    verify_eq29_record,
+    verify_lemma31_record,
+    verify_lemma5_record,
+)
 
 
 def gamma_brute(n: int, p: int, K: int) -> int:
@@ -188,28 +192,24 @@ class TestReflection:
 class TestProductIdentities:
     @pytest.mark.parametrize("p,r", [(7, 1), (13, 1), (5, 2)])
     def test_lemma31_exhaustive(self, p, r):
-        u = unramified_context(p, 5, r)
         q = p**r
         for t in (2, 3, 6):
             if t % p == 0:
                 continue
             for j in range(q - 1):
-                assert verify_lemma31(t, j, u), (p, r, t, j)
+                assert verify_lemma31_record(p, r, t, j, K=5).passed, (p, r, t, j)
 
     def test_lemma31_j_zero_collapses(self):
-        u = unramified_context(11, 5, 1)
         for t in (2, 3, 6):
-            assert verify_lemma31(t, 0, u)
+            assert verify_lemma31_record(11, 1, t, 0, K=5).passed
 
     @pytest.mark.parametrize("p,r", [(7, 1), (13, 1), (5, 2)])
     def test_eq29_exhaustive(self, p, r):
-        u = unramified_context(p, 5, r)
         for l in range(1, p**r - 1):
-            assert verify_eq29(l, u), (p, r, l)
+            assert verify_eq29_record(p, r, l, K=5).passed, (p, r, l)
 
     def test_eq29_at_half_point(self):
-        u = unramified_context(7, 5, 1)
-        assert verify_eq29(3, u)
+        assert verify_eq29_record(7, 1, 3, K=5).passed
 
     @pytest.mark.parametrize("p,r", [(7, 1), (11, 1), (13, 1), (5, 2), (7, 2), (11, 2), (13, 2)])
     def test_floor_identity_exhaustive(self, p, r):
@@ -218,11 +218,11 @@ class TestProductIdentities:
             if 2 * l == q - 1:
                 continue
             for i in range(r):
-                assert verify_lemma5(l, i, p, r), (p, r, l, i)
+                assert verify_lemma5_record(p, r, l, i).passed, (p, r, l, i)
 
     def test_floor_identity_rejects_midpoint(self):
         with pytest.raises(ValueError):
-            verify_lemma5(3, 0, 7, 1)
+            lemma5_sides(3, 0, 7, 1)
 
 
 class TestOracles:
@@ -257,10 +257,9 @@ class TestOracles:
             assert verify_reflection(Fraction(c, p - 1), cache), (p, c)
 
     def test_lemma31_at_89(self):
-        u = unramified_context(89, 5, 1)
         for t in (2, 3):
             for j in range(88):
-                assert verify_lemma31(t, j, u), (t, j)
+                assert verify_lemma31_record(89, 1, t, j, K=5).passed, (t, j)
 
     def test_mc_sweep_at_p_89_to_97(self):
         report = run_suite(RangeSpec(theorems=("mc",), pmin=89, pmax=97, r_values=(1,), sample=3))

@@ -8,11 +8,16 @@ import pytest
 from padichyper.errors import ModulusMismatch, TrivialCharacter, ZeroArgument
 from padichyper.fields import FqField, build_field, trace
 from padichyper.gauss import (
-    check_davenport_hasse,
-    check_gk_product,
-    check_theta_expansion,
+    davenport_hasse_sides,
     default_tolerance,
     gauss_sum,
+    gk_product_sides,
+    theta_expansion_sides,
+)
+from padichyper.verify import (
+    verify_gauss_dh_record,
+    verify_gauss_gk_record,
+    verify_gauss_theta_record,
 )
 
 SMALL_FIELDS = [(3, 1), (5, 1), (7, 1), (11, 1), (3, 2), (5, 2), (7, 2), (11, 2), (3, 4)]
@@ -84,60 +89,52 @@ class TestGaussSum:
 
 class TestGkProduct:
     def test_quadratic_character_case(self):
-        f = build_field(11, 1)
-        assert check_gk_product((f.q - 1) // 2, f)
+        assert verify_gauss_gk_record(11, 1, (11 - 1) // 2).passed
 
     @pytest.mark.parametrize("p,r", SMALL_FIELDS)
     def test_all_nontrivial(self, p, r):
-        f = build_field(p, r)
-        for k in range(1, f.q - 1):
-            assert check_gk_product(k, f)
+        for k in range(1, p**r - 1):
+            assert verify_gauss_gk_record(p, r, k).passed
 
     def test_trivial_rejected(self):
         with pytest.raises(TrivialCharacter):
-            check_gk_product(0, build_field(7, 1))
+            gk_product_sides(0, build_field(7, 1))
 
 
 class TestThetaExpansion:
     def test_alpha_one(self):
-        f = build_field(7, 1)
-        assert check_theta_expansion(f.one, f)
+        assert verify_gauss_theta_record(7, 1, build_field(7, 1).one.idx).passed
 
     @pytest.mark.parametrize("p,r", [(5, 1), (7, 1), (5, 2), (3, 2)])
     def test_all_units(self, p, r):
-        f = build_field(p, r)
-        for idx in range(1, f.q):
-            assert check_theta_expansion(f.from_index(idx), f)
+        for idx in range(1, p**r):
+            assert verify_gauss_theta_record(p, r, idx).passed
 
     def test_zero_rejected(self):
         f = build_field(7, 1)
         with pytest.raises(ZeroArgument):
-            check_theta_expansion(f.zero, f)
+            theta_expansion_sides(f.zero, f)
 
 
 class TestDavenportHasse:
     def test_trivial_psi(self):
-        f = build_field(7, 1)
         for m in (2, 3, 6):
-            assert check_davenport_hasse(m, 0, f)
+            assert verify_gauss_dh_record(7, 1, m, 0).passed
 
     def test_m2_all_psi(self):
-        f = build_field(7, 1)
-        for e in range(f.q - 1):
-            assert check_davenport_hasse(2, e, f)
+        for e in range(6):
+            assert verify_gauss_dh_record(7, 1, 2, e).passed
 
     def test_m3_needs_q_1_mod_3(self):
-        f7 = build_field(7, 1)
-        assert check_davenport_hasse(3, 1, f7)
-        f5 = build_field(5, 1)
+        assert verify_gauss_dh_record(7, 1, 3, 1).passed
         with pytest.raises(ModulusMismatch):
-            check_davenport_hasse(3, 1, f5)
+            davenport_hasse_sides(3, 1, build_field(5, 1))
 
     @pytest.mark.parametrize("p,r", [(7, 1), (13, 1), (5, 2), (7, 2)])
     def test_all_orders_and_characters(self, p, r):
-        f = build_field(p, r)
+        q = p**r
         for m in (2, 3, 6):
-            if (f.q - 1) % m:
+            if (q - 1) % m:
                 continue
-            for e in range(0, f.q - 1, 5):
-                assert check_davenport_hasse(m, e, f)
+            for e in range(0, q - 1, 5):
+                assert verify_gauss_dh_record(p, r, m, e).passed

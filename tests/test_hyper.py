@@ -40,7 +40,7 @@ def oracle_qg(prof, t):
     p, r, m = ctx.p, ctx.r, ctx.modulus
     wbar = zq_inv(teichmueller(t, ctx))
     w = ctx.one
-    acc = ctx.zero_elt
+    acc = ctx.from_int(0)
     for j in range(prof.field.q - 1):
         acc = acc + w.scale(prof.units[j] * p ** (r + prof.vals[j]))
         w = w * wbar
@@ -95,6 +95,17 @@ class TestGParams:
         field = build_field(7, 1)
         with pytest.raises(ZeroArgument):
             GInstance(QT, field, uctx_for(field, 5), field.zero)
+
+    def test_instance_rejects_a_point_of_another_prime_field(self):
+        field = build_field(7, 1)
+        with pytest.raises(ValueError, match="element belongs to another field"):
+            GInstance(QT, field, uctx_for(field, 5), build_field(13, 1).element(5))
+
+    def test_instance_rejects_a_point_of_another_model(self):
+        field = build_field(5, 2)
+        t = build_field(5, 2, variant=1).element([1, 1])
+        with pytest.raises(ValueError, match="element belongs to another field"):
+            GInstance(QT, field, uctx_for(field, 4), t)
 
     def test_equal_spellings_hash_alike_and_share_a_profile(self):
         parsed = gparams("1/2,1/2;1/6,5/6")
@@ -231,9 +242,9 @@ class TestEval:
         prof = profile_for(QT, field, uctx)
         for t_idx in (1, 2, 5):
             t = field.from_index(t_idx)
-            a = prof.eval_g(t)
-            b = g_eval(GInstance(QT, field, uctx, t))
-            assert a.agrees_to(b, K - 1)
+            a = prof.eval_qg(t)
+            b = g_eval(GInstance(QT, field, uctx, t)).scale_int(field.q)
+            assert a.agrees_to(b, K)
 
     def test_qg_integrality_over_theorem_instances(self):
         # q * G must recover as an integer for every trace-formula instance
