@@ -48,7 +48,7 @@ print("\nTrace of Frobenius via the series, against brute-force counting:")
 for (ai, bi) in [(1, 1), (2, 5), (7, 3)]:
     a, b = field.element(ai), field.element(bi)
     E = WeierstrassCurve(a, b)
-    tr = count_weierstrass(E, field).trace
+    tr = count_weierstrass(E).trace
     arg = -27 * b * b / (4 * a**3)
     qg = g_eval(GInstance(params, field, uctx, arg)).scale_int(field.q * phi(b))
     rec = recover_integer(qg, math.isqrt(4 * field.q), p=p)

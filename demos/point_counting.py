@@ -24,7 +24,7 @@ q = field.q
 print(f"Weierstrass curves over F_{q}:")
 for (a, b) in [(1, 1), (2, 3), (5, 8)]:
     E = WeierstrassCurve(field.element(a), field.element(b))
-    cc = count_weierstrass(E, field)
+    cc = count_weierstrass(E)
     print(
         f"  y^2 = x^3 + {a}x + {b}: affine={cc.affine} projective={cc.projective} "
         f"trace={cc.trace} (|trace| <= 2 sqrt(q) = {2*math.isqrt(q)+1}), j = {j_invariant(E).idx}"
@@ -33,7 +33,7 @@ for (a, b) in [(1, 1), (2, 3), (5, 8)]:
 print(f"\nHessian cubics x^3 + y^3 + 1 = 3dxy over F_{q}:")
 for d in (0, 2, 4):
     C = HessianCurve(field.element(d))
-    print(f"  d={d}: affine count = {count_hessian(C, field)}")
+    print(f"  d={d}: affine count = {count_hessian(C)}")
 
 # The bridge: for each admissible d there is a Weierstrass model isomorphic
 # to the projective Hessian cubic; the counts differ exactly by the points
@@ -46,7 +46,7 @@ for di in range(2, 9):
         continue
     m, n = hessian_bridge(d)
     try:
-        ok = check_count_relation(d, f17)
+        ok = check_count_relation(d)
     except Exception as exc:
         print(f"  d={di}: bridged model degenerate ({exc})")
         continue

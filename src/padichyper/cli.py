@@ -69,11 +69,11 @@ def _cmd_count(args) -> int:
     field = build_field(args.p, args.r)
     if args.kind == "weier":
         E = WeierstrassCurve(_parse_element(field, args.a), _parse_element(field, args.b))
-        cc = count_weierstrass(E, field)
+        cc = count_weierstrass(E)
         print(f"affine={cc.affine} projective={cc.projective} trace={cc.trace}")
     else:
         C = HessianCurve(_parse_element(field, args.d))
-        print(f"affine={count_hessian(C, field)}")
+        print(f"affine={count_hessian(C)}")
     return 0
 
 

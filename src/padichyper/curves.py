@@ -57,13 +57,6 @@ class CurveCount:
     trace: int
 
 
-def _own_field(own: FqField, field: FqField | None) -> FqField:
-    """The curve's field; ``field`` may only repeat it."""
-    if field is not None and field is not own:
-        raise ValueError("element belongs to another field")
-    return own
-
-
 def _phi_sum(f: FqField, arr: np.ndarray) -> int:
     """Sum of the quadratic character over an array of element indices."""
     return int(np.where(arr == 0, 0, 1 - 2 * (f.dlog_np[arr] & 1)).sum())
@@ -76,10 +69,10 @@ def cubic_values(a: FqElement, b: FqElement) -> np.ndarray:
     return f.np_add(f.np_add(f.np_pow(xs, 3), f.np_mul_const(a.idx, xs)), b.idx)
 
 
-def count_weierstrass(E: WeierstrassCurve, field: FqField | None = None) -> CurveCount:
+def count_weierstrass(E: WeierstrassCurve) -> CurveCount:
     """Point count via the character sum: each x contributes 1 + phi(x^3+ax+b)
     affine points, plus the single point at infinity."""
-    f = _own_field(E.field, field)
+    f = E.field
     q = f.q
     affine = q + _phi_sum(f, cubic_values(E.a, E.b))
     tr = q - affine
@@ -88,12 +81,12 @@ def count_weierstrass(E: WeierstrassCurve, field: FqField | None = None) -> Curv
     return CurveCount(affine=affine, projective=affine + 1, trace=tr)
 
 
-def count_hessian(C: HessianCurve, field: FqField | None = None) -> int:
+def count_hessian(C: HessianCurve) -> int:
     """Number of affine solutions of x^3 + y^3 + 1 = 3 d x y.  With u = x + y,
     v = xy it reads 3 v (u + d) = u^3 + 1: u = -d gives no point (1 - d^3 != 0),
     any other u fixes v and gives the 1 + phi(u^2 - 4v) ordered roots (x, y) of
     z^2 - u z + v.  In characteristic 3 it is (x + y + 1)^3 = 0, q points."""
-    f = _own_field(C.field, field)
+    f = C.field
     if f.p == 3:
         return f.q
     us = np.delete(np.arange(f.q, dtype=np.int64), (-C.d).idx)
@@ -120,19 +113,16 @@ def hessian_bridge(d: FqElement) -> tuple[FqElement, FqElement]:
     return m, n
 
 
-def check_count_relation(d: FqElement, field: FqField | None = None) -> bool:
+def check_count_relation(d: FqElement) -> bool:
     """Both curves enumerated: #E(F_q) (projective) must equal
     #C_d(F_q) (affine) + 2 + phi(-3), for the bridged Weierstrass model.
 
     2 + phi(-3) is the number of points of the cubic on the line at infinity:
     3 when q = 1 mod 3 (iff phi(-3) = 1), otherwise 1.
     """
-    f = field or d.field
     m, n = hessian_bridge(d)
-    E = WeierstrassCurve(m, n)
-    C = HessianCurve(d)
-    lhs = count_weierstrass(E, f).projective
-    rhs = count_hessian(C, f) + 2 + phi(f.element(-3))
+    lhs = count_weierstrass(WeierstrassCurve(m, n)).projective
+    rhs = count_hessian(HessianCurve(d)) + 2 + phi(d.field.element(-3))
     return lhs == rhs
 
 

@@ -41,7 +41,7 @@ from .fields import (
     uctx_for,
 )
 from .gamma import gamma_cache
-from .padic import PadicNumber, UnramifiedContext, ZqElement, frac_floor
+from .padic import PadicNumber, UnramifiedContext, frac_floor, renormalize
 
 # Not called here; perfbench/tracing.py wraps them under these names.
 from .padic import padic_sum, teichmueller, zq_inv  # noqa: F401
@@ -146,13 +146,6 @@ def term_exponents(params: GParams, p: int, r: int) -> tuple[int, np.ndarray, np
     return D, vals, args
 
 
-def _times_p_power(x: PadicNumber, s: int) -> PadicNumber:
-    """x * p^s, for an integer s of either sign."""
-    if x.exact_zero:
-        return PadicNumber.zero(x.abs_prec + s)
-    return PadicNumber(x.valuation + s, x.unit, x.abs_prec + s)
-
-
 class GProfile:
     """j-indexed exact valuations and unit scalars for one (params, field, K).
 
@@ -184,8 +177,6 @@ class GProfile:
         self.units = units.tolist()
         self.vmin = min(self.vals)
         self.vmax = max(self.vals)
-        # the -1/(q-1) prefactor, a unit scalar
-        self.neg_inv_q1 = -pow(q - 1, -1, m) % m
         self._minus_j = -np.arange(q - 1, dtype=np.int64)
         self._columns: dict[int, np.ndarray] = {}
 
@@ -193,30 +184,35 @@ class GProfile:
     def _powers(self) -> TeichmuellerPowers:
         return teichmueller_powers(self.field, self.uctx)
 
-    def _sum(self, t: FqElement, shift: int) -> PadicNumber:
-        """p^shift * G at t, to absolute precision K; needs v_j + shift >= 0
-        for every j.
+    def _twist_index(self, t: FqElement) -> int:
+        """dlog t, for a point of the field the profile's tables index."""
+        f = t.field
+        if (f.p, f.r, f.variant) != (self.field.p, self.field.r, self.field.variant):
+            raise ValueError("element belongs to another field")
+        return t.dlog()
+
+    def _sum(self, t: FqElement, shift: int, offset: int) -> PadicNumber:
+        """p^(shift + offset) * G at t: the dot product gives p^shift * G
+        mod p^K, read at valuation offset to absolute precision K + offset.
+        Needs v_j + shift >= 0 for every j.
 
         The twist omega-bar(t)^j = T[-j dlog t] is gathered from the power
         table for every j at once, and one modular dot product takes it
-        against the column c_j p^(v_j + shift); each product is reduced
-        before the sum, so the int64 gather stays exact.
+        against the column -c_j p^(v_j + shift) / (q-1); each product is
+        reduced before the sum, so the int64 gather stays exact.
         """
         ctx = self.uctx
         m = ctx.modulus
         powers = self._powers
         column = self._columns.get(shift)
         if column is None:
-            p = self.field.p
-            scaled = [c * pow(p, v + shift, m) % m for c, v in zip(self.units, self.vals)]
+            p, q = self.field.p, self.field.q
+            prefactor = -pow(q - 1, -1, m)
+            scaled = [c * prefactor * pow(p, v + shift, m) % m for c, v in zip(self.units, self.vals)]
             column = self._columns[shift] = np.array(scaled, dtype=powers.array.dtype)[:, None]
-        twists = powers.array[self._minus_j * t.dlog() % (self.field.q - 1)]
+        twists = powers.array[self._minus_j * self._twist_index(t) % (self.field.q - 1)]
         acc = (column * twists % m).sum(axis=0) % m
-        total = ZqElement(tuple(int(c) for c in acc), ctx).scale(self.neg_inv_q1)
-        if total.is_zero:
-            return PadicNumber.zero(ctx.K)
-        w0 = total.valuation()
-        return PadicNumber(w0, total.unshift(w0), ctx.K)
+        return renormalize(acc.tolist(), ctx, offset, ctx.K + offset)
 
     def eval_qg(self, t: FqElement) -> PadicNumber:
         """q * G at t, to absolute precision K.
@@ -230,14 +226,14 @@ class GProfile:
             raise PrecisionExhausted(
                 "q*G has terms below valuation 0; evaluate via g_eval with guard digits"
             )
-        return self._sum(t, r)
+        return self._sum(t, r, 0)
 
     def term(self, t: FqElement, j: int) -> PadicNumber:
         """The j-th summand (without the -1/(q-1) prefactor)."""
         q = self.field.q
         if not 0 <= j <= q - 2:
             raise ValueError("j out of range")
-        unit = self._powers[-j * t.dlog() % (q - 1)].scale(self.units[j])
+        unit = self._powers[-j * self._twist_index(t) % (q - 1)].scale(self.units[j])
         return PadicNumber(self.vals[j], unit, self.vals[j] + self.uctx.K)
 
 
@@ -272,7 +268,7 @@ def g_eval(inst: GInstance) -> PadicNumber:
     if vmax > vmin:
         uctx = uctx_for(inst.field, uctx.K + vmax - vmin)
     prof = profile_for(inst.params, inst.field, uctx)
-    return _times_p_power(prof._sum(inst.t, -vmin), vmin)
+    return prof._sum(inst.t, -vmin, vmin)
 
 
 def recover_integer(x: PadicNumber, bound: int, p: int | None = None) -> int:

@@ -285,41 +285,17 @@ class ZqElement:
     def is_unit(self) -> bool:
         return any(c % self.context.p for c in self.coeffs)
 
-    def valuation(self) -> int | None:
-        """min_i v_p(coeff_i), or None for the zero vector."""
-        if self.is_zero:
-            return None
-        return min(padic_valuation(c, self.context.p) for c in self.coeffs if c)
-
-    def unshift(self, w: int) -> "ZqElement":
-        """Divide exactly by p^w; every coefficient must be divisible."""
-        pw = self.context.p**w
-        if any(c % pw for c in self.coeffs):
-            raise ValueError("not divisible by p^w")
-        return ZqElement(tuple(c // pw for c in self.coeffs), self.context)
-
     def __repr__(self):
         return f"Zq{self.coeffs}@{self.context.p}^{self.context.K}"
 
 
 def zq_inv(x: ZqElement) -> ZqElement:
-    """Inverse of a unit, via the residue-field inverse lifted by Hensel iteration."""
+    """Inverse of a unit in closed form: the units of Z_q mod p^K form a group
+    of order (q-1) q^(K-1), so x^-1 = x^((q-1) q^(K-1) - 1)."""
     if not x.is_unit:
         raise NotAUnit("element is divisible by p")
     ctx = x.context
-    p, r, K = ctx.p, ctx.r, ctx.K
-    if r == 1:
-        return ZqElement((pow(x.coeffs[0], -1, ctx.modulus),), ctx)
-    poly_p = list(ctx.poly_mod_p)
-    a_mod_p = [c % p for c in x.coeffs]
-    inv_p = _poly_powmod(a_mod_p, p**r - 2, poly_p, p)
-    z = ctx.element(tuple(inv_p))
-    two = ctx.from_int(2)
-    for _ in range(max(1, K).bit_length() + 1):
-        z = z * (two - x * z)
-    if (x * z).coeffs != ctx.one.coeffs:
-        raise AssertionError("Hensel inversion failed to converge")
-    return z
+    return zq_pow(x, (ctx.q - 1) * ctx.q ** (ctx.K - 1) - 1)
 
 
 def zq_pow(x: ZqElement, e: int) -> ZqElement:
@@ -398,20 +374,8 @@ class PadicNumber:
         return cls(0, None, abs_prec, exact_zero=True)
 
     @classmethod
-    def from_unit(cls, valuation: int, unit: ZqElement, abs_prec: float | None = None) -> "PadicNumber":
-        if abs_prec is None:
-            abs_prec = valuation + unit.context.K
-        return cls(valuation, unit, abs_prec)
-
-    @classmethod
-    def from_int(cls, n: int, uctx: UnramifiedContext) -> "PadicNumber":
-        if n == 0:
-            return cls.zero()
-        w = padic_valuation(n, uctx.p)
-        return cls.from_unit(w, uctx.from_int(n // uctx.p**w))
-
-    @classmethod
     def from_rational(cls, x: RationalLike, uctx: UnramifiedContext) -> "PadicNumber":
+        """The embedding of an int or Fraction, to K digits past its valuation."""
         x = Fraction(x)
         if x == 0:
             return cls.zero()
@@ -420,7 +384,7 @@ class PadicNumber:
         num = x.numerator // uctx.p**wn
         den = x.denominator // uctx.p**wd
         unit = uctx.from_int(num * pow(den, -1, uctx.modulus))
-        return cls.from_unit(wn - wd, unit)
+        return cls(wn - wd, unit, wn - wd + uctx.K)
 
     def __mul__(self, other: "PadicNumber") -> "PadicNumber":
         if self.exact_zero or other.exact_zero:
@@ -541,20 +505,31 @@ def padic_sum(terms: Iterable[PadicNumber]) -> PadicNumber:
         if t.unit.context != ctx:
             raise ContextMismatch("summands from different contexts")
     vmin = min(t.valuation for t in nonzero)
-    rel = abs_prec - vmin
-    if rel < 1:
-        raise PrecisionExhausted("no guaranteed digits survive at the minimum valuation")
     acc = [0] * ctx.r
     m = ctx.modulus
-    p = ctx.p
     for t in nonzero:
-        pw = p ** (t.valuation - vmin)
+        pw = ctx.p ** (t.valuation - vmin)
         for i, c in enumerate(t.unit.coeffs):
             acc[i] = (acc[i] + c * pw) % m
-    rel_cap = int(min(rel, ctx.K))
-    mod_rel = p**rel_cap
-    if all(c % mod_rel == 0 for c in acc):
+    return renormalize(acc, ctx, vmin, abs_prec)
+
+
+def renormalize(coeffs: Sequence[int], ctx: UnramifiedContext, offset: int, abs_prec: float) -> PadicNumber:
+    """The value p^offset * (coeffs as a Z_q mod p^K residue vector), known
+    to O(p^abs_prec), in valuation/unit form.
+
+    Only the digits below p^min(abs_prec - offset, K) are known: if they all
+    vanish the value is an exact zero at abs_prec, else their common p-power
+    p^w moves into the valuation, offset + w.  Raises PrecisionExhausted when
+    no digit is known.
+    """
+    rel = abs_prec - offset
+    if rel < 1:
+        raise PrecisionExhausted("no guaranteed digits survive at the minimum valuation")
+    mod_rel = ctx.p ** int(min(rel, ctx.K))
+    known = math.gcd(*(c % mod_rel for c in coeffs))
+    if known == 0:
         return PadicNumber.zero(abs_prec)
-    w = min(padic_valuation(c % mod_rel, p) for c in acc if c % mod_rel)
-    unit = ZqElement(tuple(c // p**w % m for c in acc), ctx)
-    return PadicNumber(vmin + w, unit, abs_prec)
+    w = padic_valuation(known, ctx.p)
+    pw = ctx.p**w
+    return PadicNumber(offset + w, ZqElement(tuple(c // pw for c in coeffs), ctx), abs_prec)

@@ -118,8 +118,8 @@ def _gate(cond: bool, name: str) -> None:
         raise PreconditionFailed(name)
 
 
-def _setup(p: int, r: int, K: int | None, variant: int = 0):
-    field = build_field(p, r, variant=variant)
+def _setup(p: int, r: int, K: int | None):
+    field = build_field(p, r)
     if K is None:
         K = default_precision(p, r)
     return field, K, uctx_for(field, K)
@@ -216,13 +216,13 @@ def _mt1_check(field: FqField, uctx, K: int, d: FqElement, series):
     m, n = _mt1_gates(field, d)
     lhs = _hessian_side(uctx, d)
     scal = _alpha(field) + phi(field.element(-3))
-    return _agree(lhs, padic_sum([PadicNumber.from_int(scal, uctx), series(m, n)]), K)
+    return _agree(lhs, padic_sum([PadicNumber.from_rational(scal, uctx), series(m, n)]), K)
 
 
-def verify_mt1(p: int, r: int, d, K: int | None = None, variant: int = 0) -> VerifyRecord:
+def verify_mt1(p: int, r: int, d, K: int | None = None) -> VerifyRecord:
     """Main transformation between the [1/2,1/2;1/6,5/6] series at 1/d^3 and
     the [1/4,3/4;1/3,2/3] series at the bridged Weierstrass argument."""
-    field, K, uctx = _setup(p, r, K, variant)
+    field, K, uctx = _setup(p, r, K)
     d = field.element(d)
 
     def check():
@@ -231,12 +231,12 @@ def verify_mt1(p: int, r: int, d, K: int | None = None, variant: int = 0) -> Ver
     return _timed("MT1", p, r, K, {"d": _param(d)}, check)
 
 
-def verify_cor2(branch: int, p: int, r: int, d, aux, K: int | None = None, variant: int = 0) -> VerifyRecord:
+def verify_cor2(branch: int, p: int, r: int, d, aux, K: int | None = None) -> VerifyRecord:
     """The two corollary branches: the bridged series argument is rewritten
     through a root of the branch equation (3k^2 + m = 0, or x^3 + mx + n = 0)."""
     if branch not in (1, 2):
         raise ValueError("branch must be 1 or 2")
-    field, K, uctx = _setup(p, r, K, variant)
+    field, K, uctx = _setup(p, r, K)
     d = field.element(d)
     aux = field.element(aux)
 
@@ -249,7 +249,7 @@ def verify_cor2(branch: int, p: int, r: int, d, aux, K: int | None = None, varia
     return _timed(f"COR2_{branch}", p, r, K, params, lambda: _mt1_check(field, uctx, K, d, series))
 
 
-def verify_bs1(branch: int, p: int, r: int, a, b, aux, K: int | None = None, variant: int = 0) -> VerifyRecord:
+def verify_bs1(branch: int, p: int, r: int, a, b, aux, K: int | None = None) -> VerifyRecord:
     """The two series transformations at -27b^2/4a^3: toward [1/2,1/2;1/3,2/3]
     when a = -3k^2, toward [1/2,1/2;1/4,3/4] through a root of x^3 + ax + b.
 
@@ -258,7 +258,7 @@ def verify_bs1(branch: int, p: int, r: int, a, b, aux, K: int | None = None, var
     """
     if branch not in (1, 2):
         raise ValueError("branch must be 1 or 2")
-    field, K, uctx = _setup(p, r, K, variant)
+    field, K, uctx = _setup(p, r, K)
     a = field.element(a)
     b = field.element(b)
     aux = field.element(aux)
@@ -275,10 +275,10 @@ def verify_bs1(branch: int, p: int, r: int, a, b, aux, K: int | None = None, var
     return _timed(f"BS1_{branch}", p, r, K, params, check)
 
 
-def verify_mc(p: int, r: int, a, b, K: int | None = None, variant: int = 0) -> VerifyRecord:
+def verify_mc(p: int, r: int, a, b, K: int | None = None) -> VerifyRecord:
     """Trace formula: the enumerated trace of Frobenius of y^2 = x^3 + ax + b
     against phi(b) q 2G2[1/4,3/4;1/3,2/3 | -27b^2/4a^3] recovered as an integer."""
-    field, K, uctx = _setup(p, r, K, variant)
+    field, K, uctx = _setup(p, r, K)
     a = field.element(a)
     b = field.element(b)
 
@@ -290,18 +290,16 @@ def verify_mc(p: int, r: int, a, b, K: int | None = None, variant: int = 0) -> V
             E = WeierstrassCurve(a, b)
         except SingularCurve:
             raise PreconditionFailed("singular_curve")
-        tr = count_weierstrass(E, field).trace
+        tr = count_weierstrass(E).trace
         return _recovered(tr, _trace_side(uctx, a, b, b), math.isqrt(4 * field.q), p)
 
     return _timed("MC", p, r, K, {"a": _param(a), "b": _param(b)}, check)
 
 
-def verify_hessian(
-    p: int, r: int, a, K: int | None = None, allow_small_p: bool = False, variant: int = 0
-) -> VerifyRecord:
+def verify_hessian(p: int, r: int, a, K: int | None = None, allow_small_p: bool = False) -> VerifyRecord:
     """Enumerated affine count of x^3 + y^3 + 1 = 3axy against the closed form
     alpha - 1 + q - q phi(-3a) 2G2[1/2,1/2;1/6,5/6 | 1/a^3]."""
-    field, K, uctx = _setup(p, r, K, variant)
+    field, K, uctx = _setup(p, r, K)
     a = field.element(a)
     q = field.q
 
@@ -309,7 +307,7 @@ def verify_hessian(
         _gate(p > 5 or (allow_small_p and p > 3), "p_too_small")
         _gate(not a.is_zero, "a_is_zero")
         _gate(not (a**3 - 1).is_zero, "a_cubed_is_one")
-        count = count_hessian(HessianCurve(a), field)
+        count = count_hessian(HessianCurve(a))
         bound = q + 6 * math.isqrt(q) + 6
         return _recovered(count, _hessian_side(uctx, a), bound, p, lambda X: _alpha(field) - 1 + q - X)
 
@@ -451,21 +449,24 @@ def _cor2_roots(run: _SuiteRun, field: FqField, tag: str) -> list:
     return out
 
 
-def _bs1_row(field: FqField, branch: int, root: FqElement, partners: int) -> list:
-    """(branch, a, b, root) for the root's first ``partners`` admissible
+_BS1_PARTNERS = 3
+
+
+def _bs1_row(field: FqField, branch: int, root: FqElement) -> list:
+    """(branch, a, b, root) for the root's first ``_BS1_PARTNERS`` admissible
     partners in index order: b for k (a = -3k^2), a for h (b = -h^3 - ah)."""
     one = field.one
     if branch == 1:
         k, a = root, -3 * root * root
         bs = (b for b in field.units() if _trace_arg(a, b) != one and not (k**3 + a * k + b).is_zero)
-        return [(1, a, b, k) for b in islice(bs, partners)]
+        return [(1, a, b, k) for b in islice(bs, _BS1_PARTNERS)]
     h = root
     pairs = ((a, -(h**3 + a * h)) for a in field.units() if not (3 * h * h + a).is_zero)
     pairs = ((a, b) for a, b in pairs if not b.is_zero and _trace_arg(a, b) != one)
-    return [(2, a, b, h) for a, b in islice(pairs, partners)]
+    return [(2, a, b, h) for a, b in islice(pairs, _BS1_PARTNERS)]
 
 
-def _bs1_instances(run: _SuiteRun, field: FqField, tag: str, partners: int = 3) -> list:
+def _bs1_instances(run: _SuiteRun, field: FqField, tag: str) -> list:
     """The sampled (branch, a, b, root).  The listing is the rows of every
     root, branch 1 then branch 2, in index order; row j belongs to root
     1 + j mod (q-1) of branch 1 + j div (q-1).  Only drawn rows are built.
@@ -475,8 +476,8 @@ def _bs1_instances(run: _SuiteRun, field: FqField, tag: str, partners: int = 3) 
     (a = -3h^2, b = 0 and three with trace argument 1).  Below that the rows
     are built to learn their lengths."""
     q = field.q
-    row = cache(lambda j: _bs1_row(field, 1 + j // (q - 1), field.from_index(1 + j % (q - 1)), partners))
-    sizes = (partners if q >= 9 else len(row(j)) for j in range(2 * (q - 1)))
+    row = cache(lambda j: _bs1_row(field, 1 + j // (q - 1), field.from_index(1 + j % (q - 1))))
+    sizes = (_BS1_PARTNERS if q >= 9 else len(row(j)) for j in range(2 * (q - 1)))
     starts = list(accumulate(sizes, initial=0))
     out = []
     for pos in run.sampled(starts[-1], tag):
@@ -622,6 +623,8 @@ def run_suite(spec: RangeSpec) -> Report:
         raise ValueError(f"unknown theorems: {sorted(unknown)}")
     if spec.sample is not None and spec.sample < 0:
         raise ValueError(f"sample must be >= 0, got {spec.sample}")
+    if spec.K is not None and spec.K < 1:
+        raise ValueError(f"K must be >= 1, got {spec.K}")
     primes = [p for p in range(max(spec.pmin, 3), spec.pmax + 1) if p % 2 and is_prime(p)]
     if not primes:
         raise ValueError(f"no odd primes in [{spec.pmin}, {spec.pmax}]")

@@ -139,11 +139,12 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("theorem", ["mc", "bs1", "hessian"])
     def test_negative_sample_exits_2(self, capsys, theorem):
-        code = main(["verify", theorem, "--pmin", "11", "--pmax", "13", "--r", "1", "--sample", "-1"])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "sample must be >= 0" in captured.err
+        for flag, value, message in (("--sample", "-1", "sample must be >= 0"), ("--K", "0", "K must be >= 1")):
+            code = main(["verify", theorem, "--pmin", "11", "--pmax", "13", "--r", "1", flag, value])
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert message in captured.err
 
     def test_sample_flag(self, capsys):
         code = main(

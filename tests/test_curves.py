@@ -86,25 +86,19 @@ class TestWeierstrassCount:
                     E = WeierstrassCurve(f.from_index(ai), f.from_index(bi))
                 except SingularCurve:
                     continue
-                assert count_weierstrass(E, f) == count_weierstrass_enumerate(E, f)
+                assert count_weierstrass(E) == count_weierstrass_enumerate(E, f)
 
     def test_trace_is_negative_phi_sum(self):
         f = build_field(11, 1)
         E = WeierstrassCurve(f.element(2), f.element(5))
         s = sum(phi(x**3 + E.a * x + E.b) for x in f.elements())
-        assert count_weierstrass(E, f).trace == -s
+        assert count_weierstrass(E).trace == -s
 
     def test_hasse_bound(self):
         f = build_field(7, 1)
-        cc = count_weierstrass(WeierstrassCurve(f.element(1), f.element(1)), f)
+        cc = count_weierstrass(WeierstrassCurve(f.element(1), f.element(1)))
         assert cc.trace**2 <= 4 * 7
         assert cc.projective == cc.affine + 1
-
-    def test_foreign_field_rejected(self):
-        f = build_field(7, 1)
-        E = WeierstrassCurve(f.element(1), f.element(1))
-        with pytest.raises(ValueError, match="element belongs to another field"):
-            count_weierstrass(E, build_field(7, 2))
 
     def test_quadratic_twist_by_square_preserves_trace(self):
         f = build_field(13, 1)
@@ -116,7 +110,7 @@ class TestWeierstrassCount:
                 a, b = f.element(ai), f.element(bi)
                 E1 = WeierstrassCurve(a, b)
                 E2 = WeierstrassCurve(a * c * c, b * c**3)
-                assert count_weierstrass(E1, f).trace == count_weierstrass(E2, f).trace
+                assert count_weierstrass(E1).trace == count_weierstrass(E2).trace
 
 
 class TestHessianCount:
@@ -133,7 +127,7 @@ class TestHessianCount:
             for y in f.elements()
             if (x**3 + y**3 + 1).is_zero
         )
-        assert count_hessian(HessianCurve(f.zero), f) == direct
+        assert count_hessian(HessianCurve(f.zero)) == direct
 
     @pytest.mark.parametrize("p,r", [(7, 1), (11, 1), (13, 1), (5, 2)])
     def test_numpy_matches_enumeration(self, p, r):
@@ -143,19 +137,14 @@ class TestHessianCount:
             if (d**3 - 1).is_zero:
                 continue
             C = HessianCurve(d)
-            assert count_hessian(C, f) == count_hessian_enumerate(C, f)
-
-    def test_foreign_field_rejected(self):
-        C = HessianCurve(build_field(7, 1).element(3))
-        with pytest.raises(ValueError, match="element belongs to another field"):
-            count_hessian(C, build_field(11, 1))
+            assert count_hessian(C) == count_hessian_enumerate(C, f)
 
     @pytest.mark.parametrize("p,r", [(3, 1), (3, 2), (3, 3)])
     def test_characteristic_three_is_a_line(self, p, r):
         # (x + y + 1)^3 = 0: the count is q for every smooth d
         f = build_field(p, r)
         for C in smooth_hessians(f):
-            assert count_hessian(C, f) == count_hessian_enumerate(C, f) == f.q
+            assert count_hessian(C) == count_hessian_enumerate(C, f) == f.q
 
     @pytest.mark.parametrize(
         "p,r",
@@ -166,19 +155,19 @@ class TestHessianCount:
         # with the p = 3 fields above, every field with q <= 49, d = 0 included
         f = build_field(p, r)
         for C in smooth_hessians(f):
-            assert count_hessian(C, f) == count_hessian_enumerate(C, f), (p, r, C.d)
+            assert count_hessian(C) == count_hessian_enumerate(C, f), (p, r, C.d)
 
     @pytest.mark.parametrize("p,r", [(5, 3), (13, 2)])
     def test_every_d_matches_grid(self, p, r):
         f = build_field(p, r)
         for C in smooth_hessians(f):
-            assert count_hessian(C, f) == count_hessian_grid(C, f), (p, r, C.d)
+            assert count_hessian(C) == count_hessian_grid(C, f), (p, r, C.d)
 
     def test_row_oracle_above_the_grid_limit(self):
         f = build_field(59, 2)
         for di in random.Random(0).sample(range(f.q), 3):
             C = HessianCurve(f.from_index(di))
-            assert count_hessian(C, f) == count_hessian_grid(C, f), di
+            assert count_hessian(C) == count_hessian_grid(C, f), di
 
 
 class TestBridge:
@@ -214,7 +203,7 @@ class TestBridge:
             if (d**3 - 1).is_zero:
                 continue
             try:
-                assert check_count_relation(d, f), (p, r, di)
+                assert check_count_relation(d), (p, r, di)
                 checked += 1
             except SingularCurve:
                 continue
@@ -230,7 +219,7 @@ class TestBridge:
             if (d**3 - 1).is_zero:
                 continue
             try:
-                assert check_count_relation(d, f), (p, r, d)
+                assert check_count_relation(d), (p, r, d)
                 checked += 1
             except SingularCurve:
                 continue
@@ -256,8 +245,8 @@ class TestBridge:
                 except SingularCurve:
                     continue
                 total += 1
-                lhs = count_weierstrass(E, f).projective
-                rhs = count_hessian(HessianCurve(d), f) + 2 + phi(f.element(-3))
+                lhs = count_weierstrass(E).projective
+                rhs = count_hessian(HessianCurve(d)) + 2 + phi(f.element(-3))
                 failures += lhs != rhs
         assert total > 20
         assert failures > total // 2
@@ -278,7 +267,7 @@ class TestBridge:
                 continue
             E = WeierstrassCurve(m, n)
             counts.add(
-                (count_weierstrass(E, f).projective, count_hessian(HessianCurve(d), f))
+                (count_weierstrass(E).projective, count_hessian(HessianCurve(d)))
             )
             d3 = d**3
             signs.add(phi(-3 * (8 + 92 * d3 + 35 * d3 * d3)))

@@ -24,13 +24,25 @@ from padichyper.hyper import (
     recover_integer,
     term_exponents,
 )
-from padichyper.padic import PadicNumber, default_precision, frac_floor, padic_sum, teichmueller, zq_inv, zq_pow
+from padichyper.padic import PadicNumber, default_precision, frac_floor, teichmueller, zq_inv, zq_pow
 from padichyper.verify import _alpha
 
 QT = GParams(2, (Fraction(1, 4), Fraction(3, 4)), (Fraction(1, 3), Fraction(2, 3)))
 HS = GParams(2, (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 6), Fraction(5, 6)))
 HS2 = GParams(4, HS.a + HS.a, HS.b + HS.b)  # term valuations reach -2: g_eval needs guard digits
 H3 = gparams("1/2,1/2,1/2;1,1,1")  # negative term valuations as well
+
+
+def oracle_normal_form(z, offset, abs_prec):
+    """p^offset * z, known to O(p^abs_prec) with abs_prec - offset = K, in
+    valuation/unit form: divide every coordinate by p while all allow it."""
+    p = z.context.p
+    coeffs, v = list(z.coeffs), offset
+    while v < abs_prec and all(c % p == 0 for c in coeffs):
+        coeffs, v = [c // p for c in coeffs], v + 1
+    if v == abs_prec:
+        return PadicNumber.zero(abs_prec)
+    return PadicNumber(v, z.context.element(coeffs), abs_prec)
 
 
 def oracle_qg(prof, t):
@@ -44,23 +56,23 @@ def oracle_qg(prof, t):
     for j in range(prof.field.q - 1):
         acc = acc + w.scale(prof.units[j] * p ** (r + prof.vals[j]))
         w = w * wbar
-    total = acc.scale(-pow(prof.field.q - 1, -1, m))
-    if total.is_zero:
-        return PadicNumber.zero(ctx.K)
-    v = total.valuation()
-    return PadicNumber(v, total.unshift(v), ctx.K)
+    return oracle_normal_form(acc.scale(-pow(prof.field.q - 1, -1, m)), 0, ctx.K)
 
 
 def oracle_g_eval(inst):
-    """G at t as a PadicNumber sum of every summand: the valuations at K fix
-    the guard, then the terms at K + guard are summed with padic_sum and
-    multiplied by -1/(q-1)."""
+    """G at t from every summand: the valuations at K fix the guard, then
+    the terms at K + guard are rescaled to the least valuation, added
+    coordinate-wise and multiplied by -1/(q-1)."""
     q = inst.field.q
     vals = [g_term(inst, j).valuation for j in range(q - 1)]
-    work = uctx_for(inst.field, inst.uctx.K + max(vals) - min(vals))
+    vmin = min(vals)
+    work = uctx_for(inst.field, inst.uctx.K + max(vals) - vmin)
     deep = GInstance(inst.params, inst.field, work, inst.t)
-    total = padic_sum(g_term(deep, j) for j in range(q - 1))
-    return total * PadicNumber.from_rational(Fraction(-1, q - 1), work)
+    acc = work.from_int(0)
+    for j in range(q - 1):
+        term = g_term(deep, j)
+        acc = acc + term.unit.scale(work.p ** (term.valuation - vmin))
+    return oracle_normal_form(acc.scale(-pow(q - 1, -1, work.modulus)), vmin, vmin + work.K)
 
 
 def oracle_term_unit(prof, t, j):
@@ -106,6 +118,22 @@ class TestGParams:
         t = build_field(5, 2, variant=1).element([1, 1])
         with pytest.raises(ValueError, match="element belongs to another field"):
             GInstance(QT, field, uctx_for(field, 4), t)
+
+    def test_profile_rejects_a_point_of_another_prime_field(self):
+        field = build_field(7, 1)
+        prof = profile_for(QT, field, uctx_for(field, 5))
+        t = build_field(13, 1).element(5)
+        for read in (prof.eval_qg, lambda t: prof.term(t, 1)):
+            with pytest.raises(ValueError, match="element belongs to another field"):
+                read(t)
+
+    def test_profile_rejects_a_point_of_another_model(self):
+        field = build_field(5, 2)
+        prof = profile_for(QT, field, uctx_for(field, 4))
+        t = build_field(5, 2, variant=1).element([1, 1])
+        for read in (prof.eval_qg, lambda t: prof.term(t, 1)):
+            with pytest.raises(ValueError, match="element belongs to another field"):
+                read(t)
 
     def test_equal_spellings_hash_alike_and_share_a_profile(self):
         parsed = gparams("1/2,1/2;1/6,5/6")
@@ -198,7 +226,7 @@ class TestEval:
         field = build_field(7, 1)
         a = field.element(1)
         b = field.element(1)
-        tr = count_weierstrass(WeierstrassCurve(a, b), field).trace
+        tr = count_weierstrass(WeierstrassCurve(a, b)).trace
         inst = make_instance(7, 1, QT, (-27 * b * b / (4 * a**3)).idx)
         val = g_eval(inst).scale_int(7 * phi(b))
         assert recover_integer(val, math.isqrt(4 * 7), p=7) == tr
@@ -209,7 +237,7 @@ class TestEval:
 
         field = build_field(11, 1)
         d = field.element(2)
-        count = count_hessian(HessianCurve(d), field)
+        count = count_hessian(HessianCurve(d))
         alpha = _alpha(field)
         inst = make_instance(11, 1, HS, (1 / d**3).idx)
         X = recover_integer(
@@ -333,7 +361,7 @@ class TestRecoverInteger:
         self.u = uctx_for(build_field(7, 1), 5)
 
     def test_small_negative(self):
-        assert recover_integer(PadicNumber.from_int(-3, self.u), 10) == -3
+        assert recover_integer(PadicNumber.from_rational(-3, self.u), 10) == -3
 
     def test_symmetric_lift(self):
         x = PadicNumber(0, self.u.from_int(7**5 - 1), 5)

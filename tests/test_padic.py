@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from padichyper.padic import (
     is_prime,
     padic_sum,
     prime_factors,
+    renormalize,
     teichmueller,
     unramified_context,
     zq_inv,
@@ -118,6 +120,20 @@ def _oracle_root_is_primitive(poly, p):
     if not any(x):
         return False
     return all(_oracle_powmod(x, (q - 1) // ell, f, p) != one for ell in prime_factors(q - 1))
+
+
+def _oracle_hensel_inv(x):
+    """The Hensel inverse that the closed form replaced: invert mod p in
+    F_p[x]/(f), then z <- z (2 - x z) doubles the correct digits."""
+    u = x.context
+    f = list(u.poly_mod_p) + [1]
+    z = u.element(_oracle_powmod([c % u.p for c in x.coeffs], u.q - 2, f, u.p))
+    two = u.from_int(2)
+    for _ in range(u.K.bit_length() + 1):
+        z = z * (two - x * z)
+    if (x * z).coeffs != u.one.coeffs:
+        raise AssertionError("Hensel inversion failed to converge")
+    return z
 
 
 def _oracle_admissible(poly, p):
@@ -273,6 +289,24 @@ class TestZqArithmetic:
         x = u.element((3, 4))
         assert (zq_inv(x) * x).coeffs == u.one.coeffs
 
+    def test_closed_form_inverse_matches_hensel(self):
+        # every residue class of units of every odd prime power q <= 121,
+        # lifted with seeded higher digits, at K = 1, 2, 5
+        rng = random.Random(11)
+        for p in range(3, 122, 2):
+            if not is_prime(p):
+                continue
+            r = 1
+            while p**r <= 121:
+                for K in (1, 2, 5):
+                    u = unramified_context(p, K, r)
+                    for n in range(1, p**r):
+                        x = u.element([n // p**i % p + p * rng.randrange(p ** (K - 1)) for i in range(r)])
+                        z = zq_inv(x)
+                        assert z.coeffs == _oracle_hensel_inv(x).coeffs
+                        assert (x * z).coeffs == u.one.coeffs
+                r += 1
+
     def test_pow_basics(self):
         u = unramified_context(5, 3, 2)
         x = u.element((2, 3))
@@ -377,11 +411,11 @@ class TestPadicSum:
         self.u = unramified_context(5, 6, 1)
 
     def test_singleton(self):
-        x = PadicNumber.from_int(12, self.u)
+        x = PadicNumber.from_rational(12, self.u)
         assert padic_sum([x]) == x
 
     def test_cancellation_gives_exact_zero(self):
-        one = PadicNumber.from_int(1, self.u)
+        one = PadicNumber.from_rational(1, self.u)
         s = padic_sum([one, -one])
         assert s.exact_zero
 
@@ -396,8 +430,6 @@ class TestPadicSum:
         assert s.unit.coeffs[0] % 5 ** (6 - 1) == 16 % 5 ** (6 - 1)
 
     def test_permutation_invariance(self):
-        import random
-
         rng = random.Random(7)
         terms = [
             PadicNumber(rng.randrange(-1, 3), self.u.from_int(rng.choice([1, 2, 3, 4, 6, 7])), 9)
@@ -420,13 +452,60 @@ class TestPadicSum:
             PadicNumber(2, self.u.one, 1)
 
 
+def _oracle_renormalize(coeffs, p, K, offset, abs_prec):
+    """(valuation, unit coordinates) of p^offset * coeffs known to
+    O(p^abs_prec), or None for a zero, read digit by digit: the valuation is
+    the first known base-p digit position where some coordinate is nonzero."""
+    known = int(min(abs_prec - offset, K))
+    digits = [[c // p**i % p for i in range(K)] for c in coeffs]
+    for w in range(known):
+        if any(d[w] for d in digits):
+            return offset + w, tuple(sum(d[i] * p ** (i - w) for i in range(w, K)) for d in digits)
+    return None
+
+
+class TestRenormalize:
+    @pytest.mark.parametrize("p,K,r", [(5, 6, 1), (7, 4, 2), (3, 5, 3)])
+    def test_matches_digitwise_reference(self, p, K, r):
+        # offsets of both signs, known digits below, at and above K, and
+        # vectors divisible by p^s for every s up to K
+        u = unramified_context(p, K, r)
+        rng = random.Random(f"renormalize:{p}:{K}:{r}")
+        for _ in range(400):
+            offset = rng.randrange(-4, 5)
+            abs_prec = offset + rng.randrange(1, K + 3)
+            s = rng.randrange(K + 1)
+            coeffs = [p**s * rng.randrange(p ** (K - s)) for _ in range(r)]
+            got = renormalize(coeffs, u, offset, abs_prec)
+            want = _oracle_renormalize(coeffs, p, K, offset, abs_prec)
+            assert got.abs_prec == abs_prec
+            if want is None:
+                assert got.exact_zero
+            else:
+                assert (got.valuation, got.unit.coeffs) == want
+
+    def test_zero_below_known_digits_is_exact_zero(self):
+        # 0 mod p^2 (the known digits) but not mod p^K
+        u = unramified_context(5, 6, 2)
+        got = renormalize([5**3, 2 * 5**2], u, -1, 1)
+        assert got.exact_zero and got.abs_prec == 1
+        got = renormalize([5**3, 2 * 5**2], u, -1, 2)
+        assert (got.valuation, got.unit.coeffs, got.abs_prec) == (1, (5, 2), 2)
+
+    @pytest.mark.parametrize("rel", [0, -1, -3])
+    def test_no_known_digit_is_exhausted(self, rel):
+        u = unramified_context(5, 6, 1)
+        with pytest.raises(PrecisionExhausted):
+            renormalize([1], u, 2, 2 + rel)
+
+
 class TestPadicNumber:
     def setup_method(self):
         self.u = unramified_context(5, 6, 1)
 
     def test_from_int_extracts_valuation(self):
-        x = PadicNumber.from_int(50, self.u)
-        assert x.valuation == 2 and x.unit.coeffs == (2,)
+        x = PadicNumber.from_rational(50, self.u)
+        assert x.valuation == 2 and x.unit.coeffs == (2,) and x.abs_prec == 2 + 6
 
     def test_multiplication_tracks_precision(self):
         x = PadicNumber(1, self.u.from_int(2), 4)
@@ -454,13 +533,13 @@ class TestPadicNumber:
                 assert x.agrees_to(y, 4) == y.agrees_to(x, 4)
 
     def test_digit_rendering(self):
-        x = PadicNumber.from_int(-3, self.u)
+        x = PadicNumber.from_rational(-3, self.u)
         assert x.digits() == "0:2,4,4,4,4,4"
         z = PadicNumber.zero(4)
         assert z.digits() == "zero:O(p^4)"
 
     def test_scale_by_zero(self):
-        x = PadicNumber.from_int(7, self.u)
+        x = PadicNumber.from_rational(7, self.u)
         assert x.scale_int(0).exact_zero
 
 

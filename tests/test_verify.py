@@ -319,6 +319,8 @@ class TestSuite:
         monkeypatch.setattr(verify_module, "build_field", no_fields)
         with pytest.raises(ValueError, match="sample"):
             run_suite(RangeSpec(theorems=(theorem,), pmin=11, pmax=11, r_values=(1,), sample=-1))
+        with pytest.raises(ValueError, match="K must be >= 1"):
+            run_suite(RangeSpec(theorems=(theorem,), pmin=11, pmax=11, r_values=(1,), K=0))
 
     def test_unknown_theorem_rejected(self):
         with pytest.raises(ValueError):
