@@ -93,6 +93,7 @@ def _cmd_verify(args) -> int:
         seed=args.seed,
         sample=args.sample,
         allow_p5=args.allow_p5,
+        qmax=args.qmax,
     )
     try:
         report = run_suite(spec)
@@ -158,6 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--allow-p5", action="store_true", dest="allow_p5")
     p_verify.add_argument("--sample", type=int, default=None)
+    p_verify.add_argument("--qmax", type=int, default=RangeSpec.qmax, help="largest field size swept")
     p_verify.set_defaults(fn=_cmd_verify)
 
     return parser

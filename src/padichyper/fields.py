@@ -3,15 +3,15 @@ full discrete-log table, multiplicative characters (notably the quadratic
 character), and the trace map.
 
 Elements are encoded as integers in [0, q): the little-endian base-p packing
-of the power-basis coefficient vector.  Addition is digit-wise, products go
-through the exp/dlog tables, so every multiplicative query is O(1) after the
-O(q r^2) build.
+of the power-basis coefficient vector.  Products go through the exp/dlog
+tables; for r >= 2 sums go through the Zech table zech[n] = dlog(1 + g^n),
+since g^a + g^b = g^(a + zech[b - a]).  Every field operation is O(1) after
+the O(q r^2) build.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -46,6 +46,7 @@ class FqField:
         self.q = q
         self.poly = find_defining_poly(p, r, variant)
         self.variant = variant
+        self.model = (p, r, variant)
         gen_idx = (-self.poly[0]) % p if r == 1 else p
         self.generator_idx = gen_idx
         exp = [0] * (q - 1)
@@ -63,6 +64,12 @@ class FqField:
         self.dlog = dlog
         self.exp_np = np.array(exp + exp, dtype=np.int64)
         self.dlog_np = np.array(dlog, dtype=np.int64)
+        self.zero, self.one = FqElement(self, 0), FqElement(self, 1)
+        self.generator = FqElement(self, gen_idx)
+        if r > 1:  # 1 + x bumps only the low base-p digit of x; -1 marks 1 + g^n = 0
+            e = self.exp_np[: q - 1]
+            self.zech_np = self.dlog_np[e - e % p + (e % p + 1) % p]
+            self.zech = self.zech_np.tolist()
 
     # -- raw index arithmetic -------------------------------------------------
 
@@ -89,12 +96,16 @@ class FqField:
     def add_idx(self, i: int, j: int) -> int:
         if self.r == 1:
             return (i + j) % self.p
-        return self._pack(x + y for x, y in zip(self._unpack(i), self._unpack(j)))
+        if i == 0 or j == 0:
+            return i or j
+        a = self.dlog[i]
+        z = self.zech[(self.dlog[j] - a) % (self.q - 1)]
+        return 0 if z < 0 else self.exp[(a + z) % (self.q - 1)]
 
     def neg_idx(self, i: int) -> int:
         if self.r == 1:
             return -i % self.p
-        return self._pack(-x for x in self._unpack(i))
+        return self.exp[(self.dlog[i] + (self.q - 1) // 2) % (self.q - 1)] if i else 0
 
     def sub_idx(self, i: int, j: int) -> int:
         return self.add_idx(i, self.neg_idx(j))
@@ -121,16 +132,11 @@ class FqField:
     def np_add(self, a: np.ndarray, b) -> np.ndarray:
         if self.r == 1:
             return (a + b) % self.p
-        x, y = np.broadcast_arrays(
-            np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-        )
-        out = np.zeros(x.shape, dtype=np.int64)
-        scale = 1
-        for _ in range(self.r):
-            out += scale * ((x % self.p + y % self.p) % self.p)
-            x, y = x // self.p, y // self.p
-            scale *= self.p
-        return out
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        la, lb = self.dlog_np[a], self.dlog_np[b]
+        z = self.zech_np[(lb - la) % (self.q - 1)]
+        out = np.where(z < 0, 0, self.exp_np[la + z])
+        return np.where(a == 0, b, np.where(b == 0, a, out))
 
     def np_mul_const(self, c: int, arr: np.ndarray) -> np.ndarray:
         if c == 0:
@@ -163,18 +169,6 @@ class FqField:
             raise ValueError("index out of range")
         return FqElement(self, idx)
 
-    @property
-    def zero(self) -> "FqElement":
-        return FqElement(self, 0)
-
-    @property
-    def one(self) -> "FqElement":
-        return FqElement(self, 1)
-
-    @property
-    def generator(self) -> "FqElement":
-        return FqElement(self, self.generator_idx)
-
     def elements(self):
         return (FqElement(self, i) for i in range(self.q))
 
@@ -185,12 +179,27 @@ class FqField:
         return f"FqField(p={self.p}, r={self.r})"
 
 
-@dataclass(frozen=True)
 class FqElement:
-    """Element of FqField; thin wrapper over the packed index."""
+    """Element of FqField; thin immutable wrapper over the packed index.
+    Equal when the field is the same object and the indices agree."""
 
-    field: FqField
-    idx: int
+    __slots__ = ("field", "idx")
+
+    def __init__(self, field: FqField, idx: int):
+        _set_field(self, field)
+        _set_idx(self, idx)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FqElement is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        return other.__class__ is FqElement and self.field is other.field and self.idx == other.idx
+
+    def __hash__(self):
+        return hash((self.field, self.idx))
+
+    def __reduce__(self):
+        return FqElement, (self.field, self.idx)
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -201,6 +210,10 @@ class FqElement:
         return self.idx == 0
 
     def _co(self, other) -> "FqElement":
+        if other.__class__ is FqElement and other.field is self.field:
+            return other
+        if isinstance(other, int):
+            return FqElement(self.field, other % self.field.p)
         return self.field.element(other)
 
     def __add__(self, other):
@@ -235,9 +248,6 @@ class FqElement:
     def __pow__(self, e: int):
         return FqElement(self.field, self.field.pow_idx(self.idx, e))
 
-    def inverse(self) -> "FqElement":
-        return FqElement(self.field, self.field.inv_idx(self.idx))
-
     def dlog(self) -> int:
         if self.idx == 0:
             raise ZeroArgument("0 has no discrete log")
@@ -247,6 +257,10 @@ class FqElement:
         if self.field.r == 1:
             return f"Fq({self.idx} mod {self.field.p})"
         return f"Fq{self.coeffs}@{self.field.p}^{self.field.r}"
+
+
+# the slot setters, which __init__ calls past the immutable __setattr__
+_set_field, _set_idx = FqElement.field.__set__, FqElement.idx.__set__
 
 
 _FIELD_CACHE: dict[tuple, FqField] = {}
@@ -329,7 +343,7 @@ _TEICH_CACHE: dict[tuple, TeichmuellerPowers] = {}
 def teichmueller_powers(field: FqField, uctx: UnramifiedContext) -> TeichmuellerPowers:
     """Cached TeichmuellerPowers, keyed by the field's (p, r, variant) and the
     context, which carries K and the lifted polynomial fixing the coordinates."""
-    key = (field.p, field.r, field.variant, uctx)
+    key = (field.model, uctx)
     if key not in _TEICH_CACHE:
         _TEICH_CACHE[key] = TeichmuellerPowers(field, uctx)
     return _TEICH_CACHE[key]

@@ -96,7 +96,7 @@ class GInstance:
     t: FqElement
 
     def __post_init__(self):
-        if self.t.field is not self.field:
+        if self.t.field.model != self.field.model:
             raise ValueError("element belongs to another field")
         self.params.check_padic(self.field.p)
         if self.t.is_zero:
@@ -186,8 +186,7 @@ class GProfile:
 
     def _twist_index(self, t: FqElement) -> int:
         """dlog t, for a point of the field the profile's tables index."""
-        f = t.field
-        if (f.p, f.r, f.variant) != (self.field.p, self.field.r, self.field.variant):
+        if t.field.model != self.field.model:
             raise ValueError("element belongs to another field")
         return t.dlog()
 
@@ -241,7 +240,7 @@ _PROFILES: dict[tuple, GProfile] = {}
 
 
 def profile_for(params: GParams, field: FqField, uctx: UnramifiedContext) -> GProfile:
-    key = (field.p, field.r, field.variant, uctx.K, params)
+    key = (field.model, uctx.K, params)
     profile = _PROFILES.get(key)
     if profile is None:
         profile = _PROFILES[key] = GProfile(params, field, uctx)

@@ -42,7 +42,7 @@ import math
 import random
 import time
 from bisect import bisect_right
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate, islice
 
 import numpy as np
@@ -59,7 +59,7 @@ from .curves import (
     hessian_bridge,
 )
 from .errors import PreconditionFailed, SingularCurve, PadicHyperError
-from .fields import FqElement, FqField, build_field, check_orthogonality, phi, uctx_for
+from .fields import DEFAULT_MAX_Q, FqElement, FqField, build_field, check_orthogonality, phi, uctx_for
 from .gamma import lemma31_sides, lemma5_sides, eq29_sides
 from .gauss import (
     davenport_hasse_sides,
@@ -159,6 +159,8 @@ def _trace_side(uctx, a: FqElement, b: FqElement, twist: FqElement) -> PadicNumb
     return _qg(PARAMS_QUARTER_THIRD, uctx, _trace_arg(a, b), twist)
 
 
+# one entry: COR2 checks the roots of each d in a row, and they share it
+@lru_cache(maxsize=1)
 def _hessian_side(uctx, d: FqElement) -> PadicNumber:
     """phi(-3d) q 2G2[1/2,1/2;1/6,5/6 | 1/d^3]."""
     return _qg(PARAMS_HALF_SIXTH, uctx, 1 / d**3, -3 * d)
@@ -199,6 +201,7 @@ def _recovered(count: int, side: PadicNumber, bound: int, p: int, closed_form=la
 # transformation checks
 
 
+@lru_cache(maxsize=1)  # one entry, as for _hessian_side
 def _mt1_gates(field: FqField, d: FqElement):
     _gate(field.p > 3, "p_too_small")
     _gate(not d.is_zero, "d_is_zero")
@@ -625,6 +628,8 @@ def run_suite(spec: RangeSpec) -> Report:
         raise ValueError(f"sample must be >= 0, got {spec.sample}")
     if spec.K is not None and spec.K < 1:
         raise ValueError(f"K must be >= 1, got {spec.K}")
+    if not 1 <= spec.qmax <= DEFAULT_MAX_Q:
+        raise ValueError(f"qmax must be in [1, {DEFAULT_MAX_Q}], got {spec.qmax}")
     primes = [p for p in range(max(spec.pmin, 3), spec.pmax + 1) if p % 2 and is_prime(p)]
     if not primes:
         raise ValueError(f"no odd primes in [{spec.pmin}, {spec.pmax}]")

@@ -146,6 +146,24 @@ class TestVerifyCommand:
             assert captured.out == ""
             assert message in captured.err
 
+    def test_qmax_flag_reaches_above_the_default(self, capsys):
+        # q = 53^2 = 2809 is above the default qmax of 2500
+        args = ["verify", "mt1", "--pmin", "53", "--pmax", "53", "--r", "2", "--sample", "5"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert "total=0 passed=0 failed=0 skipped=0" in captured.out
+        assert "no identity was checked" in captured.err
+        assert main(args + ["--qmax", "2809"]) == 0
+        assert "total=5 passed=5 failed=0 skipped=0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("qmax", ["0", "100001"])
+    def test_qmax_out_of_range_exits_2(self, capsys, qmax):
+        code = main(["verify", "mt1", "--pmin", "53", "--pmax", "53", "--r", "2", "--qmax", qmax])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"qmax must be in [1, 100000], got {qmax}" in captured.err
+
     def test_sample_flag(self, capsys):
         code = main(
             ["verify", "eq29", "--pmin", "13", "--pmax", "13", "--r", "1", "--sample", "3", "--format", "json"]

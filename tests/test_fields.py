@@ -1,7 +1,12 @@
+import pickle
+import random
+
+import numpy as np
 import pytest
 
 from padichyper.errors import CompositeP, FieldTooLarge, ZeroArgument
 from padichyper.fields import (
+    FqField,
     build_field,
     char_eval_padic,
     check_orthogonality,
@@ -69,6 +74,108 @@ class TestDlog:
         assert (x / y * y).idx == x.idx
         assert (x ** (f.q - 1)).idx == 1
         assert (-x + x).is_zero
+
+
+# Digit-wise oracles: an index is the base-p packing of the coefficient
+# vector, and F_q addition adds coefficients mod p.
+
+
+def oracle_add(f, i, j):
+    out, scale = 0, 1
+    for _ in range(f.r):
+        out += scale * ((i % f.p + j % f.p) % f.p)
+        i, j, scale = i // f.p, j // f.p, scale * f.p
+    return out
+
+
+def oracle_neg(f, i):
+    out, scale = 0, 1
+    for _ in range(f.r):
+        out += scale * (-(i % f.p) % f.p)
+        i, scale = i // f.p, scale * f.p
+    return out
+
+
+def oracle_np_add(f, a, b):
+    x, y = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+    out = np.zeros(x.shape, dtype=np.int64)
+    scale = 1
+    for _ in range(f.r):
+        out += scale * ((x % f.p + y % f.p) % f.p)
+        x, y = x // f.p, y // f.p
+        scale *= f.p
+    return out
+
+
+EXTENSIONS_UP_TO_343 = [(p, r) for p, r in odd_prime_powers(343) if r >= 2]
+
+
+class TestZechAddition:
+    @pytest.mark.parametrize("p,r", EXTENSIONS_UP_TO_343, ids=lambda v: str(v))
+    def test_every_pair(self, p, r):
+        f = build_field(p, r)
+        idx = np.arange(f.q)
+        neg = [oracle_neg(f, i) for i in range(f.q)]
+        assert [f.neg_idx(i) for i in range(f.q)] == neg
+        want_add = oracle_np_add(f, idx[:, None], idx[None, :])
+        want_sub = oracle_np_add(f, idx[:, None], np.array(neg)[None, :])
+        assert np.array_equal(f.np_add(idx[:, None], idx[None, :]), want_add)
+        assert [[f.add_idx(i, j) for j in range(f.q)] for i in range(f.q)] == want_add.tolist()
+        assert [[f.sub_idx(i, j) for j in range(f.q)] for i in range(f.q)] == want_sub.tolist()
+
+    @pytest.mark.parametrize("p", [47, 101])
+    def test_seeded_pairs_at_large_q(self, p):
+        f = build_field(p, 2)
+        rng = random.Random(f"zech:{p}")
+        # zeros and an element with its negative are drawn on purpose
+        pairs = [(0, 0), (0, 5), (5, 0), (5, oracle_neg(f, 5))]
+        pairs += [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(10_000 - len(pairs))]
+        a, b = (np.array(col) for col in zip(*pairs))
+        want = [oracle_add(f, i, j) for i, j in pairs]
+        assert [f.add_idx(i, j) for i, j in pairs] == want
+        assert f.np_add(a, b).tolist() == want
+        assert f.np_add(a, 7).tolist() == [oracle_add(f, i, 7) for i in a.tolist()]
+        assert [f.sub_idx(i, j) for i, j in pairs] == [oracle_add(f, i, oracle_neg(f, j)) for i, j in pairs]
+        assert [f.neg_idx(i) for i, _ in pairs] == [oracle_neg(f, i) for i, _ in pairs]
+
+
+class TestElement:
+    def test_assignment_raises(self):
+        x = build_field(5, 2).from_index(7)
+        for name, value in (("idx", 8), ("field", build_field(7, 1)), ("other", 1)):
+            with pytest.raises(AttributeError):
+                setattr(x, name, value)
+        assert x.idx == 7
+
+    def test_equality_and_hash(self):
+        f = build_field(5, 2)
+        x, y = f.from_index(7), f.from_index(7)
+        assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+        assert x != f.from_index(8)
+        assert x != 7 and x != (f, 7)
+        # equality is by field object, not by model
+        other = FqField(5, 2)
+        assert other.model == f.model
+        assert x != other.from_index(7)
+
+    def test_element_of_another_field_object_rejected(self):
+        f, other = build_field(7, 1), FqField(7, 1)
+        with pytest.raises(ValueError, match="another field"):
+            f.element(other.element(3))
+        with pytest.raises(ValueError, match="another field"):
+            f.element(3) + other.element(3)
+        assert f.element(f.element(3)) == f.element(3)
+
+    def test_integers_coerce_into_the_prime_field(self):
+        f = build_field(5, 2)
+        x = f.from_index(7)
+        assert x + 6 == x + f.element(1) and 6 + x == x + 1
+        assert x * -2 == x * f.element(3) and 3 - x == -(x - 3)
+
+    def test_pickle_round_trip(self):
+        x = build_field(5, 2).from_index(7)
+        y = pickle.loads(pickle.dumps(x))
+        assert (y.field.model, y.idx) == (x.field.model, x.idx)
 
 
 class TestQuadraticCharacter:

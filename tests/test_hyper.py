@@ -12,7 +12,7 @@ from padichyper.errors import (
     PrecisionExhausted,
     ZeroArgument,
 )
-from padichyper.fields import build_field, phi, teichmueller_powers, uctx_for
+from padichyper.fields import FqField, build_field, phi, teichmueller_powers, uctx_for
 from padichyper.gamma import gamma_cache
 from padichyper.hyper import (
     GInstance,
@@ -112,6 +112,15 @@ class TestGParams:
         field = build_field(7, 1)
         with pytest.raises(ValueError, match="element belongs to another field"):
             GInstance(QT, field, uctx_for(field, 5), build_field(13, 1).element(5))
+
+    def test_instance_accepts_a_point_of_the_same_model(self):
+        # fields match by model (p, r, variant), as in the profile, not by object
+        field, shared = FqField(7, 1), build_field(7, 1)
+        uctx = uctx_for(shared, 5)
+        inst = GInstance(QT, field, uctx, shared.element(3))
+        assert g_eval(inst).digits() == g_eval(GInstance(QT, shared, uctx, shared.element(3))).digits()
+        with pytest.raises(ValueError, match="element belongs to another field"):
+            GInstance(QT, field, uctx, build_field(13, 1).element(3))
 
     def test_instance_rejects_a_point_of_another_model(self):
         field = build_field(5, 2)

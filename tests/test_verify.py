@@ -8,9 +8,11 @@ import pytest
 
 import padichyper.verify as verify_module
 from padichyper.errors import PreconditionFailed
-from padichyper.fields import build_field, phi
+from padichyper.fields import DEFAULT_MAX_Q, build_field, phi
+from padichyper.hyper import GProfile
 from padichyper.padic import is_prime
 from padichyper.verify import (
+    PARAMS_HALF_SIXTH,
     RangeSpec,
     run_suite,
     verify_bs1,
@@ -322,6 +324,15 @@ class TestSuite:
         with pytest.raises(ValueError, match="K must be >= 1"):
             run_suite(RangeSpec(theorems=(theorem,), pmin=11, pmax=11, r_values=(1,), K=0))
 
+    @pytest.mark.parametrize("qmax", [0, -5, DEFAULT_MAX_Q + 1])
+    def test_qmax_out_of_range_rejected_before_any_field(self, monkeypatch, qmax):
+        def no_fields(*args, **kwargs):
+            raise AssertionError("a field was built")
+
+        monkeypatch.setattr(verify_module, "build_field", no_fields)
+        with pytest.raises(ValueError, match=f"qmax must be in \\[1, {DEFAULT_MAX_Q}\\], got {qmax}"):
+            run_suite(RangeSpec(theorems=("mt1",), pmin=11, pmax=11, r_values=(1,), qmax=qmax))
+
     def test_unknown_theorem_rejected(self):
         with pytest.raises(ValueError):
             run_suite(RangeSpec(theorems=("nope",)))
@@ -370,6 +381,29 @@ class TestSuite:
         names = {rec.theorem for rec in report.records}
         assert names == {"COR2_1", "COR2_2"}
         assert report.all_passed
+
+    def test_cor2_evaluates_the_hessian_side_once_per_d(self, monkeypatch):
+        eval_qg = GProfile.eval_qg
+        calls = Counter()
+
+        def counting(prof, t):
+            calls[prof.params] += 1
+            return eval_qg(prof, t)
+
+        monkeypatch.setattr(GProfile, "eval_qg", counting)
+        spec = RangeSpec(theorems=("cor2",), pmin=5, pmax=11, r_values=(1, 2))
+        verify_module._hessian_side.cache_clear()
+        report = run_suite(spec)
+        per_d = {(rec.p, rec.r, json.dumps(rec.params["d"])) for rec in report.records}
+        assert (len(report.records), len(per_d)) == (282, 136)
+        # one Hessian side per d, one branch side per record
+        assert calls[PARAMS_HALF_SIXTH] == 136 and sum(calls.values()) == 418
+        # without the one-entry cache every record evaluates both sides
+        calls.clear()
+        monkeypatch.setattr(verify_module, "_hessian_side", verify_module._hessian_side.__wrapped__)
+        uncached = run_suite(spec)
+        assert calls[PARAMS_HALF_SIXTH] == 282 and sum(calls.values()) == 564
+        assert _report_digest(uncached) == _report_digest(report)
 
 
 def _report_digest(report) -> str:
