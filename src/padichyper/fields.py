@@ -7,11 +7,17 @@ of the power-basis coefficient vector.  Products go through the exp/dlog
 tables; for r >= 2 sums go through the Zech table zech[n] = dlog(1 + g^n),
 since g^a + g^b = g^(a + zech[b - a]).  Every field operation is O(1) after
 the O(q r^2) build.
+
+A field is its model (p, r, variant): two FqField objects of one model are
+equal, hash alike and combine each other's elements, and nothing is attached
+to a field after its build.  Fields and Teichmueller tables are memoized in
+bounded lru_caches, so one evicted and rebuilt strands no element made before.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -31,7 +37,8 @@ DEFAULT_MAX_Q = 100_000
 
 
 class FqField:
-    """Finite field with precomputed exp/dlog tables; immutable after build."""
+    """Finite field with precomputed exp/dlog tables; immutable after build.
+    Equal, and hashed, by model (p, r, variant)."""
 
     def __init__(self, p: int, r: int, variant: int = 0):
         if p == 2 or not is_prime(p):
@@ -70,6 +77,12 @@ class FqField:
             e = self.exp_np[: q - 1]
             self.zech_np = self.dlog_np[e - e % p + (e % p + 1) % p]
             self.zech = self.zech_np.tolist()
+
+    def __eq__(self, other):
+        return self is other or (other.__class__ is FqField and self.model == other.model)
+
+    def __hash__(self):
+        return hash(self.model)
 
     # -- raw index arithmetic -------------------------------------------------
 
@@ -154,7 +167,7 @@ class FqField:
     def element(self, value: Union[int, Sequence[int], "FqElement"]) -> "FqElement":
         """Coerce an integer (prime-subfield value) or coefficient vector."""
         if isinstance(value, FqElement):
-            if value.field is not self:
+            if value.field != self:
                 raise ValueError("element belongs to another field")
             return value
         if isinstance(value, int):
@@ -176,12 +189,13 @@ class FqField:
         return (FqElement(self, i) for i in range(1, self.q))
 
     def __repr__(self):
-        return f"FqField(p={self.p}, r={self.r})"
+        variant = f", variant={self.variant}" if self.variant else ""
+        return f"FqField(p={self.p}, r={self.r}{variant})"
 
 
 class FqElement:
     """Element of FqField; thin immutable wrapper over the packed index.
-    Equal when the field is the same object and the indices agree."""
+    Equal when the fields are equal (same model) and the indices agree."""
 
     __slots__ = ("field", "idx")
 
@@ -193,7 +207,7 @@ class FqElement:
         raise AttributeError(f"FqElement is immutable; cannot set {name!r}")
 
     def __eq__(self, other):
-        return other.__class__ is FqElement and self.field is other.field and self.idx == other.idx
+        return other.__class__ is FqElement and self.idx == other.idx and self.field == other.field
 
     def __hash__(self):
         return hash((self.field, self.idx))
@@ -263,16 +277,11 @@ class FqElement:
 _set_field, _set_idx = FqElement.field.__set__, FqElement.idx.__set__
 
 
-_FIELD_CACHE: dict[tuple, FqField] = {}
-
-
+@lru_cache(maxsize=64)
 def build_field(p: int, r: int, variant: int = 0) -> FqField:
     """Deterministic field construction (cached); ``variant`` selects later
     admissible (polynomial, generator) pairs for model-independence tests."""
-    key = (p, r, variant)
-    if key not in _FIELD_CACHE:
-        _FIELD_CACHE[key] = FqField(p, r, variant=variant)
-    return _FIELD_CACHE[key]
+    return FqField(p, r, variant=variant)
 
 
 def uctx_for(field: FqField, K: int) -> UnramifiedContext:
@@ -337,16 +346,9 @@ class TeichmuellerPowers:
         return ZqElement(tuple(int(c) for c in self.array[s]), self.uctx)
 
 
-_TEICH_CACHE: dict[tuple, TeichmuellerPowers] = {}
-
-
-def teichmueller_powers(field: FqField, uctx: UnramifiedContext) -> TeichmuellerPowers:
-    """Cached TeichmuellerPowers, keyed by the field's (p, r, variant) and the
-    context, which carries K and the lifted polynomial fixing the coordinates."""
-    key = (field.model, uctx)
-    if key not in _TEICH_CACHE:
-        _TEICH_CACHE[key] = TeichmuellerPowers(field, uctx)
-    return _TEICH_CACHE[key]
+# keyed by the field's model and the context, which carries K and the lifted
+# polynomial fixing the coordinates
+teichmueller_powers = lru_cache(maxsize=64)(TeichmuellerPowers)
 
 
 def char_eval_padic(m: int, x: FqElement, uctx: UnramifiedContext) -> ZqElement:

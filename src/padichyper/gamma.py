@@ -118,9 +118,7 @@ class GammaCache:
         return [self._gamma_of_n(c * inv % m) for c in range(denominator)]
 
 
-@lru_cache(maxsize=None)
-def gamma_cache(p: int, K: int) -> GammaCache:
-    return GammaCache(p, K)
+gamma_cache = lru_cache(maxsize=64)(GammaCache)
 
 
 def verify_reflection(x, cache: GammaCache) -> bool:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,12 +47,8 @@ class GaussTables:
             raise ArithmeticError("non-finite Gauss sum")
 
 
-def gauss_tables(field: FqField) -> GaussTables:
-    """The field's tables, built on first use and kept on the field itself."""
-    tables = getattr(field, "_gauss_tables", None)
-    if tables is None:
-        tables = field._gauss_tables = GaussTables(field)
-    return tables
+# keyed by the field's model
+gauss_tables = lru_cache(maxsize=64)(GaussTables)
 
 
 def gauss_sum(m: int, field: FqField) -> ComplexVal:

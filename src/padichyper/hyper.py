@@ -96,7 +96,7 @@ class GInstance:
     t: FqElement
 
     def __post_init__(self):
-        if self.t.field.model != self.field.model:
+        if self.t.field != self.field:
             raise ValueError("element belongs to another field")
         self.params.check_padic(self.field.p)
         if self.t.is_zero:
@@ -109,7 +109,7 @@ def _valuation_bounds(n: int, p: int, r: int) -> tuple[int, int]:
     return -n * geo, 2 * n * geo
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=256)  # sized with profile_for: at most one entry per profile
 def term_exponents(params: GParams, p: int, r: int) -> tuple[int, np.ndarray, np.ndarray]:
     """The gamma-free part of every summand, exactly: (D, vals, args).
 
@@ -147,7 +147,7 @@ def term_exponents(params: GParams, p: int, r: int) -> tuple[int, np.ndarray, np
 
 
 class GProfile:
-    """j-indexed exact valuations and unit scalars for one (params, field, K).
+    """j-indexed exact valuations and unit scalars for one (params, field, context).
 
     The gamma ratios and (-p)-exponents do not depend on the evaluation point,
     so one profile serves every t.  ``eval_qg`` and ``g_eval`` share one sum:
@@ -186,7 +186,7 @@ class GProfile:
 
     def _twist_index(self, t: FqElement) -> int:
         """dlog t, for a point of the field the profile's tables index."""
-        if t.field.model != self.field.model:
+        if t.field != self.field:
             raise ValueError("element belongs to another field")
         return t.dlog()
 
@@ -236,15 +236,8 @@ class GProfile:
         return PadicNumber(self.vals[j], unit, self.vals[j] + self.uctx.K)
 
 
-_PROFILES: dict[tuple, GProfile] = {}
-
-
-def profile_for(params: GParams, field: FqField, uctx: UnramifiedContext) -> GProfile:
-    key = (field.model, uctx.K, params)
-    profile = _PROFILES.get(key)
-    if profile is None:
-        profile = _PROFILES[key] = GProfile(params, field, uctx)
-    return profile
+# keyed by params, the field's model and the context (K and the lifted polynomial)
+profile_for = lru_cache(maxsize=256)(GProfile)
 
 
 def g_term(inst: GInstance, j: int) -> PadicNumber:

@@ -144,7 +144,7 @@ def _is_admissible(poly: Sequence[int], p: int) -> bool:
     return all(_poly_powmod(x, (q - 1) // ell, poly, p) != one for ell in prime_factors(q - 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def find_defining_poly(p: int, r: int, variant: int = 0) -> tuple[int, ...]:
     """Deterministic defining polynomial for F_{p^r}: lower coefficients of the
     first admissible monic degree-r polynomial, one whose root x has
@@ -221,7 +221,7 @@ class UnramifiedContext:
         return self.from_int(1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def unramified_context(p: int, K: int, r: int, poly: tuple[int, ...] | None = None) -> UnramifiedContext:
     """Cached UnramifiedContext; defaults to the deterministic defining polynomial."""
     if poly is None:

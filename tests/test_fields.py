@@ -39,6 +39,10 @@ class TestBuild:
         f1 = build_field(7, 1, variant=1)
         assert f0.generator_idx != f1.generator_idx
 
+    def test_repr_shows_a_nonzero_variant(self):
+        assert repr(build_field(7, 1)) == "FqField(p=7, r=1)"
+        assert repr(build_field(7, 1, variant=1)) == "FqField(p=7, r=1, variant=1)"
+
 
 def odd_prime_powers(limit):
     from padichyper.padic import is_prime
@@ -153,17 +157,22 @@ class TestElement:
         assert x == y and hash(x) == hash(y) and len({x, y}) == 1
         assert x != f.from_index(8)
         assert x != 7 and x != (f, 7)
-        # equality is by field object, not by model
+        # a field is its model (p, r, variant): another object of it is equal
         other = FqField(5, 2)
-        assert other.model == f.model
-        assert x != other.from_index(7)
+        assert other is not f and other == f and hash(other) == hash(f)
+        z = other.from_index(7)
+        assert x == z and hash(x) == hash(z) and len({x, z}) == 1
+        assert x + z == f.from_index(7) * 2 and z * x == x * x
 
-    def test_element_of_another_field_object_rejected(self):
-        f, other = build_field(7, 1), FqField(7, 1)
-        with pytest.raises(ValueError, match="another field"):
-            f.element(other.element(3))
-        with pytest.raises(ValueError, match="another field"):
-            f.element(3) + other.element(3)
+    def test_element_of_another_model_rejected(self):
+        f = build_field(7, 1)
+        assert f.element(FqField(7, 1).element(3)) == f.element(3)
+        for other in (build_field(7, 1, variant=1), build_field(11, 1)):
+            assert other != f
+            with pytest.raises(ValueError, match="another field"):
+                f.element(other.element(3))
+            with pytest.raises(ValueError, match="another field"):
+                f.element(3) + other.element(3)
         assert f.element(f.element(3)) == f.element(3)
 
     def test_integers_coerce_into_the_prime_field(self):
@@ -176,6 +185,7 @@ class TestElement:
         x = build_field(5, 2).from_index(7)
         y = pickle.loads(pickle.dumps(x))
         assert (y.field.model, y.idx) == (x.field.model, x.idx)
+        assert y == x and hash(y) == hash(x)
 
 
 class TestQuadraticCharacter:

@@ -17,6 +17,7 @@ from padichyper.gamma import gamma_cache
 from padichyper.hyper import (
     GInstance,
     GParams,
+    GProfile,
     g_eval,
     g_term,
     gparams,
@@ -24,7 +25,16 @@ from padichyper.hyper import (
     recover_integer,
     term_exponents,
 )
-from padichyper.padic import PadicNumber, default_precision, frac_floor, teichmueller, zq_inv, zq_pow
+from padichyper.padic import (
+    PadicNumber,
+    default_precision,
+    frac_floor,
+    padic_sum,
+    teichmueller,
+    unramified_context,
+    zq_inv,
+    zq_pow,
+)
 from padichyper.verify import _alpha
 
 QT = GParams(2, (Fraction(1, 4), Fraction(3, 4)), (Fraction(1, 3), Fraction(2, 3)))
@@ -347,6 +357,19 @@ class TestTwistTable:
         with pytest.raises(ValueError):
             teichmueller_powers(build_field(7, 1), uctx_for(build_field(5, 1), 3))
 
+    def test_profile_is_keyed_by_the_lift(self):
+        # u1 lifts F_25's polynomial differently, so its coordinates differ
+        field, K = build_field(5, 2), 6
+        u0 = uctx_for(field, K)
+        u1 = unramified_context(5, K, 2, tuple(c + 5 for c in u0.poly))
+        assert u1 != u0 and u1.poly_mod_p == u0.poly_mod_p
+        t = field.element([1, 2])
+        assert profile_for(HS, field, u0).eval_qg(t).unit.context == u0
+        got, fresh = profile_for(HS, field, u1).eval_qg(t), GProfile(HS, field, u1).eval_qg(t)
+        assert got.unit.context == u1
+        assert (got.digits(), got.valuation, got.abs_prec) == (fresh.digits(), fresh.valuation, fresh.abs_prec)
+        assert padic_sum([got, fresh]).unit.context == u1
+
     # 11^9 >= 2^31 takes the Python-int gather; the others the int64 one
     @pytest.mark.parametrize("p,r,params,K", [(5, 1, QT, 5), (7, 2, QT, 6), (5, 3, QT, 8), (11, 1, HS, 9)])
     def test_eval_qg_matches_per_point_loop(self, p, r, params, K):
@@ -406,3 +429,24 @@ class TestRecoverInteger:
         x = PadicNumber(0, self.u.from_int(1000), 5)
         with pytest.raises(NoRepresentativeInBound):
             recover_integer(x, 10)
+
+
+class TestCacheEviction:
+    def test_clearing_every_builder_strands_nothing(self):
+        # each cache is bounded, so any of them may drop an entry mid-sweep
+        def read(v):
+            return v.digits(), v.valuation, v.abs_prec
+
+        field = build_field(7, 2)
+        t, s = field.element([2, 3]), field.element([1, 1])
+        inst = GInstance(HS2, field, uctx_for(field, 5), t)
+        g_before, qg_before = read(g_eval(inst)), read(profile_for(QT, field, inst.uctx).eval_qg(t))
+        for cached in (build_field, profile_for, teichmueller_powers, gamma_cache):
+            cached.cache_clear()
+        rebuilt = build_field(7, 2)
+        assert rebuilt is not field and rebuilt == field
+        u = rebuilt.element([1, 1])
+        assert u == s and t + u == t + s and rebuilt.element(t) is t
+        assert read(g_eval(inst)) == g_before
+        assert read(g_eval(GInstance(HS2, rebuilt, uctx_for(rebuilt, 5), t))) == g_before
+        assert read(profile_for(QT, rebuilt, uctx_for(rebuilt, 5)).eval_qg(t)) == qg_before
