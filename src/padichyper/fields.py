@@ -10,8 +10,10 @@ the O(q r^2) build.
 
 A field is its model (p, r, variant): two FqField objects of one model are
 equal, hash alike and combine each other's elements, and nothing is attached
-to a field after its build.  Fields and Teichmueller tables are memoized in
-bounded lru_caches, so one evicted and rebuilt strands no element made before.
+to a field after its build.  ``field_for``, the bounded lru_cache behind
+``build_field``, is the only cache that holds a field: the per-field tables
+are cached by model and hold none, so a field it drops is freed once no
+caller holds it, and a rebuilt one strands no element made before.
 """
 
 from __future__ import annotations
@@ -278,10 +280,15 @@ _set_field, _set_idx = FqElement.field.__set__, FqElement.idx.__set__
 
 
 @lru_cache(maxsize=64)
+def field_for(model: tuple[int, int, int]) -> FqField:
+    """The field of ``model`` (p, r, variant); the one cache that holds fields."""
+    return FqField(*model)
+
+
 def build_field(p: int, r: int, variant: int = 0) -> FqField:
-    """Deterministic field construction (cached); ``variant`` selects later
-    admissible (polynomial, generator) pairs for model-independence tests."""
-    return FqField(p, r, variant=variant)
+    """Deterministic field construction, cached by model however called;
+    ``variant`` selects later admissible (polynomial, generator) pairs."""
+    return field_for((p, r, variant))
 
 
 def uctx_for(field: FqField, K: int) -> UnramifiedContext:
@@ -322,17 +329,17 @@ def residue_dtype(modulus: int):
 
 
 class TeichmuellerPowers:
-    """T[s] = omega(g)^s in Z_q mod p^K for s in [0, q-1), g the field's
-    generator; then omega^m(x) = T[m * dlog(x) mod (q-1)].
+    """T[s] = omega(g)^s in Z_q mod p^K for s in [0, q-1), g the generator
+    of the field of ``model``; then omega^m(x) = T[m * dlog(x) mod (q-1)].
 
     One Teichmueller lift and q-2 ring multiplies build it.  ``array`` holds
     the coordinates as a (q-1, r) array of ``residue_dtype`` for gathers;
     ``table[s]`` reads one row back as a Z_q element.
     """
 
-    def __init__(self, field: FqField, uctx: UnramifiedContext):
+    def __init__(self, model: tuple[int, int, int], uctx: UnramifiedContext):
+        field = field_for(model)
         check_context(field, uctx)
-        self.field = field
         self.uctx = uctx
         g = teichmueller(field.generator, uctx)
         z = uctx.one
@@ -347,13 +354,13 @@ class TeichmuellerPowers:
 
 
 # keyed by the field's model and the context, which carries K and the lifted
-# polynomial fixing the coordinates
+# polynomial fixing the coordinates; the table holds no field
 teichmueller_powers = lru_cache(maxsize=64)(TeichmuellerPowers)
 
 
 def char_eval_padic(m: int, x: FqElement, uctx: UnramifiedContext) -> ZqElement:
     """omega^m(x) in Z_q mod p^K via the Teichmueller lift."""
-    return teichmueller_powers(x.field, uctx)[m * x.dlog() % (x.field.q - 1)]
+    return teichmueller_powers(x.field.model, uctx)[m * x.dlog() % (x.field.q - 1)]
 
 
 def check_orthogonality(field: FqField) -> bool:

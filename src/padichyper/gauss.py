@@ -5,7 +5,8 @@ Davenport-Hasse relation.  The verification suite's records compare the sides
 within ``default_tolerance``.
 
 This module is float-only and quarantined: nothing p-adic depends on it.
-Roots of unity are tabulated once per field so each sum is a table gather.
+Roots of unity are tabulated once per field model so each sum is a table
+gather.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ModulusMismatch, TrivialCharacter, ZeroArgument
-from .fields import FqElement, FqField, trace
+from .fields import FqElement, FqField, field_for, trace
 
 #: Complex values are plain double-precision Python complex numbers.
 ComplexVal = complex
@@ -30,9 +31,11 @@ def default_tolerance(field: FqField) -> float:
 
 
 class GaussTables:
-    """Per-field root-of-unity tables and all q-1 Gauss sums."""
+    """Root-of-unity tables and all q-1 Gauss sums of the field of ``model``;
+    they hold no field."""
 
-    def __init__(self, field: FqField):
+    def __init__(self, model: tuple[int, int, int]):
+        field = field_for(model)
         q, q1, p = field.q, field.q - 1, field.p
         self.zeta_q1 = np.exp(2j * math.pi * np.arange(q1) / q1)
         self.zeta_p = np.exp(2j * math.pi * np.arange(p) / p)
@@ -47,7 +50,6 @@ class GaussTables:
             raise ArithmeticError("non-finite Gauss sum")
 
 
-# keyed by the field's model
 gauss_tables = lru_cache(maxsize=64)(GaussTables)
 
 
@@ -55,12 +57,12 @@ def gauss_sum(m: int, field: FqField) -> ComplexVal:
     """G(T^m) = sum over x != 0 of T^m(x) theta(x); the x = 0 term vanishes
     by the chi(0) = 0 convention."""
     e = m % (field.q - 1)
-    return complex(gauss_tables(field).G[e])
+    return complex(gauss_tables(field.model).G[e])
 
 
 def _char_value(e: int, x: FqElement) -> ComplexVal:
     """T^e(x) for nonzero x, as an exact table root of unity."""
-    tab = gauss_tables(x.field)
+    tab = gauss_tables(x.field.model)
     return complex(tab.zeta_q1[e * x.dlog() % (x.field.q - 1)])
 
 
@@ -70,7 +72,7 @@ def gk_product_sides(k: int, field: FqField) -> tuple[ComplexVal, ComplexVal]:
     e = k % q1
     if e == 0:
         raise TrivialCharacter("k must be nonzero mod q-1")
-    tab = gauss_tables(field)
+    tab = gauss_tables(field.model)
     lhs = complex(tab.G[e] * tab.G[(-e) % q1])
     # T^k(-1) = zeta^{k (q-1)/2} = (-1)^k exactly
     rhs = complex(field.q * (-1 if e % 2 else 1))
@@ -81,7 +83,7 @@ def theta_expansion_sides(alpha: FqElement, field: FqField) -> tuple[ComplexVal,
     """(theta(alpha), its expansion (1/(q-1)) sum_m G_{-m} T^m(alpha))."""
     if alpha.is_zero:
         raise ZeroArgument("alpha must be nonzero")
-    tab = gauss_tables(field)
+    tab = gauss_tables(field.model)
     q1 = field.q - 1
     lhs = complex(tab.zeta_p[trace(alpha)])
     s = alpha.dlog()
@@ -97,7 +99,7 @@ def davenport_hasse_sides(m: int, psi: int, field: FqField) -> tuple[ComplexVal,
     if m <= 0 or q1 % m != 0:
         raise ModulusMismatch(f"q = {field.q} is not 1 mod {m}")
     e = psi % q1
-    tab = gauss_tables(field)
+    tab = gauss_tables(field.model)
     step = q1 // m
     lhs = 1 + 0j
     base = 1 + 0j

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .errors import (
 from .fields import (
     FqElement,
     FqField,
-    TeichmuellerPowers,
     check_context,
     residue_dtype,
     teichmueller_powers,
@@ -147,21 +146,24 @@ def term_exponents(params: GParams, p: int, r: int) -> tuple[int, np.ndarray, np
 
 
 class GProfile:
-    """j-indexed exact valuations and unit scalars for one (params, field, context).
+    """j-indexed exact valuations and unit scalars for one (params, field
+    model, context).
 
     The gamma ratios and (-p)-exponents do not depend on the evaluation point,
     so one profile serves every t.  ``eval_qg`` and ``g_eval`` share one sum:
     it gathers the twists from the field's Teichmueller power table and takes
     one modular dot product per point, with no ring multiplies.  Built from
-    ``term_exponents`` and the shared gamma table over its common denominator.
+    ``term_exponents`` and the shared gamma table over its common denominator;
+    it holds neither the field nor its power table.
     """
 
-    def __init__(self, params: GParams, field: FqField, uctx: UnramifiedContext):
-        params.check_padic(field.p)
+    def __init__(self, params: GParams, model: tuple[int, int, int], uctx: UnramifiedContext):
+        p, r, _ = model
+        params.check_padic(p)
         self.params = params
-        self.field = field
+        self.model = model
         self.uctx = uctx
-        p, r, q = field.p, field.r, field.q
+        q = self.q = p**r
         m = uctx.modulus
         D, vals, args = term_exponents(params, p, r)
         dtype = residue_dtype(m)
@@ -180,13 +182,9 @@ class GProfile:
         self._minus_j = -np.arange(q - 1, dtype=np.int64)
         self._columns: dict[int, np.ndarray] = {}
 
-    @cached_property
-    def _powers(self) -> TeichmuellerPowers:
-        return teichmueller_powers(self.field, self.uctx)
-
     def _twist_index(self, t: FqElement) -> int:
         """dlog t, for a point of the field the profile's tables index."""
-        if t.field != self.field:
+        if t.field.model != self.model:
             raise ValueError("element belongs to another field")
         return t.dlog()
 
@@ -202,14 +200,14 @@ class GProfile:
         """
         ctx = self.uctx
         m = ctx.modulus
-        powers = self._powers
+        powers = teichmueller_powers(self.model, ctx)
         column = self._columns.get(shift)
         if column is None:
-            p, q = self.field.p, self.field.q
+            p, q = ctx.p, self.q
             prefactor = -pow(q - 1, -1, m)
             scaled = [c * prefactor * pow(p, v + shift, m) % m for c, v in zip(self.units, self.vals)]
             column = self._columns[shift] = np.array(scaled, dtype=powers.array.dtype)[:, None]
-        twists = powers.array[self._minus_j * self._twist_index(t) % (self.field.q - 1)]
+        twists = powers.array[self._minus_j * self._twist_index(t) % (self.q - 1)]
         acc = (column * twists % m).sum(axis=0) % m
         return renormalize(acc.tolist(), ctx, offset, ctx.K + offset)
 
@@ -229,10 +227,11 @@ class GProfile:
 
     def term(self, t: FqElement, j: int) -> PadicNumber:
         """The j-th summand (without the -1/(q-1) prefactor)."""
-        q = self.field.q
+        q = self.q
         if not 0 <= j <= q - 2:
             raise ValueError("j out of range")
-        unit = self._powers[-j * self._twist_index(t) % (q - 1)].scale(self.units[j])
+        powers = teichmueller_powers(self.model, self.uctx)
+        unit = powers[-j * self._twist_index(t) % (q - 1)].scale(self.units[j])
         return PadicNumber(self.vals[j], unit, self.vals[j] + self.uctx.K)
 
 
@@ -243,7 +242,7 @@ profile_for = lru_cache(maxsize=256)(GProfile)
 def g_term(inst: GInstance, j: int) -> PadicNumber:
     """The j-th summand of the series (prefactor excluded): (-1)^{jn} times
     the inverse-Teichmueller twist times the signed p-power and gamma ratios."""
-    return profile_for(inst.params, inst.field, inst.uctx).term(inst.t, j)
+    return profile_for(inst.params, inst.field.model, inst.uctx).term(inst.t, j)
 
 
 def g_eval(inst: GInstance) -> PadicNumber:
@@ -259,7 +258,7 @@ def g_eval(inst: GInstance) -> PadicNumber:
     uctx = inst.uctx
     if vmax > vmin:
         uctx = uctx_for(inst.field, uctx.K + vmax - vmin)
-    prof = profile_for(inst.params, inst.field, uctx)
+    prof = profile_for(inst.params, inst.field.model, uctx)
     return prof._sum(inst.t, -vmin, vmin)
 
 

@@ -147,7 +147,7 @@ def _timed(theorem: str, p: int, r: int, K: int, params: dict, check) -> VerifyR
 
 def _qg(params: GParams, uctx, t: FqElement, twist: FqElement) -> PadicNumber:
     """phi(twist) q 2G2[params | t] over t's field."""
-    return profile_for(params, t.field, uctx).eval_qg(t).scale_int(phi(twist))
+    return profile_for(params, t.field.model, uctx).eval_qg(t).scale_int(phi(twist))
 
 
 def _trace_arg(a: FqElement, b: FqElement) -> FqElement:

@@ -39,6 +39,10 @@ class TestBuild:
         f1 = build_field(7, 1, variant=1)
         assert f0.generator_idx != f1.generator_idx
 
+    def test_one_cache_entry_per_model(self):
+        f = build_field(7, 1)
+        assert build_field(7, 1, 0) is f and build_field(7, 1, variant=0) is f
+
     def test_repr_shows_a_nonzero_variant(self):
         assert repr(build_field(7, 1)) == "FqField(p=7, r=1)"
         assert repr(build_field(7, 1, variant=1)) == "FqField(p=7, r=1, variant=1)"

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -12,8 +14,9 @@ from padichyper.errors import (
     PrecisionExhausted,
     ZeroArgument,
 )
-from padichyper.fields import FqField, build_field, phi, teichmueller_powers, uctx_for
+from padichyper.fields import FqField, build_field, char_eval_padic, field_for, phi, teichmueller_powers, uctx_for
 from padichyper.gamma import gamma_cache
+from padichyper.gauss import gauss_sum, gauss_tables
 from padichyper.hyper import (
     GInstance,
     GParams,
@@ -63,10 +66,10 @@ def oracle_qg(prof, t):
     wbar = zq_inv(teichmueller(t, ctx))
     w = ctx.one
     acc = ctx.from_int(0)
-    for j in range(prof.field.q - 1):
+    for j in range(prof.q - 1):
         acc = acc + w.scale(prof.units[j] * p ** (r + prof.vals[j]))
         w = w * wbar
-    return oracle_normal_form(acc.scale(-pow(prof.field.q - 1, -1, m)), 0, ctx.K)
+    return oracle_normal_form(acc.scale(-pow(prof.q - 1, -1, m)), 0, ctx.K)
 
 
 def oracle_g_eval(inst):
@@ -140,7 +143,7 @@ class TestGParams:
 
     def test_profile_rejects_a_point_of_another_prime_field(self):
         field = build_field(7, 1)
-        prof = profile_for(QT, field, uctx_for(field, 5))
+        prof = profile_for(QT, field.model, uctx_for(field, 5))
         t = build_field(13, 1).element(5)
         for read in (prof.eval_qg, lambda t: prof.term(t, 1)):
             with pytest.raises(ValueError, match="element belongs to another field"):
@@ -148,7 +151,7 @@ class TestGParams:
 
     def test_profile_rejects_a_point_of_another_model(self):
         field = build_field(5, 2)
-        prof = profile_for(QT, field, uctx_for(field, 4))
+        prof = profile_for(QT, field.model, uctx_for(field, 4))
         t = build_field(5, 2, variant=1).element([1, 1])
         for read in (prof.eval_qg, lambda t: prof.term(t, 1)):
             with pytest.raises(ValueError, match="element belongs to another field"):
@@ -163,7 +166,7 @@ class TestGParams:
         assert parsed != QT and hash(parsed) != hash(QT)
         field = build_field(7, 1)
         uctx = uctx_for(field, 5)
-        assert profile_for(parsed, field, uctx) is profile_for(HS, field, uctx) is profile_for(mixed, field, uctx)
+        assert profile_for(parsed, field.model, uctx) is profile_for(HS, field.model, uctx) is profile_for(mixed, field.model, uctx)
 
 
 class TestTerms:
@@ -205,7 +208,7 @@ class TestTerms:
         # every v_j and unit c_j against a per-j loop over Fraction floors and
         # single gamma calls; 11^9 >= 2^31 takes the Python-int product
         field = build_field(p, r)
-        prof = profile_for(params, field, uctx_for(field, K))
+        prof = profile_for(params, field.model, uctx_for(field, K))
         cache = gamma_cache(p, K)
         q, m = field.q, p**K
         for j in range(q - 1):
@@ -286,7 +289,7 @@ class TestEval:
         field = build_field(11, 1)
         K = default_precision(11, 1)
         uctx = uctx_for(field, K)
-        prof = profile_for(QT, field, uctx)
+        prof = profile_for(QT, field.model, uctx)
         for t_idx in (1, 2, 5):
             t = field.from_index(t_idx)
             a = prof.eval_qg(t)
@@ -297,7 +300,7 @@ class TestEval:
         # q * G must recover as an integer for every trace-formula instance
         field = build_field(13, 1)
         K = default_precision(13, 1)
-        prof = profile_for(QT, field, uctx_for(field, K))
+        prof = profile_for(QT, field.model, uctx_for(field, K))
         for ai in range(1, 13):
             for bi in range(1, 13):
                 a, b = field.from_index(ai), field.from_index(bi)
@@ -310,7 +313,7 @@ class TestEval:
         # stacking the half/sixth family twice pushes term valuations below -r
         params = GParams(4, HS.a + HS.a, HS.b + HS.b)
         field = build_field(11, 1)
-        prof = profile_for(params, field, uctx_for(field, 5))
+        prof = profile_for(params, field.model, uctx_for(field, 5))
         with pytest.raises(PrecisionExhausted):
             prof.eval_qg(field.element(2))
 
@@ -342,7 +345,7 @@ class TestTwistTable:
     def test_table_is_teichmueller_of_generator_powers(self, p, r, K):
         # (13, 1, 9) and (5, 2, 14) have p^K >= 2^31: the Python-int array
         field = build_field(p, r)
-        table = teichmueller_powers(field, uctx_for(field, K))
+        table = teichmueller_powers(field.model, uctx_for(field, K))
         g = field.generator
         for s in range(field.q - 1):
             want = teichmueller(g**s, table.uctx).coeffs
@@ -353,9 +356,9 @@ class TestTwistTable:
         f0, f1 = build_field(5, 2, variant=0), build_field(5, 2, variant=1)
         assert f0.poly != f1.poly
         with pytest.raises(ValueError):
-            teichmueller_powers(f0, uctx_for(f1, 3))
+            teichmueller_powers(f0.model, uctx_for(f1, 3))
         with pytest.raises(ValueError):
-            teichmueller_powers(build_field(7, 1), uctx_for(build_field(5, 1), 3))
+            teichmueller_powers(build_field(7, 1).model, uctx_for(build_field(5, 1), 3))
 
     def test_profile_is_keyed_by_the_lift(self):
         # u1 lifts F_25's polynomial differently, so its coordinates differ
@@ -364,8 +367,8 @@ class TestTwistTable:
         u1 = unramified_context(5, K, 2, tuple(c + 5 for c in u0.poly))
         assert u1 != u0 and u1.poly_mod_p == u0.poly_mod_p
         t = field.element([1, 2])
-        assert profile_for(HS, field, u0).eval_qg(t).unit.context == u0
-        got, fresh = profile_for(HS, field, u1).eval_qg(t), GProfile(HS, field, u1).eval_qg(t)
+        assert profile_for(HS, field.model, u0).eval_qg(t).unit.context == u0
+        got, fresh = profile_for(HS, field.model, u1).eval_qg(t), GProfile(HS, field.model, u1).eval_qg(t)
         assert got.unit.context == u1
         assert (got.digits(), got.valuation, got.abs_prec) == (fresh.digits(), fresh.valuation, fresh.abs_prec)
         assert padic_sum([got, fresh]).unit.context == u1
@@ -374,7 +377,7 @@ class TestTwistTable:
     @pytest.mark.parametrize("p,r,params,K", [(5, 1, QT, 5), (7, 2, QT, 6), (5, 3, QT, 8), (11, 1, HS, 9)])
     def test_eval_qg_matches_per_point_loop(self, p, r, params, K):
         field = build_field(p, r)
-        prof = profile_for(params, field, uctx_for(field, K))
+        prof = profile_for(params, field.model, uctx_for(field, K))
         for t in field.units():
             assert prof.eval_qg(t) == oracle_qg(prof, t)
 
@@ -383,7 +386,7 @@ class TestTwistTable:
         field = build_field(p, r)
         for t in (field.from_index(2), field.generator, -field.one):
             inst = GInstance(params, field, uctx_for(field, K), t)
-            prof = profile_for(params, field, inst.uctx)
+            prof = profile_for(params, field.model, inst.uctx)
             for j in range(field.q - 1):
                 assert g_term(inst, j).unit == oracle_term_unit(prof, t, j)
 
@@ -440,8 +443,8 @@ class TestCacheEviction:
         field = build_field(7, 2)
         t, s = field.element([2, 3]), field.element([1, 1])
         inst = GInstance(HS2, field, uctx_for(field, 5), t)
-        g_before, qg_before = read(g_eval(inst)), read(profile_for(QT, field, inst.uctx).eval_qg(t))
-        for cached in (build_field, profile_for, teichmueller_powers, gamma_cache):
+        g_before, qg_before = read(g_eval(inst)), read(profile_for(QT, field.model, inst.uctx).eval_qg(t))
+        for cached in (field_for, profile_for, teichmueller_powers, gauss_tables, gamma_cache):
             cached.cache_clear()
         rebuilt = build_field(7, 2)
         assert rebuilt is not field and rebuilt == field
@@ -449,4 +452,20 @@ class TestCacheEviction:
         assert u == s and t + u == t + s and rebuilt.element(t) is t
         assert read(g_eval(inst)) == g_before
         assert read(g_eval(GInstance(HS2, rebuilt, uctx_for(rebuilt, 5), t))) == g_before
-        assert read(profile_for(QT, rebuilt, uctx_for(rebuilt, 5)).eval_qg(t)) == qg_before
+        assert read(profile_for(QT, rebuilt.model, uctx_for(rebuilt, 5)).eval_qg(t)) == qg_before
+
+    def test_only_the_field_cache_holds_a_field(self):
+        # the per-field tables are cached by model, so a field field_for
+        # drops is freed and is not kept twice when it is built again
+        field = build_field(13, 2)
+        t = field.element([2, 3])
+        uctx = uctx_for(field, 4)
+        g_eval(GInstance(HS2, field, uctx, t))
+        profile_for(QT, field.model, uctx).eval_qg(t)
+        char_eval_padic(1, t, uctx)
+        gauss_sum(1, field)
+        ref = weakref.ref(field)
+        del field, t
+        field_for.cache_clear()
+        gc.collect()
+        assert ref() is None

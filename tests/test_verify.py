@@ -207,9 +207,9 @@ class TestBS1:
                 if t1 == field.one:
                     continue
                 w = 3 * h * h + a
-                lhs = profile_for(PARAMS_QUARTER_THIRD, field, uctx).eval_qg(t1)
+                lhs = profile_for(PARAMS_QUARTER_THIRD, field.model, uctx).eval_qg(t1)
                 variant = (
-                    profile_for(PARAMS_HALF_QUARTER, field, uctx)
+                    profile_for(PARAMS_HALF_QUARTER, field.model, uctx)
                     .eval_qg(4 * w / (9 * h * h))
                     .scale_int(phi(-b * w))
                 )
