@@ -3,10 +3,11 @@ full discrete-log table, multiplicative characters (notably the quadratic
 character), and the trace map.
 
 Elements are encoded as integers in [0, q): the little-endian base-p packing
-of the power-basis coefficient vector.  Products go through the exp/dlog
-tables; for r >= 2 sums go through the Zech table zech[n] = dlog(1 + g^n),
-since g^a + g^b = g^(a + zech[b - a]).  Every field operation is O(1) after
-the O(q r^2) build.
+of the power-basis coefficient vector.  The FqElement operators do all
+scalar arithmetic on the tables: products through exp/dlog, and for r >= 2
+sums through the Zech table zech[n] = dlog(1 + g^n), since g^a + g^b =
+g^(a + zech[b - a]); the field's ``np_*`` methods do the same on index
+arrays.  Every operation is O(1) after the O(q r^2) build.
 
 A field is its model (p, r, variant): two FqField objects of one model are
 equal, hash alike and combine each other's elements, and nothing is attached
@@ -86,7 +87,7 @@ class FqField:
     def __hash__(self):
         return hash(self.model)
 
-    # -- raw index arithmetic -------------------------------------------------
+    # -- packing and the table-free product the build uses ---------------------
 
     def _unpack(self, idx: int) -> list[int]:
         p = self.p
@@ -107,40 +108,6 @@ class FqField:
         if self.r == 1:
             return i * j % self.p
         return self._pack(_poly_mulmod(self._unpack(i), self._unpack(j), self.poly, self.p))
-
-    def add_idx(self, i: int, j: int) -> int:
-        if self.r == 1:
-            return (i + j) % self.p
-        if i == 0 or j == 0:
-            return i or j
-        a = self.dlog[i]
-        z = self.zech[(self.dlog[j] - a) % (self.q - 1)]
-        return 0 if z < 0 else self.exp[(a + z) % (self.q - 1)]
-
-    def neg_idx(self, i: int) -> int:
-        if self.r == 1:
-            return -i % self.p
-        return self.exp[(self.dlog[i] + (self.q - 1) // 2) % (self.q - 1)] if i else 0
-
-    def sub_idx(self, i: int, j: int) -> int:
-        return self.add_idx(i, self.neg_idx(j))
-
-    def mul_idx(self, i: int, j: int) -> int:
-        if i == 0 or j == 0:
-            return 0
-        return self.exp[(self.dlog[i] + self.dlog[j]) % (self.q - 1)]
-
-    def inv_idx(self, i: int) -> int:
-        if i == 0:
-            raise ZeroArgument("0 has no inverse")
-        return self.exp[-self.dlog[i] % (self.q - 1)]
-
-    def pow_idx(self, i: int, e: int) -> int:
-        if i == 0:
-            if e < 0:
-                raise ZeroArgument("0 has no inverse")
-            return 0 if e else 1
-        return self.exp[e * self.dlog[i] % (self.q - 1)]
 
     # -- vectorized index arithmetic (numpy arrays of element indices) --------
 
@@ -234,35 +201,57 @@ class FqElement:
 
     def __add__(self, other):
         o = self._co(other)
-        return FqElement(self.field, self.field.add_idx(self.idx, o.idx))
+        f, i, j = self.field, self.idx, o.idx
+        if f.r == 1:
+            return FqElement(f, (i + j) % f.p)
+        if i == 0 or j == 0:
+            return FqElement(f, i or j)
+        a = f.dlog[i]
+        z = f.zech[(f.dlog[j] - a) % (f.q - 1)]
+        return FqElement(f, 0 if z < 0 else f.exp[(a + z) % (f.q - 1)])
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._co(other)
-        return FqElement(self.field, self.field.sub_idx(self.idx, o.idx))
+        return self + -self._co(other)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __neg__(self):
-        return FqElement(self.field, self.field.neg_idx(self.idx))
+        f, i = self.field, self.idx
+        if f.r == 1:
+            return FqElement(f, -i % f.p)
+        return FqElement(f, f.exp[(f.dlog[i] + (f.q - 1) // 2) % (f.q - 1)] if i else 0)
 
     def __mul__(self, other):
         o = self._co(other)
-        return FqElement(self.field, self.field.mul_idx(self.idx, o.idx))
+        f = self.field
+        if self.idx == 0 or o.idx == 0:
+            return FqElement(f, 0)
+        return FqElement(f, f.exp[(f.dlog[self.idx] + f.dlog[o.idx]) % (f.q - 1)])
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._co(other)
-        return FqElement(self.field, self.field.mul_idx(self.idx, self.field.inv_idx(o.idx)))
+        f = self.field
+        if o.idx == 0:
+            raise ZeroArgument("0 has no inverse")
+        if self.idx == 0:
+            return FqElement(f, 0)
+        return FqElement(f, f.exp[(f.dlog[self.idx] - f.dlog[o.idx]) % (f.q - 1)])
 
     def __rtruediv__(self, other):
         return self._co(other) / self
 
     def __pow__(self, e: int):
-        return FqElement(self.field, self.field.pow_idx(self.idx, e))
+        f = self.field
+        if self.idx == 0:
+            if e < 0:
+                raise ZeroArgument("0 has no inverse")
+            return FqElement(f, 0 if e else 1)
+        return FqElement(f, f.exp[e * f.dlog[self.idx] % (f.q - 1)])
 
     def dlog(self) -> int:
         if self.idx == 0:
@@ -306,10 +295,7 @@ def phi(x: FqElement) -> int:
 def trace(x: FqElement) -> int:
     """Frobenius-power sum down to the prime field, returned in [0, p)."""
     f = x.field
-    acc = 0
-    for i in range(f.r):
-        acc = f.add_idx(acc, f.pow_idx(x.idx, f.p**i))
-    coeffs = f._unpack(acc)
+    coeffs = sum((x ** f.p**i for i in range(f.r)), f.zero).coeffs
     if any(coeffs[1:]):
         raise AssertionError("trace left the prime field")
     return coeffs[0]

@@ -6,7 +6,8 @@ within ``default_tolerance``.
 
 This module is float-only and quarantined: nothing p-adic depends on it.
 Roots of unity are tabulated once per field model so each sum is a table
-gather.
+gather, and all q-1 Gauss sums of a field come from one inverse DFT of the
+additive character along the powers of the generator.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ from .fields import FqElement, FqField, field_for, trace
 ComplexVal = complex
 
 
-def default_tolerance(field: FqField) -> float:
-    """Absolute tolerance 1e-6 * q: q-1 unit-modulus terms accumulate error
-    linearly in q at double precision."""
-    return 1e-6 * field.q
+def default_tolerance(field: FqField, rhs: ComplexVal = 0) -> float:
+    """Tolerance 1e-6 * max(q, |rhs|): q-1 unit-modulus terms accumulate
+    error linearly in q at double precision, and a product of Gauss sums,
+    of modulus up to q^(m/2), carries that error relative to its size."""
+    return 1e-6 * max(field.q, abs(rhs))
 
 
 class GaussTables:
@@ -36,16 +38,18 @@ class GaussTables:
 
     def __init__(self, model: tuple[int, int, int]):
         field = field_for(model)
-        q, q1, p = field.q, field.q - 1, field.p
+        q1, p, r = field.q - 1, field.p, field.r
         self.zeta_q1 = np.exp(2j * math.pi * np.arange(q1) / q1)
         self.zeta_p = np.exp(2j * math.pi * np.arange(p) / p)
-        tr = np.array([trace(field.from_index(i)) for i in range(q)], dtype=np.int64)
+        # the trace is F_p-linear: Tr(g^s) is the base-p digits of exp[s]
+        # dotted with the traces of the basis elements 1, x, ..., x^(r-1)
+        basis = p ** np.arange(r, dtype=np.int64)
+        digits = field.exp_np[:q1, None] // basis % p
+        tr_basis = np.array([trace(field.from_index(int(b))) for b in basis], dtype=np.int64)
         # theta(g^s) for s = 0..q-2
-        self.theta_of_s = self.zeta_p[tr[np.array(field.exp[:q1], dtype=np.int64)]]
-        s = np.arange(q1)
-        self.G = np.array(
-            [np.sum(self.zeta_q1[(m * s) % q1] * self.theta_of_s) for m in range(q1)]
-        )
+        theta = self.zeta_p[digits @ tr_basis % p]
+        # G[m] = sum_s zeta_(q-1)^(ms) theta(g^s), one inverse DFT
+        self.G = q1 * np.fft.ifft(theta)
         if not np.all(np.isfinite(self.G)):
             raise ArithmeticError("non-finite Gauss sum")
 

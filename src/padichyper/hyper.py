@@ -37,10 +37,9 @@ from .fields import (
     check_context,
     residue_dtype,
     teichmueller_powers,
-    uctx_for,
 )
 from .gamma import gamma_cache
-from .padic import PadicNumber, UnramifiedContext, frac_floor, renormalize
+from .padic import PadicNumber, UnramifiedContext, frac_floor, renormalize, unramified_context
 
 # Not called here; perfbench/tracing.py wraps them under these names.
 from .padic import padic_sum, teichmueller, zq_inv  # noqa: F401
@@ -180,7 +179,10 @@ class GProfile:
         self.vmin = min(self.vals)
         self.vmax = max(self.vals)
         self._minus_j = -np.arange(q - 1, dtype=np.int64)
-        self._columns: dict[int, np.ndarray] = {}
+        # c_j p^(v_j - vmin) (-1/(q-1)) mod p^K; p^e vanishes mod p^K from e = K on
+        p_pow = np.array([p**e for e in range(uctx.K)] + [0], dtype=dtype)
+        column = units * p_pow[np.minimum(vals - self.vmin, uctx.K)] % m
+        self.column = (column * (-pow(q - 1, -1, m) % m) % m)[:, None]
 
     def _twist_index(self, t: FqElement) -> int:
         """dlog t, for a point of the field the profile's tables index."""
@@ -195,20 +197,18 @@ class GProfile:
 
         The twist omega-bar(t)^j = T[-j dlog t] is gathered from the power
         table for every j at once, and one modular dot product takes it
-        against the column -c_j p^(v_j + shift) / (q-1); each product is
-        reduced before the sum, so the int64 gather stays exact.
+        against ``column``, -c_j p^(v_j - vmin) / (q-1); each product is
+        reduced before the sum, so the int64 gather stays exact.  That sum
+        is p^(-vmin) * G, scaled by p^(shift + vmin) only when that exponent
+        is nonzero, which g_eval's shift never makes it.
         """
         ctx = self.uctx
         m = ctx.modulus
         powers = teichmueller_powers(self.model, ctx)
-        column = self._columns.get(shift)
-        if column is None:
-            p, q = ctx.p, self.q
-            prefactor = -pow(q - 1, -1, m)
-            scaled = [c * prefactor * pow(p, v + shift, m) % m for c, v in zip(self.units, self.vals)]
-            column = self._columns[shift] = np.array(scaled, dtype=powers.array.dtype)[:, None]
         twists = powers.array[self._minus_j * self._twist_index(t) % (self.q - 1)]
-        acc = (column * twists % m).sum(axis=0) % m
+        acc = (self.column * twists % m).sum(axis=0) % m
+        if shift + self.vmin:
+            acc = acc * pow(ctx.p, shift + self.vmin, m) % m
         return renormalize(acc.tolist(), ctx, offset, ctx.K + offset)
 
     def eval_qg(self, t: FqElement) -> PadicNumber:
@@ -256,8 +256,8 @@ def g_eval(inst: GInstance) -> PadicNumber:
     _, vals, _ = term_exponents(inst.params, inst.field.p, inst.field.r)
     vmin, vmax = int(vals.min()), int(vals.max())
     uctx = inst.uctx
-    if vmax > vmin:
-        uctx = uctx_for(inst.field, uctx.K + vmax - vmin)
+    if vmax > vmin:  # the guard context keeps the instance's lifted polynomial
+        uctx = unramified_context(uctx.p, uctx.K + vmax - vmin, uctx.r, uctx.poly)
     prof = profile_for(inst.params, inst.field.model, uctx)
     return prof._sum(inst.t, -vmin, vmin)
 

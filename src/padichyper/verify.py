@@ -356,7 +356,7 @@ def _float_record(theorem: str, field: FqField, params: dict, sides, *args) -> V
 
     def check():
         lhs, rhs = sides(*args, field)
-        return _cplx(lhs), _cplx(rhs), abs(lhs - rhs) < default_tolerance(field)
+        return _cplx(lhs), _cplx(rhs), abs(lhs - rhs) < default_tolerance(field, rhs)
 
     return _timed(theorem, field.p, field.r, 0, params, check)
 

@@ -51,8 +51,8 @@ def count_hessian_grid(C: HessianCurve, f: FqField) -> int:
     if q > 3000:
         total = 0
         for x in range(q):
-            lhs = f.np_add(f.np_add(cube, f.pow_idx(x, 3)), 1)
-            rhs = f.np_mul_const(f.mul_idx(three_d, x), ys)
+            lhs = f.np_add(f.np_add(cube, (f.from_index(x) ** 3).idx), 1)
+            rhs = f.np_mul_const((f.from_index(three_d) * f.from_index(x)).idx, ys)
             total += int(np.count_nonzero(lhs == rhs))
         return total
     lhs = f.np_add(f.np_add(cube[:, None], cube[None, :]), 1)

@@ -72,7 +72,7 @@ class TestDlog:
             for i in range(1, q):
                 di = dlog[i]
                 for j in range(i, q):
-                    assert (di + dlog[j]) % (q - 1) == dlog[f.mul_idx(i, j)]
+                    assert (di + dlog[j]) % (q - 1) == dlog[(f.from_index(i) * f.from_index(j)).idx]
 
     def test_element_operators(self):
         f = build_field(13, 1)
@@ -124,12 +124,12 @@ class TestZechAddition:
         f = build_field(p, r)
         idx = np.arange(f.q)
         neg = [oracle_neg(f, i) for i in range(f.q)]
-        assert [f.neg_idx(i) for i in range(f.q)] == neg
+        assert [(-x).idx for x in f.elements()] == neg
         want_add = oracle_np_add(f, idx[:, None], idx[None, :])
         want_sub = oracle_np_add(f, idx[:, None], np.array(neg)[None, :])
         assert np.array_equal(f.np_add(idx[:, None], idx[None, :]), want_add)
-        assert [[f.add_idx(i, j) for j in range(f.q)] for i in range(f.q)] == want_add.tolist()
-        assert [[f.sub_idx(i, j) for j in range(f.q)] for i in range(f.q)] == want_sub.tolist()
+        assert [[(x + y).idx for y in f.elements()] for x in f.elements()] == want_add.tolist()
+        assert [[(x - y).idx for y in f.elements()] for x in f.elements()] == want_sub.tolist()
 
     @pytest.mark.parametrize("p", [47, 101])
     def test_seeded_pairs_at_large_q(self, p):
@@ -140,11 +140,86 @@ class TestZechAddition:
         pairs += [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(10_000 - len(pairs))]
         a, b = (np.array(col) for col in zip(*pairs))
         want = [oracle_add(f, i, j) for i, j in pairs]
-        assert [f.add_idx(i, j) for i, j in pairs] == want
+        assert [(f.from_index(i) + f.from_index(j)).idx for i, j in pairs] == want
         assert f.np_add(a, b).tolist() == want
         assert f.np_add(a, 7).tolist() == [oracle_add(f, i, 7) for i in a.tolist()]
-        assert [f.sub_idx(i, j) for i, j in pairs] == [oracle_add(f, i, oracle_neg(f, j)) for i, j in pairs]
-        assert [f.neg_idx(i) for i, _ in pairs] == [oracle_neg(f, i) for i, _ in pairs]
+        assert [(f.from_index(i) - f.from_index(j)).idx for i, j in pairs] == [oracle_add(f, i, oracle_neg(f, j)) for i, j in pairs]
+        assert [(-f.from_index(i)).idx for i, _ in pairs] == [oracle_neg(f, i) for i, _ in pairs]
+
+
+# Coefficient-vector oracles for every operator: a vector holds the r
+# power-basis coordinates, and products reduce by x^r = -(c_0 + ... +
+# c_{r-1} x^(r-1)) with the c_i the field's lower polynomial coefficients.
+
+
+def vec(f, i):
+    return [i // f.p**k % f.p for k in range(f.r)]
+
+
+def vec_mul(f, a, b):
+    prod = [0] * (2 * f.r - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for k in range(2 * f.r - 2, f.r - 1, -1):
+        for i, c in enumerate(f.poly):
+            prod[k - f.r + i] -= prod[k] * c
+    return [c % f.p for c in prod[: f.r]]
+
+
+def vec_pow(f, a, e):
+    out = vec(f, 1)
+    for _ in range(e):
+        out = vec_mul(f, out, a)
+    return out
+
+
+def vec_inverses(f):
+    """index -> the vector of its inverse, found by search over the units."""
+    one = vec(f, 1)
+    return {i: next(vec(f, j) for j in range(1, f.q) if vec_mul(f, vec(f, i), vec(f, j)) == one) for i in range(1, f.q)}
+
+
+OPERATOR_FIELDS = [(7, 1), (3, 2), (5, 2), (3, 3), (7, 2)]  # q = 7, 9, 25, 27, 49
+
+
+class TestOperators:
+    @pytest.mark.parametrize("p,r", OPERATOR_FIELDS)
+    def test_every_pair(self, p, r):
+        f = build_field(p, r)
+        inv = vec_inverses(f)
+        for x in f.elements():
+            a = vec(f, x.idx)
+            for y in f.elements():
+                b = vec(f, y.idx)
+                assert vec(f, (x + y).idx) == [(u + v) % p for u, v in zip(a, b)]
+                assert vec(f, (x - y).idx) == [(u - v) % p for u, v in zip(a, b)]
+                assert vec(f, (x * y).idx) == vec_mul(f, a, b)
+                if y.idx:
+                    assert vec(f, (x / y).idx) == vec_mul(f, a, inv[y.idx])
+
+    @pytest.mark.parametrize("p,r", OPERATOR_FIELDS)
+    def test_powers(self, p, r):
+        f = build_field(p, r)
+        q, inv = f.q, vec_inverses(f)
+        for x in f.units():
+            for e in (-2, -1, 0, 1, 2, q - 1, q):
+                want = vec_pow(f, vec(f, x.idx), e) if e >= 0 else vec_pow(f, inv[x.idx], -e)
+                assert vec(f, (x**e).idx) == want, (x, e)
+        for e in (1, 2, q - 1, q):
+            assert (f.zero**e).is_zero
+
+    def test_zero_division_and_zero_powers(self):
+        for f in (build_field(7, 1), build_field(5, 2)):
+            with pytest.raises(ZeroArgument, match="0 has no inverse"):
+                f.one / f.zero
+            with pytest.raises(ZeroArgument, match="0 has no inverse"):
+                f.zero / f.zero
+            with pytest.raises(ZeroArgument, match="0 has no inverse"):
+                f.zero**-1
+            with pytest.raises(ZeroArgument, match="0 has no inverse"):
+                3 / f.zero
+            assert f.zero**0 == f.one
 
 
 class TestElement:
@@ -211,7 +286,7 @@ class TestQuadraticCharacter:
             phis = [0] + [phi(f.from_index(i)) for i in range(1, f.q)]
             for i in range(1, f.q):
                 for j in range(i, f.q):
-                    assert phis[i] * phis[j] == phis[f.mul_idx(i, j)]
+                    assert phis[i] * phis[j] == phis[(f.from_index(i) * f.from_index(j)).idx]
 
     def test_minus_three_is_square_iff_q_1_mod_3(self):
         for (p, r) in [(5, 1), (7, 1), (11, 1), (13, 1), (31, 1), (37, 1), (5, 2), (7, 2), (11, 2), (13, 2), (97, 1), (229, 1)]:

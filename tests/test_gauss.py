@@ -3,6 +3,7 @@ import gc
 import math
 import weakref
 
+import numpy as np
 import pytest
 
 from padichyper.errors import ModulusMismatch, TrivialCharacter, ZeroArgument
@@ -14,6 +15,7 @@ from padichyper.gauss import (
     gk_product_sides,
     theta_expansion_sides,
 )
+from padichyper import verify
 from padichyper.verify import (
     verify_gauss_dh_record,
     verify_gauss_gk_record,
@@ -21,6 +23,16 @@ from padichyper.verify import (
 )
 
 SMALL_FIELDS = [(3, 1), (5, 1), (7, 1), (11, 1), (3, 2), (5, 2), (7, 2), (11, 2), (3, 4)]
+EXTENSION_FIELDS = [(3, 2), (5, 2), (7, 2), (11, 2), (13, 2), (3, 3), (5, 3), (7, 3), (3, 4), (5, 4), (3, 5)]
+
+
+def direct_gauss_sums(f):
+    """Every G(T^m), m = 0..q-2, by the O(q^2) sum over the powers g^s of
+    the generator, each with its own Frobenius-power trace."""
+    q1 = f.q - 1
+    s = np.arange(q1)
+    tr = np.array([trace(f.from_index(f.exp[k])) for k in range(q1)])
+    return np.exp(2j * np.pi * (np.outer(s, s) % q1 / q1 + tr / f.p)).sum(axis=1)
 
 
 class TestGaussSum:
@@ -45,6 +57,13 @@ class TestGaussSum:
         direct = sum(z4[(2 * s) % 4] * z5[pow(g, s, 5)] for s in range(4))
         assert abs(gauss_sum(2, f) - direct) < 1e-9
         assert abs(abs(direct) ** 2 - 5) < 1e-9
+
+    @pytest.mark.parametrize("p,r", EXTENSION_FIELDS)
+    def test_dft_matches_the_direct_sum(self, p, r):
+        f = build_field(p, r)
+        direct = direct_gauss_sums(f)
+        got = np.array([gauss_sum(m, f) for m in range(f.q - 1)])
+        assert np.max(np.abs(got - direct)) < 1e-9 * f.q
 
     def test_tables_follow_the_field_not_its_id(self):
         # a freed field's id can be reused by the next field built outside
@@ -129,6 +148,20 @@ class TestDavenportHasse:
         assert verify_gauss_dh_record(7, 1, 3, 1).passed
         with pytest.raises(ModulusMismatch):
             davenport_hasse_sides(3, 1, build_field(5, 1))
+
+    def test_large_products_pass_relative_to_their_size(self):
+        # |lhs| is about q^3 = 2.2e10 at q = 2809, m = 6: the sides differ in
+        # the last digits by more than an absolute 1e-6 q
+        assert verify_gauss_dh_record(53, 2, 6, 351).passed
+
+    def test_a_relative_error_of_1e_4_fails(self, monkeypatch):
+        def perturbed(m, psi, field):
+            lhs, rhs = davenport_hasse_sides(m, psi, field)
+            return lhs * (1 + 1e-4), rhs
+
+        monkeypatch.setattr(verify, "davenport_hasse_sides", perturbed)
+        assert not verify_gauss_dh_record(53, 2, 6, 351).passed
+        assert not verify_gauss_dh_record(7, 1, 2, 1).passed
 
     @pytest.mark.parametrize("p,r", [(7, 1), (13, 1), (5, 2), (7, 2)])
     def test_all_orders_and_characters(self, p, r):

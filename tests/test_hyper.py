@@ -328,6 +328,28 @@ class TestEval:
             got, want = g_eval(inst), oracle_g_eval(inst)
             assert (got.digits(), got.valuation, got.abs_prec) == (want.digits(), want.valuation, want.abs_prec)
 
+    def test_g_eval_keeps_the_instance_lift(self):
+        # u1 lifts F_25's polynomial differently; the guard digits must be
+        # taken in u1's coordinates, not in the canonical lift's
+        field, K = build_field(5, 2), 6
+        u1 = unramified_context(5, K, 2, tuple(c + 5 for c in uctx_for(field, K).poly))
+        params = gparams("1/3;1/2")
+        for t in field.units():
+            inst = GInstance(params, field, u1, t)
+            vals = [g_term(inst, j).valuation for j in range(field.q - 1)]
+            vmin = min(vals)
+            assert max(vals) > vmin
+            work = unramified_context(5, K + max(vals) - vmin, 2, u1.poly)
+            deep = GInstance(params, field, work, t)
+            acc = work.from_int(0)
+            for j in range(field.q - 1):
+                term = g_term(deep, j)
+                acc = acc + term.unit.scale(5 ** (term.valuation - vmin))
+            want = oracle_normal_form(acc.scale(-pow(field.q - 1, -1, work.modulus)), vmin, vmin + work.K)
+            got = g_eval(inst)
+            assert got.exact_zero or got.unit.context == work
+            assert (got.digits(), got.valuation, got.abs_prec) == (want.digits(), want.valuation, want.abs_prec), t
+
     def test_g_eval_handles_deep_terms_with_guard(self):
         params = GParams(4, HS.a + HS.a, HS.b + HS.b)
         field = build_field(11, 1)

@@ -401,7 +401,7 @@ class TestTeichmueller:
                 ]
                 for i in range(1, field.q):
                     for j in range(i, field.q):
-                        prod_idx = field.mul_idx(i, j)
+                        prod_idx = (field.from_index(i) * field.from_index(j)).idx
                         assert (lifts[i] * lifts[j]).coeffs == lifts[prod_idx].coeffs
                 r += 1
 
