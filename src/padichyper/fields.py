@@ -39,6 +39,34 @@ from .padic import (
 DEFAULT_MAX_Q = 100_000
 
 
+def poly_reduce_rows(prod: np.ndarray, poly: Sequence[int], m: int) -> np.ndarray:
+    """Each row of ``prod``, a polynomial of degree < 2r - 1, reduced by the
+    monic x^r + poly and mod m: an (n, r) array.  Every intermediate is a
+    product of two residues, so int64 rows stay exact while m < 2^31."""
+    r = len(poly)
+    prod = prod % m
+    for d in range(prod.shape[1] - 1, r - 1, -1):
+        c = prod[:, d]
+        for j, cj in enumerate(poly):
+            if cj:
+                prod[:, d - r + j] = (prod[:, d - r + j] - c * cj) % m
+    return prod[:, :r]
+
+
+def poly_mul_rows(a: np.ndarray, b: np.ndarray, poly: Sequence[int], m: int) -> np.ndarray:
+    """Row-wise products in (Z/m)[x]/(x^r + poly), the F_q (m = p) or Z_q
+    (m = p^K) multiply on arrays: ``a`` is (n, r), ``b`` one element (r,)
+    or n of them (n, r)."""
+    r = len(poly)
+    if r == 1:
+        return a * b % m
+    prod = np.zeros((a.shape[0], 2 * r - 1), dtype=a.dtype)
+    for i in range(r):
+        for k in range(r):
+            prod[:, i + k] = (prod[:, i + k] + a[:, i] * b[..., k]) % m
+    return poly_reduce_rows(prod, poly, m)
+
+
 class FqField:
     """Finite field with precomputed exp/dlog tables; immutable after build.
     Equal, and hashed, by model (p, r, variant)."""
@@ -59,21 +87,27 @@ class FqField:
         self.model = (p, r, variant)
         gen_idx = (-self.poly[0]) % p if r == 1 else p
         self.generator_idx = gen_idx
-        exp = [0] * (q - 1)
-        dlog = [-1] * q
-        cur = 1
-        for s in range(q - 1):
-            exp[s] = cur
-            if dlog[cur] != -1:
-                raise AssertionError("generator order below q-1")
-            dlog[cur] = s
-            cur = self._mul_poly(cur, gen_idx)
-        if cur != 1:
+        # power-basis coordinates of g^s for s in [0, q-1], by doubling:
+        # the powers g^n..g^(2n-1) are g^0..g^(n-1) times g^n
+        powers = np.zeros((q, r), dtype=np.int64)
+        powers[0, 0] = 1
+        gn, n = self._unpack(gen_idx), 1
+        while n < q:
+            k = min(n, q - n)
+            powers[n : n + k] = poly_mul_rows(powers[:k], np.array(gn), self.poly, p)
+            gn, n = _poly_mulmod(gn, gn, self.poly, p), n + k
+        exp = powers @ p ** np.arange(r, dtype=np.int64)
+        if np.bincount(exp[: q - 1], minlength=q).max() > 1:
+            raise AssertionError("generator order below q-1")
+        if exp[q - 1] != 1:
             raise AssertionError("generator order is not q-1")
-        self.exp = exp
-        self.dlog = dlog
-        self.exp_np = np.array(exp + exp, dtype=np.int64)
-        self.dlog_np = np.array(dlog, dtype=np.int64)
+        exp = exp[: q - 1]
+        dlog = np.full(q, -1, dtype=np.int64)
+        dlog[exp] = np.arange(q - 1)
+        self.exp = exp.tolist()
+        self.dlog = dlog.tolist()
+        self.exp_np = np.concatenate([exp, exp])
+        self.dlog_np = dlog
         self.zero, self.one = FqElement(self, 0), FqElement(self, 1)
         self.generator = FqElement(self, gen_idx)
         if r > 1:  # 1 + x bumps only the low base-p digit of x; -1 marks 1 + g^n = 0
@@ -87,7 +121,7 @@ class FqField:
     def __hash__(self):
         return hash(self.model)
 
-    # -- packing and the table-free product the build uses ---------------------
+    # -- packing ----------------------------------------------------------------
 
     def _unpack(self, idx: int) -> list[int]:
         p = self.p
@@ -102,12 +136,6 @@ class FqField:
         for c in reversed(list(coeffs)):
             idx = idx * self.p + c % self.p
         return idx
-
-    def _mul_poly(self, i: int, j: int) -> int:
-        """Schoolbook product with polynomial reduction (table-free, for builds)."""
-        if self.r == 1:
-            return i * j % self.p
-        return self._pack(_poly_mulmod(self._unpack(i), self._unpack(j), self.poly, self.p))
 
     # -- vectorized index arithmetic (numpy arrays of element indices) --------
 
@@ -318,22 +346,25 @@ class TeichmuellerPowers:
     """T[s] = omega(g)^s in Z_q mod p^K for s in [0, q-1), g the generator
     of the field of ``model``; then omega^m(x) = T[m * dlog(x) mod (q-1)].
 
-    One Teichmueller lift and q-2 ring multiplies build it.  ``array`` holds
-    the coordinates as a (q-1, r) array of ``residue_dtype`` for gathers;
-    ``table[s]`` reads one row back as a Z_q element.
+    One Teichmueller lift and about log2(q) row-wise products build it, by
+    doubling: T[n:2n] = T[:n] * omega^n.  ``array`` holds the coordinates as
+    a (q-1, r) array of ``residue_dtype`` for gathers; ``table[s]`` reads one
+    row back as a Z_q element.
     """
 
     def __init__(self, model: tuple[int, int, int], uctx: UnramifiedContext):
         field = field_for(model)
         check_context(field, uctx)
         self.uctx = uctx
-        g = teichmueller(field.generator, uctx)
-        z = uctx.one
-        rows = [z.coeffs]
-        for _ in range(field.q - 2):
-            z = z * g
-            rows.append(z.coeffs)
-        self.array = np.array(rows, dtype=residue_dtype(uctx.modulus))
+        m, n, q1 = uctx.modulus, 1, field.q - 1
+        array = np.zeros((q1, uctx.r), dtype=residue_dtype(m))
+        array[0, 0] = 1
+        wn = teichmueller(field.generator, uctx)
+        while n < q1:
+            k = min(n, q1 - n)
+            array[n : n + k] = poly_mul_rows(array[:k], np.array(wn.coeffs, dtype=array.dtype), uctx.poly, m)
+            wn, n = wn * wn, n + k
+        self.array = array
 
     def __getitem__(self, s: int) -> ZqElement:
         return ZqElement(tuple(int(c) for c in self.array[s]), self.uctx)

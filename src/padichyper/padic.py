@@ -476,13 +476,14 @@ class PadicNumber:
         if limit is not None:
             nd = min(nd, limit)
         p = ctx.p
-        cols = []
-        coeffs = list(self.unit.coeffs)
-        for _ in range(nd):
-            row = [c % p for c in coeffs]
-            coeffs = [c // p for c in coeffs]
-            cols.append(".".join(str(d) for d in row) if ctx.r > 1 else str(row[0]))
-        return f"{self.valuation}:" + ",".join(cols)
+        coords = []
+        for c in self.unit.coeffs:
+            digits = []
+            for _ in range(nd):
+                c, d = divmod(c, p)
+                digits.append(str(d))
+            coords.append(digits)
+        return f"{self.valuation}:" + ",".join(map(".".join, zip(*coords)))
 
     def __repr__(self):
         return f"PadicNumber({self.digits(limit=6)})"

@@ -42,8 +42,10 @@ import math
 import random
 import time
 from bisect import bisect_right
+from contextvars import ContextVar
 from functools import cache, lru_cache
 from itertools import accumulate, islice
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 from dataclasses import dataclass, fields
@@ -67,8 +69,8 @@ from .gauss import (
     gk_product_sides,
     theta_expansion_sides,
 )
-from .hyper import GParams, profile_for, recover_integer
-from .padic import PadicNumber, default_precision, is_prime, padic_sum
+from .hyper import GParams, profile_for, qg_table, recover_integer
+from .padic import PadicNumber, default_precision, is_prime, padic_sum, renormalize
 
 PARAMS_QUARTER_THIRD = GParams(2, (Fraction(1, 4), Fraction(3, 4)), (Fraction(1, 3), Fraction(2, 3)))
 PARAMS_HALF_SIXTH = GParams(2, (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 6), Fraction(5, 6)))
@@ -145,9 +147,19 @@ def _timed(theorem: str, p: int, r: int, K: int, params: dict, check) -> VerifyR
 # series sides
 
 
+# set by _SuiteRun.attempt: does the call belong to a row whose listing is drawn in full?
+_whole_field = ContextVar("whole_field", default=False)
+
+
 def _qg(params: GParams, uctx, t: FqElement, twist: FqElement) -> PadicNumber:
-    """phi(twist) q 2G2[params | t] over t's field."""
-    return profile_for(params, t.field.model, uctx).eval_qg(t).scale_int(phi(twist))
+    """phi(twist) q 2G2[params | t] over t's field: read from the field's
+    ``qg_table`` in a row listed in full, else summed at t alone."""
+    model = t.field.model
+    if _whole_field.get():
+        value = renormalize(qg_table(params, model, uctx)[t.dlog()].tolist(), uctx, 0, uctx.K)
+    else:
+        value = profile_for(params, model, uctx).eval_qg(t)
+    return value.scale_int(phi(twist))
 
 
 def _trace_arg(a: FqElement, b: FqElement) -> FqElement:
@@ -395,20 +407,36 @@ class _SuiteRun:
         self.spec = spec
         self.records: list[VerifyRecord] = []
         self.skipped = 0
+        self.full = False  # did the current row's lister draw every position?
 
     def attempt(self, fn, *args):
+        token = _whole_field.set(self.full)
         try:
             self.records.append(fn(*args))
         except PreconditionFailed:
             self.skipped += 1
+        finally:
+            _whole_field.reset(token)
 
     def sampled(self, size: int, tag: str):
         """The positions a row draws among its ``size`` arguments: all of
         them in order, or ``sample`` seeded positions.  ``random.sample``
         picks by the population's length alone, so these are the positions
-        that sampling the argument list itself would pick."""
+        that sampling the argument list itself would pick.
+
+        The series values of a row follow from this one rule: when every
+        position is drawn, the row visits the whole field, so its checks
+        read ``hyper.qg_table``, one chirp transform per (family, field,
+        K); otherwise, and in rows that never call this (MC's curve draw),
+        each point is its own O(q) sum.  That is the break-even, not a
+        setting: a table costs about as much as 35 point sums at q = 121,
+        100 at q = 289 and 280 at q = 9,973; at q = 99,991 it takes 36 s
+        against 33 ms a point, and a sample of 10 points must not pay for
+        the whole field.
+        """
         n = self.spec.sample
-        if n is None or size <= n:
+        self.full = n is None or size <= n
+        if self.full:
             return range(size)
         return random.Random(f"{self.spec.seed}:{tag}").sample(range(size), n)
 
@@ -429,11 +457,12 @@ def _each(values):
 _units = _each(lambda f: range(1, f.q))
 
 
-def _cor2_roots(run: _SuiteRun, field: FqField, tag: str) -> list:
+def _cor2_roots(run: _SuiteRun, field: FqField, tag: str):
     """(branch, d, root) over every branch root at each sampled d; a d that
-    fails MT1's gates is a skip."""
+    fails MT1's gates is a skip.  Each d's roots are yielded, and so
+    checked, before the next d is listed, while the one-entry
+    ``_mt1_gates`` and ``_hessian_side`` still hold that d."""
     q = field.q
-    out = []
     for di in _units(run, field, tag):
         d = field.from_index(di)
         try:
@@ -444,12 +473,12 @@ def _cor2_roots(run: _SuiteRun, field: FqField, tag: str) -> list:
         # branch 1: square roots of -m/3
         s = field.dlog[(-m / 3).idx]
         if s % 2 == 0:
-            halves = (s // 2, s // 2 + (q - 1) // 2)
-            out += [(1, d, field.from_index(field.exp[half % (q - 1)])) for half in halves]
+            for half in (s // 2, s // 2 + (q - 1) // 2):
+                yield 1, d, field.from_index(field.exp[half % (q - 1)])
         # branch 2: nonzero roots of x^3 + mx + n
-        roots = np.nonzero(cubic_values(m, n) == 0)[0]
-        out += [(2, d, field.from_index(int(hi))) for hi in roots if hi]
-    return out
+        for hi in np.nonzero(cubic_values(m, n) == 0)[0]:
+            if hi:
+                yield 2, d, field.from_index(int(hi))
 
 
 _BS1_PARTNERS = 3
@@ -579,14 +608,17 @@ class Report:
     summary: dict
 
     def to_json(self) -> str:
-        doc = {
-            "suite": self.suite,
-            "started_at": self.started_at,
-            "config": self.config,
-            "records": [rec.to_dict() for rec in self.records],
-            "summary": self.summary,
-        }
-        return json.dumps(doc, indent=1)
+        """The document {suite, started_at, config, records, summary} as
+        ``json.dumps(doc, indent=1)`` renders it, byte for byte.  With an
+        indent ``json`` runs its pure-Python encoder, so only the head and
+        the summary go through it; each record is filled into a template."""
+        head = {"suite": self.suite, "started_at": self.started_at, "config": self.config}
+        text = json.dumps({**head, "records": [], "summary": self.summary}, indent=1)
+        if not self.records:
+            return text
+        before, after = text.split('\n "records": []', 1)
+        records = ",\n".join(_json_record(rec) for rec in self.records)
+        return f'{before}\n "records": [\n{records}\n ]{after}'
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -618,6 +650,37 @@ class Report:
         return self.summary["failed"] == 0
 
 
+_RECORD_JSON = (
+    '  {{\n   "theorem": {},\n   "p": {},\n   "r": {},\n   "K": {},\n   "params": {},\n'
+    '   "lhs": {},\n   "rhs": {},\n   "pass": {},\n   "elapsed_ms": {}\n  }}'
+)
+
+
+def _json_param(value) -> str:
+    """``json.dumps(value, indent=1)`` for a params value at its place in a
+    record: ints and int lists written directly."""
+    if type(value) is int:
+        return str(value)
+    if type(value) is list and value and all(type(x) is int for x in value):
+        return "[\n" + ",\n".join(f"     {x}" for x in value) + "\n    ]"
+    return json.dumps(value, indent=1).replace("\n", "\n    ")
+
+
+def _json_record(rec: VerifyRecord) -> str:
+    """One record of ``Report.to_json``, at its place in the records list."""
+    enc = encode_basestring_ascii
+    params = rec.params
+    if params:
+        items = ",\n".join(f"    {enc(k)}: {_json_param(v)}" for k, v in params.items())
+        params = f"{{\n{items}\n   }}"
+    else:
+        params = "{}"
+    return _RECORD_JSON.format(
+        enc(rec.theorem), rec.p, rec.r, rec.K, params, enc(rec.lhs), enc(rec.rhs),
+        "true" if rec.passed else "false", rec.elapsed_ms,
+    )
+
+
 def run_suite(spec: RangeSpec) -> Report:
     """Execute every selected check over the prime range; deterministic given
     the RangeSpec (fields, polynomials, generators, and sampling are all seeded)."""
@@ -643,6 +706,7 @@ def run_suite(spec: RangeSpec) -> Report:
                     continue
                 field = build_field(p, r)
                 for tag, lister, call in rows:
+                    run.full = False
                     for arg in lister(run, field, tag and tag.format(p=p, r=r)):
                         run.attempt(call, spec, field, arg)
     passed = sum(rec.passed for rec in run.records)

@@ -14,6 +14,7 @@ from padichyper.fields import (
     trace,
     uctx_for,
 )
+from padichyper.padic import _poly_mulmod
 
 
 class TestBuild:
@@ -61,7 +62,38 @@ def odd_prime_powers(limit):
     return out
 
 
+def oracle_exp_dlog(f):
+    """exp and dlog by the sequential walk the doubling build replaced: one
+    schoolbook product per power of g, with both of its order checks."""
+    p, r, q = f.p, f.r, f.q
+
+    def unpack(i):
+        return [i // p**k % p for k in range(r)]
+
+    def pack(cs):
+        return sum(c * p**k for k, c in enumerate(cs))
+
+    exp, dlog, cur = [0] * (q - 1), [-1] * q, 1
+    for s in range(q - 1):
+        exp[s] = cur
+        assert dlog[cur] == -1, "generator order below q-1"
+        dlog[cur] = s
+        cur = pack(_poly_mulmod(unpack(cur), unpack(f.generator_idx), f.poly, p))
+    assert cur == 1, "generator order is not q-1"
+    return exp, dlog
+
+
 class TestDlog:
+    @pytest.mark.parametrize(
+        "p,r,variant",
+        [*((p, r, 0) for p, r in odd_prime_powers(400)), (5, 2, 1), (3, 4, 2), (101, 2, 0), (9973, 1, 0)],
+    )
+    def test_doubling_build_matches_the_sequential_walk(self, p, r, variant):
+        f = FqField(p, r, variant)
+        exp, dlog = oracle_exp_dlog(f)
+        assert (f.exp, f.dlog) == (exp, dlog)
+        assert f.exp_np.tolist() == exp + exp and f.dlog_np.tolist() == dlog
+
     def test_bijection_and_homomorphism_exhaustive(self):
         # every odd prime power q <= 121, every pair of units
         for p, r in odd_prime_powers(121):

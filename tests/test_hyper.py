@@ -1,8 +1,10 @@
 import gc
 import math
+import random
 import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from padichyper.curves import WeierstrassCurve, count_weierstrass
@@ -24,7 +26,9 @@ from padichyper.hyper import (
     g_eval,
     g_term,
     gparams,
+    kronecker_correlation,
     profile_for,
+    qg_table,
     recover_integer,
     term_exponents,
 )
@@ -33,12 +37,19 @@ from padichyper.padic import (
     default_precision,
     frac_floor,
     padic_sum,
+    renormalize,
     teichmueller,
     unramified_context,
     zq_inv,
     zq_pow,
 )
-from padichyper.verify import _alpha
+from padichyper.verify import (
+    PARAMS_HALF_QUARTER,
+    PARAMS_HALF_SIXTH,
+    PARAMS_HALF_THIRD,
+    PARAMS_QUARTER_THIRD,
+    _alpha,
+)
 
 QT = GParams(2, (Fraction(1, 4), Fraction(3, 4)), (Fraction(1, 3), Fraction(2, 3)))
 HS = GParams(2, (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 6), Fraction(5, 6)))
@@ -86,6 +97,32 @@ def oracle_g_eval(inst):
         term = g_term(deep, j)
         acc = acc + term.unit.scale(work.p ** (term.valuation - vmin))
     return oracle_normal_form(acc.scale(-pow(q - 1, -1, work.modulus)), vmin, vmin + work.K)
+
+
+def oracle_teichmueller_powers(field, uctx):
+    """omega(g)^s for s in [0, q-1) by the sequential product the doubling
+    build replaced: one lift, then q-2 ring multiplies."""
+    g = teichmueller(field.generator, uctx)
+    z, rows = uctx.one, []
+    for _ in range(field.q - 1):
+        rows.append(z.coeffs)
+        z = z * g
+    return rows
+
+
+def oracle_correlation(a, b, m):
+    """c[s][d] = sum over j and i + k = d of a[j][i] b[j + s][k], mod m, in
+    Python ints."""
+    na, r = len(a), len(a[0])
+    out = []
+    for s in range(len(b) - na + 1):
+        c = [0] * (2 * r - 1)
+        for j in range(na):
+            for i in range(r):
+                for k in range(r):
+                    c[i + k] += int(a[j][i]) * int(b[j + s][k])
+        out.append([x % m for x in c])
+    return out
 
 
 def oracle_term_unit(prof, t, j):
@@ -411,6 +448,88 @@ class TestTwistTable:
             prof = profile_for(params, field.model, inst.uctx)
             for j in range(field.q - 1):
                 assert g_term(inst, j).unit == oracle_term_unit(prof, t, j)
+
+
+    @pytest.mark.parametrize("p,r,K", [(7, 1, 4), (5, 2, 3), (3, 3, 4), (13, 1, 9), (5, 2, 14), (101, 1, 5)])
+    def test_doubling_matches_the_sequential_product(self, p, r, K):
+        field = build_field(p, r)
+        uctx = uctx_for(field, K)
+        table = teichmueller_powers(field.model, uctx)
+        assert [tuple(int(c) for c in row) for row in table.array] == oracle_teichmueller_powers(field, uctx)
+
+
+FAMILIES = [PARAMS_QUARTER_THIRD, PARAMS_HALF_SIXTH, PARAMS_HALF_THIRD, PARAMS_HALF_QUARTER]
+
+
+class TestWholeFieldTable:
+    """``qg_table``, the chirp transform of every t at once, against the
+    per-point ``GProfile._sum`` for the four families of the identity suite."""
+
+    @staticmethod
+    def assert_rows_match(params, field, uctx, dlogs):
+        prof = profile_for(params, field.model, uctx)
+        table = qg_table(params, field.model, uctx)
+        assert table.shape == (field.q - 1, field.r) and not table.flags.writeable
+        for s in dlogs:
+            got = renormalize(table[s].tolist(), uctx, 0, uctx.K)
+            want = prof._sum(field.from_index(field.exp[s]), uctx.r, 0)
+            assert (got.digits(), got.valuation, got.abs_prec) == (want.digits(), want.valuation, want.abs_prec)
+
+    # r = 1, 2 and 3 at the default K; (5, 2, 14) and (7, 3, 12) have
+    # p^K >= 2^31, the Python-int path, and 13^18 > 2^64 two-word residues
+    @pytest.mark.parametrize(
+        "p,r,K",
+        [(5, 1, None), (7, 1, None), (11, 1, None), (13, 1, None), (5, 2, None), (7, 2, None),
+         (11, 2, None), (5, 3, None), (7, 3, None), (5, 2, 14), (7, 3, 12), (13, 1, 18)],
+    )
+    @pytest.mark.parametrize("params", FAMILIES, ids=["qt", "hs", "ht", "hq"])
+    def test_every_t_matches_the_point_sum(self, p, r, K, params):
+        field = build_field(p, r)
+        uctx = uctx_for(field, K or default_precision(p, r))
+        self.assert_rows_match(params, field, uctx, range(field.q - 1))
+
+    @pytest.mark.parametrize("params", FAMILIES, ids=["qt", "hs", "ht", "hq"])
+    def test_multiword_slots_at_q_1009(self, params):
+        # p^K = 1009^5 is near 2^50, so each slot takes two 64-bit words
+        field = build_field(1009, 1)
+        uctx = uctx_for(field, default_precision(1009, 1))
+        assert 2 * uctx.modulus.bit_length() + (1008).bit_length() + 1 > 64
+        self.assert_rows_match(params, field, uctx, range(0, 1008, 21))
+
+    def test_keyed_by_the_lift(self):
+        field, K = build_field(5, 2), 6
+        u0 = uctx_for(field, K)
+        u1 = unramified_context(5, K, 2, tuple(c + 5 for c in u0.poly))
+        assert qg_table(HS, field.model, u0) is not qg_table(HS, field.model, u1)
+        self.assert_rows_match(HS, field, u1, range(field.q - 1))
+
+    def test_rejects_non_integral_qg(self):
+        field = build_field(11, 1)
+        with pytest.raises(PrecisionExhausted):
+            qg_table(HS2, field.model, uctx_for(field, 5))
+
+    # (m, r, len(a)): one-word slots; two words for int64 residues; two words
+    # for residues below 2^64; three words for two-word residues
+    @pytest.mark.parametrize(
+        "m,r,na",
+        [(11**5, 1, 10), (5**8, 3, 124), (7**11, 1, 48), (7**11, 2, 48), (1009**5, 1, 1008), (9973**5, 1, 30)],
+    )
+    def test_slots_hold_the_largest_sums(self, m, r, na):
+        # every residue m - 1: a slot sums len(a) * r products of (m - 1)^2
+        nb = 2 * na - 1
+        dtype = np.int64 if m < 2**31 else object
+        a = np.full((na, r), m - 1, dtype=dtype)
+        b = np.full((nb, r), m - 1, dtype=dtype)
+        got = kronecker_correlation(a, b, m)
+        per_d = [na * (min(d, 2 * r - 2 - d) + 1) * (m - 1) ** 2 % m for d in range(2 * r - 1)]
+        assert got.shape == (na, 2 * r - 1) and got.dtype == dtype
+        assert got.tolist() == [per_d] * na
+        # and seeded residues, position by position
+        rng = random.Random(m)
+        na = min(na, 12)
+        a = np.array([[rng.randrange(m) for _ in range(r)] for _ in range(na)], dtype=dtype)
+        b = np.array([[rng.randrange(m) for _ in range(r)] for _ in range(2 * na + 3)], dtype=dtype)
+        assert kronecker_correlation(a, b, m).tolist() == oracle_correlation(a, b, m)
 
 
 class TestRecoverInteger:

@@ -562,3 +562,28 @@ def test_defining_poly_deterministic_and_distinct_variants():
     p1 = find_defining_poly(5, 2, 1)
     assert p0 == find_defining_poly(5, 2, 0)
     assert p0 != p1
+
+
+def _oracle_digits(x):
+    """The digit rendering as it was first written: every coordinate loses
+    one base-p digit per pass."""
+    ctx = x.unit.context
+    nd = int(min(x.abs_prec - x.valuation, ctx.K))
+    cols, coeffs = [], list(x.unit.coeffs)
+    for _ in range(nd):
+        row = [c % ctx.p for c in coeffs]
+        coeffs = [c // ctx.p for c in coeffs]
+        cols.append(".".join(str(d) for d in row))
+    return f"{x.valuation}:" + ",".join(cols)
+
+
+@pytest.mark.parametrize("p,r,K", [(7, 1, 5), (5, 2, 6), (3, 3, 4), (101, 2, 9)])
+def test_digits_match_the_digit_by_digit_rendering(p, r, K):
+    ctx = unramified_context(p, K, r)
+    rng = random.Random(p * 100 + r)
+    for _ in range(200):
+        coeffs = [rng.randrange(ctx.modulus) for _ in range(r)]
+        coeffs[0] = coeffs[0] // p * p + rng.randrange(1, p)  # a unit
+        v = rng.randrange(-3, 4)
+        x = PadicNumber(v, ctx.element(coeffs), v + rng.randrange(1, K + 3))
+        assert x.digits() == _oracle_digits(x)

@@ -12,7 +12,9 @@ from padichyper.fields import DEFAULT_MAX_Q, build_field, phi
 from padichyper.hyper import GProfile
 from padichyper.padic import is_prime
 from padichyper.verify import (
+    PARAMS_HALF_QUARTER,
     PARAMS_HALF_SIXTH,
+    PARAMS_HALF_THIRD,
     RangeSpec,
     run_suite,
     verify_bs1,
@@ -383,26 +385,46 @@ class TestSuite:
         assert report.all_passed
 
     def test_cor2_evaluates_the_hessian_side_once_per_d(self, monkeypatch):
-        eval_qg = GProfile.eval_qg
-        calls = Counter()
+        # unsampled, every row is full: each series value is read from one
+        # table per (family, field) and no point is summed on its own
+        eval_qg, table = GProfile.eval_qg, verify_module.qg_table
+        calls, lookups = Counter(), Counter()
 
         def counting(prof, t):
             calls[prof.params] += 1
             return eval_qg(prof, t)
 
+        def counting_table(params, model, uctx):
+            lookups[params, model] += 1
+            return table(params, model, uctx)
+
         monkeypatch.setattr(GProfile, "eval_qg", counting)
+        monkeypatch.setattr(verify_module, "qg_table", counting_table)
         spec = RangeSpec(theorems=("cor2",), pmin=5, pmax=11, r_values=(1, 2))
         verify_module._hessian_side.cache_clear()
+        table.cache_clear()
         report = run_suite(spec)
         per_d = {(rec.p, rec.r, json.dumps(rec.params["d"])) for rec in report.records}
         assert (len(report.records), len(per_d)) == (282, 136)
-        # one Hessian side per d, one branch side per record
-        assert calls[PARAMS_HALF_SIXTH] == 136 and sum(calls.values()) == 418
+        assert not calls
+        assert table.cache_info().misses == len(lookups)
+        assert {params for params, _ in lookups} == {PARAMS_HALF_SIXTH, PARAMS_HALF_THIRD, PARAMS_HALF_QUARTER}
+        # the Hessian side once per d, the branch side once per record
+        assert sum(n for (params, _), n in lookups.items() if params == PARAMS_HALF_SIXTH) == 136
+        assert sum(lookups.values()) == 418
+        # sampled, a row sums its points: the Hessian side still once per d
+        lookups.clear()
+        sampled = RangeSpec(theorems=("cor2",), pmin=5, pmax=11, r_values=(1, 2), sample=3)
+        report = run_suite(sampled)
+        per_d = {(rec.p, rec.r, json.dumps(rec.params["d"])) for rec in report.records}
+        assert not lookups and calls[PARAMS_HALF_SIXTH] == len(per_d)
+        assert sum(calls.values()) == len(per_d) + len(report.records)
         # without the one-entry cache every record evaluates both sides
         calls.clear()
         monkeypatch.setattr(verify_module, "_hessian_side", verify_module._hessian_side.__wrapped__)
-        uncached = run_suite(spec)
-        assert calls[PARAMS_HALF_SIXTH] == 282 and sum(calls.values()) == 564
+        uncached = run_suite(sampled)
+        assert calls[PARAMS_HALF_SIXTH] == len(report.records)
+        assert sum(calls.values()) == 2 * len(report.records)
         assert _report_digest(uncached) == _report_digest(report)
 
 
@@ -419,6 +441,102 @@ def _report_digest(report) -> str:
         records.append({k: rec[k] for k in keys})
     body = json.dumps({"records": records, "summary": doc["summary"]}, sort_keys=True)
     return hashlib.sha256(body.encode()).hexdigest()
+
+
+class TestTableRule:
+    """A row reads whole-field tables exactly when ``_SuiteRun.sampled``
+    returned every position of its listing; otherwise each point is summed
+    on its own, and no table is built."""
+
+    @staticmethod
+    def forbid(monkeypatch, name):
+        def fail(*args):
+            raise AssertionError(f"{name} called")
+
+        if name == "eval_qg":
+            monkeypatch.setattr(GProfile, "eval_qg", fail)
+        else:
+            monkeypatch.setattr(verify_module, name, fail)
+
+    @pytest.mark.parametrize("theorem", ["mt1", "cor2", "hessian", "bs1"])
+    def test_full_rows_sum_no_point(self, monkeypatch, theorem):
+        self.forbid(monkeypatch, "eval_qg")
+        verify_module._hessian_side.cache_clear()
+        report = run_suite(RangeSpec(theorems=(theorem,), pmin=5, pmax=7, r_values=(1, 2), allow_p5=True))
+        assert report.summary["total"] > 0 and report.all_passed
+
+    @pytest.mark.parametrize("theorem", ["mt1", "cor2", "hessian", "bs1"])
+    def test_sampled_rows_make_no_table(self, monkeypatch, theorem):
+        self.forbid(monkeypatch, "qg_table")
+        verify_module._hessian_side.cache_clear()
+        spec = RangeSpec(theorems=(theorem,), pmin=7, pmax=11, r_values=(1, 2), allow_p5=True, sample=3)
+        report = run_suite(spec)
+        assert report.summary["total"] > 0 and report.all_passed
+
+    def test_a_sample_covering_the_listing_is_full(self, monkeypatch):
+        # F_7 has 6 units: a sample of 6 draws them all, in order
+        self.forbid(monkeypatch, "eval_qg")
+        full = run_suite(RangeSpec(theorems=("hessian",), pmin=7, pmax=7, r_values=(1,), sample=6))
+        assert full.summary == {"total": 3, "passed": 3, "failed": 0, "skipped": 3}
+
+    def test_mc_draws_sum_their_points(self, monkeypatch):
+        self.forbid(monkeypatch, "qg_table")
+        report = run_suite(RangeSpec(theorems=("mc",), pmin=5, pmax=7, r_values=(1, 2)))
+        assert report.summary["total"] > 0 and report.all_passed
+
+    def test_single_checks_sum_their_points(self, monkeypatch):
+        self.forbid(monkeypatch, "qg_table")
+        assert verify_mt1(11, 1, 2).passed and verify_hessian(11, 1, 2).passed
+
+    def test_full_and_point_reports_agree(self, monkeypatch):
+        # the same rows, once from tables and once forced point by point
+        theorems = ("mt1", "cor2", "hessian", "bs1")
+        spec = RangeSpec(theorems=theorems, pmin=5, pmax=13, r_values=(1, 2), allow_p5=True)
+        tables = run_suite(spec)
+        self.forbid(monkeypatch, "qg_table")
+        monkeypatch.setattr(verify_module._SuiteRun, "attempt", _attempt_point_by_point)
+        assert _report_digest(run_suite(spec)) == _report_digest(tables)
+
+
+def _attempt_point_by_point(run, fn, *args):
+    """``_SuiteRun.attempt`` with every row treated as sampled."""
+    try:
+        run.records.append(fn(*args))
+    except PreconditionFailed:
+        run.skipped += 1
+
+
+class TestReportJson:
+    """``Report.to_json`` fills a template per record; it must equal the
+    document as ``json.dumps(doc, indent=1)`` renders it."""
+
+    @staticmethod
+    def oracle(report):
+        doc = {
+            "suite": report.suite,
+            "started_at": report.started_at,
+            "config": report.config,
+            "records": [rec.to_dict() for rec in report.records],
+            "summary": report.summary,
+        }
+        return json.dumps(doc, indent=1)
+
+    def test_sweeps_render_as_json_dumps(self):
+        for spec in (
+            RangeSpec(pmin=5, pmax=7, r_values=(1, 2, 3), sample=3, allow_p5=True),
+            RangeSpec(theorems=("ortho", "lemma5"), pmin=5, pmax=5, r_values=(1,)),
+        ):
+            report = run_suite(spec)
+            assert report.to_json() == self.oracle(report)
+
+    def test_other_values_render_as_json_dumps(self):
+        odd = verify_module.VerifyRecord(
+            "X\u00e9\"\n", 5, 1, 5, {"a": [], "b": True, "c": "s\u2603", "d": [1, [2, 3]], "e": 1.5, "f": None},
+            "", "\u00e9", False, 3,
+        )
+        for records in ([odd], []):
+            report = verify_module.Report("s", "now", {"x": [1]}, records, {"total": len(records)})
+            assert report.to_json() == self.oracle(report)
 
 
 class TestGoldenReports:
