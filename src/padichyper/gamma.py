@@ -13,48 +13,65 @@ j in [y p^(L+1), y p^(L+1) + d p^L), as a polynomial in y:
     C_{0,d}(y) = prod_{0<i<d} (p y + i)
     C_{L,d}(y) = prod_{c<d} C_{L-1,p}(p y + c)
 
-Its y^k coefficient is divisible by p^k, so truncation to degree below K is
-exact mod p^K.  Splitting [0, n) by the base-p digits d_L of n gives
-f(n) = prod_L C_{L,d_L}(n // p^(L+1)): K Horner evaluations per value, after
-O(K^3 p) multiplications mod p^K to build the polynomials of one (p, K).
+Its y^k coefficient is divisible by p^(k(L+1)): so it is at level 0, the
+substitution p y + c adds k more factors of p, and products keep it.  Level L
+therefore keeps only its first ceil(K/(L+1)) coefficients (5, 3, 2, 2, 1 for
+K = 5), every later one being 0 mod p^K, and the blocks of one (p, K) cost
+about sum_L ceil(K/(L+1))^2 p multiplications mod p^K.  Splitting [0, n) by
+the base-p digits d_L of n gives f(n) = prod_L C_{L,d_L}(n // p^(L+1)): one
+short Horner evaluation per level.  ``GammaCache.rational_table`` runs them
+for every point c/D of a table at once, as numpy arrays; ``gamma`` runs them
+for one point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
+
+import numpy as np
+
 from .errors import DenominatorDivisibleByP
+from .fields import residue_dtype
 from .padic import UnramifiedContext, frac_floor, odd_prime_modulus
 
 
 def _mul(a: list[int], b: list[int], m: int) -> list[int]:
     """a * b mod m, truncated to len(a) coefficients."""
-    return [sum(a[i] * b[k - i] for i in range(k + 1)) % m for k in range(len(a))]
+    n = len(a)
+    out = [ai * b[0] for ai in a]
+    for j in range(1, n):
+        bj = b[j]
+        for k in range(j, n):
+            out[k] += a[k - j] * bj
+    return [c % m for c in out]
 
 
-def _shift(a: list[int], c: int, p: int, m: int) -> list[int]:
-    """a(p y + c) mod m by Horner; the y^K term it drops is 0 mod p^K."""
-    out = [0] * len(a)
+def _shifts(a: list[int], p: int, m: int, n: int) -> list[list[int]]:
+    """Row c: the first n coefficients of a(p y + c) mod m, for every c < p,
+    by one Horner pass over the array of c."""
+    c = np.arange(p, dtype=object)
+    out = [0] * n
     for coeff in reversed(a):
-        for k in range(len(out) - 1, 0, -1):
-            out[k] = (out[k] * c + out[k - 1] * p) % m
-        out[0] = (out[0] * c + coeff) % m
-    return out
+        out = [(out[0] * c + coeff) % m] + [(out[k] * c + out[k - 1] * p) % m for k in range(1, n)]
+    return np.stack(out, axis=1).tolist()
 
 
 def _digit_blocks(p: int, K: int) -> list[list[list[int]]]:
-    """blocks[L][d] = coefficients of C_{L,d}(y), for L < K and d <= p."""
+    """blocks[L][d] = the first ceil(K/(L+1)) coefficients of C_{L,d}(y),
+    for L < K and d <= p; the coefficients after them are 0 mod p^K."""
     m = p**K
     one = [1] + [0] * (K - 1)
     level = [one, one]
-    for i in range(1, p):  # times p y + i, as K coefficients
-        level.append(_mul(level[-1], ([i, p] + [0] * K)[:K], m))
+    for i in range(1, p):  # times p y + i
+        a = level[-1]
+        level.append([i * a[0] % m] + [(i * a[k] + p * a[k - 1]) % m for k in range(1, K)])
     blocks = [level]
-    for _ in range(1, K):
-        full = blocks[-1][p]
-        level = [one]
-        for c in range(p):
-            level.append(_mul(level[-1], _shift(full, c, p, m), m))
+    for L in range(1, K):
+        n = -(-K // (L + 1))
+        level = [[1] + [0] * (n - 1)]
+        for factor in _shifts(blocks[-1][p], p, m, n):
+            level.append(_mul(level[-1], factor, m))
         blocks.append(level)
     return blocks
 
@@ -62,9 +79,11 @@ def _digit_blocks(p: int, K: int) -> list[list[list[int]]]:
 class GammaCache:
     """Gamma_p mod p^K for one odd prime p and K >= 1.
 
-    ``table[n]`` memoizes f(n), the product of all p-free 0 < j < n mod p^K,
-    at every point evaluated so far; ``blocks`` holds the digit-block
-    polynomials every new point is evaluated from.
+    ``blocks[L]`` holds the digit-block polynomials of level L as a
+    (p + 1, ceil(K/(L+1))) array of ``residue_dtype``, row d the
+    coefficients of C_{L,d}; ``rational_table`` gathers from them for all its
+    points at once, and ``table[n]`` memoizes f(n), the product of all p-free
+    0 < j < n mod p^K, at every point ``gamma`` evaluated so far.
     """
 
     def __init__(self, p: int, K: int):
@@ -74,8 +93,9 @@ class GammaCache:
         self.table: dict[int, int] = {0: 1}
 
     @cached_property
-    def blocks(self) -> list[list[list[int]]]:
-        return _digit_blocks(self.p, self.K)
+    def blocks(self) -> list[np.ndarray]:
+        dtype = residue_dtype(self.modulus)
+        return [np.array(level, dtype=dtype) for level in _digit_blocks(self.p, self.K)]
 
     def _f(self, n: int) -> int:
         """f(n) for 0 <= n < p^K, one block per base-p digit of n."""
@@ -87,7 +107,7 @@ class GammaCache:
                 y, d = divmod(y, p)
                 if d:
                     acc = 0
-                    for coeff in reversed(level[d]):
+                    for coeff in reversed(level[d].tolist()):
                         acc = (acc * y + coeff) % m
                     f = f * acc % m
             self.table[n] = f
@@ -112,10 +132,21 @@ class GammaCache:
 
     @lru_cache(maxsize=64)
     def rational_table(self, denominator: int) -> list[int]:
-        """Gamma_p(c/denominator) for every c in [0, denominator), as a list."""
+        """Gamma_p(c/denominator) for every c in [0, denominator), as a list:
+        ``_f`` at every n = c/denominator mod p^K at once, one gather and
+        Horner pass per level over arrays of ``residue_dtype``."""
         inv = self._reduce(1, denominator)
-        m = self.modulus
-        return [self._gamma_of_n(c * inv % m) for c in range(denominator)]
+        p, m = self.p, self.modulus
+        n = np.arange(denominator, dtype=np.int64).astype(residue_dtype(m)) * inv % m
+        f, y = 1, n
+        for level in self.blocks:
+            coeffs = level[(y % p).astype(np.int64)]
+            y = y // p
+            acc = coeffs[:, -1]
+            for k in range(level.shape[1] - 2, -1, -1):
+                acc = (acc * y + coeffs[:, k]) % m
+            f = f * acc % m
+        return np.where(n % 2 == 1, -f % m, f).tolist()
 
 
 gamma_cache = lru_cache(maxsize=64)(GammaCache)

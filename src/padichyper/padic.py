@@ -134,8 +134,15 @@ def _poly_powmod(a: Sequence[int], e: int, poly: Sequence[int], p: int) -> list[
 
 
 def _is_admissible(poly: Sequence[int], p: int) -> bool:
-    """Does x have multiplicative order exactly q - 1 mod (p, x^r + poly)?"""
+    """Does x have multiplicative order exactly q - 1 mod (p, x^r + poly)?
+
+    If it does, its norm (-1)^r c_0 = x^((q-1)/(p-1)) generates F_p^*, so a
+    candidate whose norm does not is rejected before any polynomial powering.
+    """
     r = len(poly)
+    norm = (-1) ** r * poly[0] % p
+    if norm == 0 or any(pow(norm, (p - 1) // ell, p) == 1 for ell in prime_factors(p - 1)):
+        return False
     q = p**r
     one = [1] + [0] * (r - 1)
     x = ([0, 1] + [0] * (r - 2)) if r > 1 else [(-poly[0]) % p]

@@ -1,9 +1,14 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padichyper.errors import CompositeP, DenominatorDivisibleByP
+from padichyper.fields import residue_dtype
 from padichyper.gamma import (
     GammaCache,
     _omega_power,
@@ -37,20 +42,54 @@ def gamma_brute(n: int, p: int, K: int) -> int:
     return acc if n % 2 == 0 else -acc % m
 
 
+def _forward_differences(samples: list[int], m: int) -> list[int]:
+    """Delta^k of the samples at 0, mod m, for k < len(samples)."""
+    out = []
+    while samples:
+        out.append(samples[0] % m)
+        samples = [b - a for a, b in zip(samples, samples[1:])]
+    return out
+
+
 def gamma_oracle_table(ns, p: int, K: int) -> dict[int, int]:
     """Gamma_p(n) for each n in [0, p^K): one sorted running product up to
     p^K/2, and the generalized Wilson theorem (the units of Z/p^K multiply
-    to -1) for the points above it."""
+    to -1) for the points above it.
+
+    The product crosses an aligned run [S y, S y + S) of S = p^e integers in
+    one step.  Its p-free part R_e(y) = prod_{0<j<S, p∤j} (S y + j) has its
+    y^k coefficient divisible by S^k, so mod p^K it is an integer polynomial
+    of degree below n = ceil(K/e), and Newton's forward formula gives it
+    from n samples: R_e(y) = sum_k Delta^k R_e(0) binom(y, k).  R_1 is
+    sampled by plain products, R_(e+1)(i) as prod_{c<p} R_e(p i + c)."""
     m = p**K
+    diffs: dict[int, list[int]] = {}
+
+    def run(e: int, y: int) -> int:
+        return sum(d * math.comb(y, k) for k, d in enumerate(diffs[e])) % m
+
+    for e in range(1, K):
+        n = -(-K // e)
+        if e == 1:
+            samples = [math.prod(p * i + j for j in range(1, p)) for i in range(n)]
+        else:
+            samples = [math.prod(run(e - 1, p * i + c) for c in range(p)) for i in range(n)]
+        diffs[e] = _forward_differences(samples, m)
+
     half = (m + 1) // 2
     # f(n) = -(-1)^c / f(m - n + 1) for n > half, with c the p-free count in [1, m - n]
     stops = sorted({n if n <= half else m - n + 1 for n in ns})
     f, acc, j = {}, 1, 1
     for stop in stops:
         while j < stop:
-            if j % p:
-                acc = acc * j % m
-            j += 1
+            e = next((e for e in range(K - 1, 0, -1) if j % p**e == 0 and j + p**e <= stop), 0)
+            if e:
+                acc = acc * run(e, j // p**e) % m
+                j += p**e
+            else:
+                if j % p:
+                    acc = acc * j % m
+                j += 1
         f[stop] = acc
     out = {}
     for n in ns:
@@ -61,6 +100,37 @@ def gamma_oracle_table(ns, p: int, K: int) -> dict[int, int]:
             val = (1 if c % 2 else -1) * pow(f[m - n + 1], -1, m) % m
         out[n] = val if n % 2 == 0 else -val % m
     return out
+
+
+def _mul_untrimmed(a: list[int], b: list[int], m: int) -> list[int]:
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) % m for k in range(len(a))]
+
+
+def _shift_untrimmed(a: list[int], c: int, p: int, m: int) -> list[int]:
+    out = [0] * len(a)
+    for coeff in reversed(a):
+        for k in range(len(out) - 1, 0, -1):
+            out[k] = (out[k] * c + out[k - 1] * p) % m
+        out[0] = (out[0] * c + coeff) % m
+    return out
+
+
+def digit_blocks_untrimmed(p: int, K: int) -> list[list[list[int]]]:
+    """The digit-block builder before trimming: every C_{L,d} as K
+    coefficients, built with full-length multiplies and shifts."""
+    m = p**K
+    one = [1] + [0] * (K - 1)
+    level = [one, one]
+    for i in range(1, p):  # times p y + i, as K coefficients
+        level.append(_mul_untrimmed(level[-1], ([i, p] + [0] * K)[:K], m))
+    blocks = [level]
+    for _ in range(1, K):
+        full = blocks[-1][p]
+        level = [one]
+        for c in range(p):
+            level.append(_mul_untrimmed(level[-1], _shift_untrimmed(full, c, p, m), m))
+        blocks.append(level)
+    return blocks
 
 
 class TestGammaValues:
@@ -239,15 +309,70 @@ class TestOracles:
             if n % p:
                 acc = acc * n % m
 
-    @pytest.mark.parametrize("p", [11, 13])
-    def test_rational_tables_against_sorted_sweep(self, p):
-        K = 5
+    @pytest.mark.parametrize("p,K", [(11, 5), (13, 5), (5, 1), (7, 1), (89, 1), (5, 2), (13, 2), (89, 2)])
+    def test_rational_tables_against_sorted_sweep(self, p, K):
         m = p**K
+        assert residue_dtype(m) is np.int64
         cache = GammaCache(p, K)
-        for den in (p - 1, 12 * (p - 1)):
+        for den in (1, p - 1, p + 1, 12 * (p - 1)):
             ns = [c * pow(den, -1, m) % m for c in range(den)]
             oracle = gamma_oracle_table(ns, p, K)
             assert cache.rational_table(den) == [oracle[n] for n in ns], (p, den)
+
+    @pytest.mark.parametrize("p,K", [(3, 9), (5, 6), (7, 5), (13, 4)])
+    def test_sorted_sweep_runs_match_plain_products(self, p, K):
+        # the oracle's run polynomials against the plain product, at points
+        # sparse enough that the sweep crosses runs of every length
+        m = p**K
+        ns = random.Random(p).sample(range(m), 40) + [1, 2, p, p**2, m // 2, m - 1]
+        oracle = gamma_oracle_table(ns, p, K)
+        acc, plain = 1, []
+        for n in range(m):
+            plain.append(acc if n % 2 == 0 else -acc % m)
+            if n % p:
+                acc = acc * n % m
+        assert {n: plain[n] for n in ns} == oracle
+
+    @pytest.mark.parametrize("p", [89, 199])
+    def test_rational_tables_beyond_2_31(self, p):
+        # 89^5 and 199^5 exceed 2^31, so the tables run on Python-int arrays;
+        # the points c/(p-1) are among the c/(4(p-1))
+        K = 5
+        m = p**K
+        assert residue_dtype(m) is object
+        cache = GammaCache(p, K)
+        points = {den: [c * pow(den, -1, m) % m for c in range(den)] for den in (p - 1, 4 * (p - 1))}
+        oracle = gamma_oracle_table(points[4 * (p - 1)], p, K)
+        for den, ns in points.items():
+            assert cache.rational_table(den) == [oracle[n] for n in ns], (p, den)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([3, 5, 7, 11, 13]),
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=1, max_value=400),
+    )
+    def test_rational_table_property(self, p, K, den):
+        if den % p == 0:
+            den += 1
+        m = p**K
+        ns = [c * pow(den, -1, m) % m for c in range(den)]
+        oracle = gamma_oracle_table(ns, p, K)
+        assert GammaCache(p, K).rational_table(den) == [oracle[n] for n in ns]
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 89])
+    @pytest.mark.parametrize("K", range(1, 10))
+    def test_trimmed_blocks_are_the_untrimmed_ones(self, p, K):
+        # level L keeps ceil(K/(L+1)) coefficients; the untrimmed builder's
+        # later ones are all 0 mod p^K
+        full = digit_blocks_untrimmed(p, K)
+        blocks = GammaCache(p, K).blocks
+        assert len(blocks) == K
+        for L, level in enumerate(blocks):
+            n = -(-K // (L + 1))
+            assert level.shape == (p + 1, n), (p, K, L)
+            padded = [row + [0] * (K - n) for row in level.tolist()]
+            assert padded == full[L], (p, K, L)
 
     @pytest.mark.parametrize("p", [89, 199])
     def test_reflection_beyond_2_32(self, p):

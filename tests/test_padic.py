@@ -557,6 +557,47 @@ def test_defining_poly_is_first_admissible_candidate():
         find_defining_poly(3, 1, 1)
 
 
+def _plain_is_admissible(poly, p):
+    """The order test without the norm pre-check: x^(q-1) = 1 and
+    x^((q-1)/l) != 1 for every prime l | q-1, mod (p, x^r + poly)."""
+    r = len(poly)
+    q = p**r
+    f = list(poly) + [1]
+    x = _oracle_rem([0, 1], f, p)
+    one = _oracle_rem([1], f, p)
+    if _oracle_powmod(x, q - 1, f, p) != one:
+        return False
+    return all(_oracle_powmod(x, (q - 1) // ell, f, p) != one for ell in prime_factors(q - 1))
+
+
+def _plain_find_defining_poly(p, r, variant):
+    """find_defining_poly's candidate loop over the plain order test."""
+    if r == 1:
+        candidates = (((-g) % p,) for g in range(2, p))
+    else:
+        candidates = (tuple(n // p**i % p for i in range(r)) for n in range(p**r))
+    admissible = (poly for poly in candidates if _plain_is_admissible(poly, p))
+    for _ in range(variant):
+        next(admissible, None)
+    return next(admissible, None)
+
+
+def test_norm_precheck_keeps_every_defining_poly():
+    # every model with q <= 2500 and variants 0-2; None where a field has
+    # fewer admissible candidates than the variant asks for
+    models = [(p, r) for p in range(3, 2500) if is_prime(p) for r in range(1, 8) if p**r <= 2500]
+    for p, r in models:
+        for v in range(3):
+            expected = _plain_find_defining_poly(p, r, v)
+            if expected is None:
+                with pytest.raises(CompositeP):
+                    find_defining_poly(p, r, v)
+            else:
+                assert find_defining_poly(p, r, v) == expected, (p, r, v)
+                assert _is_admissible(expected, p)
+                UnramifiedContext(p, 1, r, expected)
+
+
 def test_defining_poly_deterministic_and_distinct_variants():
     p0 = find_defining_poly(5, 2, 0)
     p1 = find_defining_poly(5, 2, 1)
