@@ -57,16 +57,11 @@ class CurveCount:
     trace: int
 
 
-def _phi_sum(f: FqField, arr: np.ndarray) -> int:
-    """Sum of the quadratic character over an array of element indices."""
-    return int(np.where(arr == 0, 0, 1 - 2 * (f.dlog_np[arr] & 1)).sum())
-
-
 def cubic_values(a: FqElement, b: FqElement) -> np.ndarray:
     """x^3 + a x + b at every x of the field, as element indices in index order."""
     f = a.field
     xs = np.arange(f.q, dtype=np.int64)
-    return f.np_add(f.np_add(f.np_pow(xs, 3), f.np_mul_const(a.idx, xs)), b.idx)
+    return f.np_add(f.np_add(f.np_pow(xs, 3), f.np_mul(xs, a.idx)), b.idx)
 
 
 def count_weierstrass(E: WeierstrassCurve) -> CurveCount:
@@ -74,7 +69,7 @@ def count_weierstrass(E: WeierstrassCurve) -> CurveCount:
     affine points, plus the single point at infinity."""
     f = E.field
     q = f.q
-    affine = q + _phi_sum(f, cubic_values(E.a, E.b))
+    affine = q + int(f.np_phi(cubic_values(E.a, E.b)).sum())
     tr = q - affine
     if tr * tr > 4 * q:
         raise AssertionError(f"trace {tr} violates the Hasse bound for q={q}")
@@ -96,7 +91,7 @@ def count_hessian(C: HessianCurve) -> int:
     shift = (f.element(-4) / f.element(3)).dlog()
     minus_4v = f.exp_np[(f.dlog_np[num] - f.dlog_np[den] + shift) % (f.q - 1)]
     disc = f.np_add(f.np_pow(us, 2), np.where(num == 0, 0, minus_4v))
-    return us.size + _phi_sum(f, disc)
+    return us.size + int(f.np_phi(disc).sum())
 
 
 def hessian_bridge(d: FqElement) -> tuple[FqElement, FqElement]:

@@ -7,7 +7,8 @@ of the power-basis coefficient vector.  The FqElement operators do all
 scalar arithmetic on the tables: products through exp/dlog, and for r >= 2
 sums through the Zech table zech[n] = dlog(1 + g^n), since g^a + g^b =
 g^(a + zech[b - a]); the field's ``np_*`` methods do the same on index
-arrays.  Every operation is O(1) after the O(q r^2) build.
+arrays, which broadcast as numpy's do.  Every operation is O(1) after the
+O(q r^2) build.
 
 A field is its model (p, r, variant): two FqField objects of one model are
 equal, hash alike and combine each other's elements, and nothing is attached
@@ -148,16 +149,22 @@ class FqField:
         out = np.where(z < 0, 0, self.exp_np[la + z])
         return np.where(a == 0, b, np.where(b == 0, a, out))
 
-    def np_mul_const(self, c: int, arr: np.ndarray) -> np.ndarray:
-        if c == 0:
-            return np.zeros_like(arr)
-        shift = self.dlog[c]
-        out = self.exp_np[self.dlog_np[arr] + shift]
-        return np.where(arr == 0, 0, out)
+    def np_mul(self, a: np.ndarray, b) -> np.ndarray:
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        out = self.exp_np[self.dlog_np[a] + self.dlog_np[b]]
+        return np.where((a == 0) | (b == 0), 0, out)
+
+    def np_div(self, a: np.ndarray, b) -> np.ndarray:
+        """a / b, and 0 where b is 0: callers gate the divisor."""
+        return self.np_mul(a, self.np_pow(b, -1))
 
     def np_pow(self, arr: np.ndarray, e: int) -> np.ndarray:
         out = self.exp_np[(self.dlog_np[arr] * e) % (self.q - 1)]
         return np.where(arr == 0, 0, out)
+
+    def np_phi(self, arr: np.ndarray) -> np.ndarray:
+        """The quadratic character of each element: 0, 1 or -1."""
+        return np.where(arr == 0, 0, 1 - 2 * (self.dlog_np[arr] & 1))
 
     # -- elements ---------------------------------------------------------------
 

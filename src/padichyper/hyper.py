@@ -10,17 +10,16 @@ denominator, so term valuations are exact and the unit parts carry provable
 absolute precision.
 
 The twist omega-bar(t)^j is omega(g)^(-j dlog t) for the field's generator g,
-read from the per-field Teichmueller power table, so a point costs a gather
-and a modular dot product rather than a lift, an inverse and q-2 multiplies.
+read from the per-field Teichmueller power table.  ``GProfile._sum`` is the
+one point sum: it takes an array of points, gathers their twists in chunks
+and takes one modular dot product per point, with no ring multiplies;
+``eval_qg`` and ``g_eval`` call it with one point.
 
 ``qg_table`` gives q*G at every t of a field at once: a chirp-z transform
 with triangular exponents, whose one correlation is a single big-int product
-by Kronecker substitution.  It costs about as much as 35 point sums at
-q = 121, 100 at q = 289 and 280 at q = 9,973 (0.75 s), and 36 s at
-q = 99,991, where one point takes 33 ms.  So the verification suite reads it
-only in a row that visits every point of its field (``verify._SuiteRun.sampled``
-states the rule); sampled rows, single checks, ``eval_qg``, ``g_eval`` and
-``g_term`` sum each point on its own.
+by Kronecker substitution.  The verification suite reads it only in a row
+that visits every point of its field, and sums the points of any other row
+in one batch (``verify._SuiteRun.sampled`` states the rule).
 """
 
 from __future__ import annotations
@@ -55,6 +54,10 @@ from .padic import PadicNumber, UnramifiedContext, frac_floor, renormalize, unra
 # Not called here; perfbench/tracing.py wraps them under these names.
 from .padic import padic_sum, teichmueller, zq_inv  # noqa: F401
 
+# (point, j) pairs per chunk of GProfile._sum's gather, 8 MB of int64 indices.
+# Python-int residues use chunks an eighth as long: they gain nothing from length.
+GATHER_ELEMENTS = 2**20
+
 
 @dataclass(frozen=True)
 class GParams:
@@ -69,12 +72,17 @@ class GParams:
             raise ValueError("parameter lists must both have length n")
         object.__setattr__(self, "a", tuple(Fraction(x) for x in self.a))
         object.__setattr__(self, "b", tuple(Fraction(x) for x in self.b))
-        # hashing 2n Fractions is slow and every profile and exponent lookup
-        # hashes its params, so the dataclass hash is taken once
+        # hashing and comparing 2n Fractions is slow, and every profile and
+        # exponent lookup does both: the hash is taken once, and equality
+        # compares a tuple of ints
+        object.__setattr__(self, "_key", (self.n, *((x.numerator, x.denominator) for x in self.a + self.b)))
         object.__setattr__(self, "_hash", hash((self.n, self.a, self.b)))
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is GParams and self._key == other._key
 
     def check_padic(self, p: int) -> None:
         for x in self.a + self.b:
@@ -160,11 +168,9 @@ class GProfile:
     model, context).
 
     The gamma ratios and (-p)-exponents do not depend on the evaluation point,
-    so one profile serves every t.  ``eval_qg`` and ``g_eval`` share one sum:
-    it gathers the twists from the field's Teichmueller power table and takes
-    one modular dot product per point, with no ring multiplies.  Built from
-    ``term_exponents`` and the shared gamma table over its common denominator;
-    it holds neither the field nor its power table.
+    so one profile serves every t.  Built from ``term_exponents`` and the
+    shared gamma table over its common denominator; it holds neither the
+    field nor its power table.
     """
 
     def __init__(self, params: GParams, model: tuple[int, int, int], uctx: UnramifiedContext):
@@ -201,35 +207,35 @@ class GProfile:
             raise ValueError("element belongs to another field")
         return t.dlog()
 
-    def _sum(self, t: FqElement, shift: int, offset: int) -> PadicNumber:
-        """p^(shift + offset) * G at t: the dot product gives p^shift * G
-        mod p^K, read at valuation offset to absolute precision K + offset.
-        Needs v_j + shift >= 0 for every j.
+    def _sum(self, s: np.ndarray, shift: int) -> np.ndarray:
+        """p^shift * G mod p^K at each point g^s, for an array ``s`` of dlog
+        indices: a (len(s), r) residue array.  Needs v_j + shift >= 0.
 
-        The twist omega-bar(t)^j = T[-j dlog t] is gathered from the power
-        table for every j at once, and one modular dot product takes it
-        against ``column``, -c_j p^(v_j - vmin) / (q-1); each product is
-        reduced before the sum, so the int64 gather stays exact.  That sum
-        is p^(-vmin) * G, scaled by p^(shift + vmin) only when that exponent
-        is nonzero, which g_eval's shift never makes it.
+        The twists omega-bar(g^s)^j = T[-j s] of a chunk of points are one
+        gather and are dotted with ``column``, -c_j p^(v_j - vmin) / (q-1),
+        each product reduced before the sum, so int64 stays exact.  That is
+        p^(-vmin) * G, scaled by p^(shift + vmin) when that is nonzero.
         """
-        ctx = self.uctx
-        m = ctx.modulus
-        powers = teichmueller_powers(self.model, ctx)
-        twists = powers.array[self._minus_j * self._twist_index(t) % (self.q - 1)]
-        acc = (self.column * twists % m).sum(axis=0) % m
+        ctx, q1 = self.uctx, self.q - 1
+        m, powers = ctx.modulus, teichmueller_powers(self.model, ctx).array
+        step = max(1, GATHER_ELEMENTS // q1 // (8 if powers.dtype == object else 1))
+        sums = [(self.column * powers[s[lo : lo + step, None] * self._minus_j % q1] % m).sum(axis=1) % m
+                for lo in range(0, max(len(s), 1), step)]
+        out = sums[0] if len(sums) == 1 else np.concatenate(sums)
         if shift + self.vmin:
-            acc = acc * pow(ctx.p, shift + self.vmin, m) % m
-        return renormalize(acc.tolist(), ctx, offset, ctx.K + offset)
+            out = out * pow(ctx.p, shift + self.vmin, m) % m
+        return out
+
+    def qg_rows(self, s: np.ndarray) -> np.ndarray:
+        """q * G mod p^K at each point g^s, as ``_sum``'s residue rows."""
+        return self._sum(np.asarray(s, dtype=np.int64), self._qg_shift())
 
     def eval_qg(self, t: FqElement) -> PadicNumber:
-        """q * G at t, to absolute precision K.
-
-        Requires every term of q*G to be p-integral (r + v_j >= 0), which
-        holds for all parameter families used by the identity suite; the
-        general path is g_eval, which adds guard digits instead.
-        """
-        return self._sum(t, self._qg_shift(), 0)
+        """q * G at t to absolute precision K, a batch of one point.  Needs
+        every term of q*G p-integral (r + v_j >= 0), as in every family of the
+        identity suite; g_eval is the general path, with guard digits."""
+        value = self.qg_rows([self._twist_index(t)])[0]
+        return renormalize(value.tolist(), self.uctx, 0, self.uctx.K)
 
     def _qg_shift(self) -> int:
         """r, after checking that every term of q*G = p^r G is p-integral."""
@@ -338,7 +344,8 @@ def g_eval(inst: GInstance) -> PadicNumber:
     if vmax > vmin:  # the guard context keeps the instance's lifted polynomial
         uctx = unramified_context(uctx.p, uctx.K + vmax - vmin, uctx.r, uctx.poly)
     prof = profile_for(inst.params, inst.field.model, uctx)
-    return prof._sum(inst.t, -vmin, vmin)
+    value = prof._sum(np.array([prof._twist_index(inst.t)]), -vmin)[0]
+    return renormalize(value.tolist(), uctx, vmin, uctx.K + vmin)
 
 
 def recover_integer(x: PadicNumber, bound: int, p: int | None = None) -> int:

@@ -1,25 +1,22 @@
 """Theorem-level identity checks and the range-sweeping verification suite.
 
-Each ``verify_*`` function evaluates both sides of one transformation or
-point-count identity, gates its hypotheses exactly (raising
-PreconditionFailed with the violated gate's name), and returns a
-VerifyRecord.  ``run_suite`` sweeps primes and parameters, aggregates the
-records into a report, and renders it as a table, JSON, or CSV.
+The five series checks run over rows: the instances of one plan on one field,
+as arrays of element indices.  A row gates every instance at once from an
+ordered list of (gate name, passing mask), and an instance's first failing
+gate makes it a skip.  Each series side is one gather for the instances that
+pass, and the records are built at the end of the row.  A ``verify_*`` call
+is a row of length 1: it returns the VerifyRecord, or raises
+PreconditionFailed with the violated gate's name.
 
-The five series checks are compositions of three series sides, each a value
-phi(twist) q 2G2[... | t] (``_qg``):
-
-- the Hessian side phi(-3d) q 2G2[1/2,1/2;1/6,5/6 | 1/d^3];
-- McCarthy's trace side phi(twist) q 2G2[1/4,3/4;1/3,2/3 | -27b^2/4a^3];
-- the branch side, the right side of BS1 through a root k of 3k^2 + a = 0
-  or a root h of x^3 + ax + b = 0, which also runs that branch's gates.
-
-MT1 compares the Hessian side at d with alpha + phi(-3) plus the trace side
-at the bridged Weierstrass model (m, n), twisted by n.  COR2 is MT1 with that
-trace side rewritten by BS1 at (m, n): the branch side times phi(n).  BS1
-compares the untwisted trace side with the branch side.  MC and HESSIAN
-recover one side as an integer and compare it with an enumerated count.
-Every check hands (lhs, rhs, passed) to one record builder, ``_timed``.
+A series side is phi(twist) q 2G2[... | t] (``_series``): the Hessian side
+phi(-3d) q 2G2[1/2,1/2;1/6,5/6 | 1/d^3], McCarthy's trace side phi(twist)
+q 2G2[1/4,3/4;1/3,2/3 | -27b^2/4a^3], or the branch side, BS1's right side
+through a root k of 3k^2 + a = 0 or h of x^3 + ax + b = 0.  MT1 compares the
+Hessian side at d with alpha + phi(-3) plus the trace side at the bridged
+Weierstrass model (m, n), twisted by n; COR2 rewrites that trace side by BS1
+at (m, n), as the branch side times phi(n).  BS1 compares the untwisted
+trace side with the branch side.  MC and HESSIAN recover one side as an
+integer and compare it with a count enumerated for each instance.
 
 The transformation identities are implemented in the form that the
 enumeration cross-checks force: the Weierstrass model bridged to the Hessian
@@ -29,8 +26,8 @@ and the square-root-free branch characters carry the phi(3h) twist.  Each of
 these is pinned by exhaustive point-count agreement in the test suite.
 
 The sweep is the table ``_PLANS``: per theorem, the smallest p and rows of
-(sample tag, argument lister, call).  ``run_suite`` builds each field, applies
-the p and q limits, and attempts each call on each listed argument.
+(sample tag, argument lister, call).  ``run_suite`` makes one call per row of
+each field within the limits, into a report rendered as a table, JSON or CSV.
 """
 
 from __future__ import annotations
@@ -41,10 +38,7 @@ import json
 import math
 import random
 import time
-from bisect import bisect_right
-from contextvars import ContextVar
-from functools import cache, lru_cache
-from itertools import accumulate, islice
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -52,25 +46,16 @@ from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from fractions import Fraction
 
-from .curves import (
-    HessianCurve,
-    WeierstrassCurve,
-    count_hessian,
-    count_weierstrass,
-    cubic_values,
-    hessian_bridge,
-)
-from .errors import PreconditionFailed, SingularCurve, PadicHyperError
-from .fields import DEFAULT_MAX_Q, FqElement, FqField, build_field, check_orthogonality, phi, uctx_for
+from .curves import HessianCurve, WeierstrassCurve, count_hessian, count_weierstrass
+from .errors import PreconditionFailed, PadicHyperError
+from .fields import DEFAULT_MAX_Q, FqField, build_field, check_orthogonality, phi, residue_dtype, uctx_for
 from .gamma import lemma31_sides, lemma5_sides, eq29_sides
-from .gauss import (
-    davenport_hasse_sides,
-    default_tolerance,
-    gk_product_sides,
-    theta_expansion_sides,
-)
-from .hyper import GParams, profile_for, qg_table, recover_integer
-from .padic import PadicNumber, default_precision, is_prime, padic_sum, renormalize
+from .gauss import davenport_hasse_sides, default_tolerance, gk_product_sides, theta_expansion_sides
+from .hyper import GATHER_ELEMENTS, GParams, profile_for, qg_table, recover_integer
+from .padic import default_precision, is_prime, renormalize
+
+# Not called here; perfbench/tracing.py wraps it under this name.
+from .padic import padic_sum  # noqa: F401
 
 PARAMS_QUARTER_THIRD = GParams(2, (Fraction(1, 4), Fraction(3, 4)), (Fraction(1, 3), Fraction(2, 3)))
 PARAMS_HALF_SIXTH = GParams(2, (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 6), Fraction(5, 6)))
@@ -111,20 +96,9 @@ class VerifyRecord:
 _COLUMNS = {("pass" if f.name == "passed" else f.name): f.name for f in fields(VerifyRecord)}
 
 
-def _param(x: FqElement):
-    return x.idx if x.field.r == 1 else list(x.coeffs)
-
-
-def _gate(cond: bool, name: str) -> None:
-    if not cond:
-        raise PreconditionFailed(name)
-
-
-def _setup(p: int, r: int, K: int | None):
-    field = build_field(p, r)
-    if K is None:
-        K = default_precision(p, r)
-    return field, K, uctx_for(field, K)
+def _context(field: FqField, K: int | None):
+    K = default_precision(field.p, field.r) if K is None else K
+    return K, uctx_for(field, K)
 
 
 def _cplx(z: complex) -> str:
@@ -135,198 +109,252 @@ def _zq_str(z) -> str:
     return ".".join(str(c) for c in z.coeffs)
 
 
-def _timed(theorem: str, p: int, r: int, K: int, params: dict, check) -> VerifyRecord:
-    """Run ``check() -> (lhs, rhs, passed)`` and record it with its wall time."""
-    t0 = time.perf_counter()
-    lhs, rhs, passed = check()
-    ms = int(round((time.perf_counter() - t0) * 1000))
-    return VerifyRecord(theorem, p, r, K, params, lhs, rhs, passed, ms)
-
-
 # ---------------------------------------------------------------------------
-# series sides
+# rows: gates, series sides and records over arrays of element indices
 
 
-# set by _SuiteRun.attempt: does the call belong to a row whose listing is drawn in full?
-_whole_field = ContextVar("whole_field", default=False)
+def _gated(gates: list, *cols: np.ndarray):
+    """The skipped instances' gate names, then each column at the instances
+    that pass.  ``gates`` is an ordered list of (name, passing mask or bool)."""
+    n = len(cols[0])
+    first = np.full(n, len(gates))
+    for i in reversed(range(len(gates))):
+        first[~np.broadcast_to(gates[i][1], n)] = i
+    ok = first == len(gates)
+    return [gates[i][0] for i in first[~ok].tolist()], *(c[ok] for c in cols)
 
 
-def _qg(params: GParams, uctx, t: FqElement, twist: FqElement) -> PadicNumber:
-    """phi(twist) q 2G2[params | t] over t's field: read from the field's
-    ``qg_table`` in a row listed in full, else summed at t alone."""
-    model = t.field.model
-    if _whole_field.get():
-        value = renormalize(qg_table(params, model, uctx)[t.dlog()].tolist(), uctx, 0, uctx.K)
+def _trace_arg(field: FqField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """-27b^2/4a^3 at each (a, b)."""
+    p = field.p
+    return field.np_div(field.np_mul(field.np_pow(b, 2), -27 % p), field.np_mul(field.np_pow(a, 3), 4 % p))
+
+
+def _mt1_gates(field: FqField, d: np.ndarray):
+    """MT1's gates at each d, and the Weierstrass model (m, n) bridged from
+    d by ``curves.hessian_bridge``."""
+    p, d3 = field.p, field.np_pow(d, 3)
+    m = field.np_mul(field.np_mul(d, -27 % p), field.np_add(d3, 8 % p))
+    n = field.np_mul(field.np_add(field.np_add(field.np_pow(d3, 2), field.np_mul(d3, -20 % p)), -8 % p), 54 % p)
+    gates = [("p_too_small", p > 3), ("d_is_zero", d != 0), ("d_cubed_is_one", d3 != 1), ("m_is_zero", m != 0),
+             ("n_is_zero", n != 0), ("g_argument_is_one", _trace_arg(field, m, n) != 1)]
+    return gates, m, n
+
+
+def _branch(field: FqField, branch: np.ndarray, a: np.ndarray, b: np.ndarray, root: np.ndarray):
+    """BS1's branch gates at each (branch, a, b, root), and the branch side's
+    argument and twist: through a root k of 3k^2 + a = 0 (branch 1) or a
+    root h of x^3 + ax + b = 0 (branch 2)."""
+    if not np.isin(branch, (1, 2)).all():
+        raise ValueError("branch must be 1 or 2")
+    p, one = field.p, branch == 1
+    val = field.np_add(field.np_add(field.np_pow(root, 3), field.np_mul(a, root)), b)  # k^3 + ak + b
+    w = field.np_add(field.np_mul(field.np_pow(root, 2), 3 % p), a)  # 3h^2 + a
+    gates = [("k_is_zero", ~one | (root != 0)), ("h_is_zero", one | (root != 0)),
+             ("branch_equation", np.where(one, w, val) == 0), ("branch_value_zero", np.where(one, val, w) != 0)]
+    t1 = field.np_div(val, field.np_mul(field.np_pow(root, 3), -4 % p))  # -val/4k^3
+    t2 = field.np_div(field.np_mul(w, 4 % p), field.np_mul(field.np_pow(root, 2), 9 % p))  # 4w/9h^2
+    twist2 = field.np_mul(field.np_mul(b, root), field.np_mul(w, -3 % p))  # -3bhw
+    return gates, np.where(one, t1, t2), np.where(one, field.np_mul(b, val), twist2)
+
+
+def _series(params: GParams, field: FqField, uctx, full: bool, t, twist) -> np.ndarray:
+    """phi(twist) q 2G2[params | t] at each (t, twist) of a row, as (n, r)
+    residues mod p^K: rows of the field's ``qg_table`` in a row listed in
+    full, else one batched sum over the row's distinct points."""
+    if not len(t):
+        return np.zeros((0, field.r), dtype=residue_dtype(uctx.modulus))
+    s = field.dlog_np[t]
+    if full:
+        values = qg_table(params, field.model, uctx)[s]
     else:
-        value = profile_for(params, model, uctx).eval_qg(t)
-    return value.scale_int(phi(twist))
+        points, inverse = np.unique(s, return_inverse=True)
+        values = profile_for(params, field.model, uctx).qg_rows(points)[inverse]
+    return values * field.np_phi(twist)[:, None] % uctx.modulus
 
 
-def _trace_arg(a: FqElement, b: FqElement) -> FqElement:
-    return -27 * b * b / (4 * a**3)
+def _branch_series(field: FqField, uctx, full: bool, branch: np.ndarray, t, twist) -> np.ndarray:
+    """The branch side at each (t, twist) of ``_branch``, by branch family."""
+    out = np.zeros((len(t), field.r), dtype=residue_dtype(uctx.modulus))
+    for b, params in ((1, PARAMS_HALF_THIRD), (2, PARAMS_HALF_QUARTER)):
+        out[branch == b] = _series(params, field, uctx, full, t[branch == b], twist[branch == b])
+    return out
 
 
-def _trace_side(uctx, a: FqElement, b: FqElement, twist: FqElement) -> PadicNumber:
-    """phi(twist) q 2G2[1/4,3/4;1/3,2/3 | -27b^2/4a^3]."""
-    return _qg(PARAMS_QUARTER_THIRD, uctx, _trace_arg(a, b), twist)
+def _digits(res: np.ndarray, p: int, K: int) -> list[str]:
+    """``renormalize(row, ctx, 0, K).digits()`` for each row of residues mod
+    p^K: "w:" and the base-p digits w..K-1 of each coordinate, low first,
+    for the largest p^w dividing the row; "zero:O(p^K)" for a zero row."""
+    digs = np.stack([res // p**k % p for k in range(K)], axis=-1)  # (n, r, K)
+    nonzero = (digs != 0).any(axis=1)
+    vals = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), K).tolist()
+    text = digs.astype(str)
+    pos = text[:, 0]  # each position's coordinate digits, dot-joined
+    for c in range(1, res.shape[1]):
+        pos = np.char.add(np.char.add(pos, "."), text[:, c])
+    return [f"{w}:" + ",".join(row[w:]) if w < K else f"zero:O(p^{K})" for w, row in zip(vals, pos.tolist())]
 
 
-# one entry: COR2 checks the roots of each d in a row, and they share it
-@lru_cache(maxsize=1)
-def _hessian_side(uctx, d: FqElement) -> PadicNumber:
-    """phi(-3d) q 2G2[1/2,1/2;1/6,5/6 | 1/d^3]."""
-    return _qg(PARAMS_HALF_SIXTH, uctx, 1 / d**3, -3 * d)
+def _params(field: FqField, keys, *cols: np.ndarray) -> list[dict]:
+    """Each instance's params: its elements under ``keys`` (one tuple, or a
+    tuple per instance), each an index for r = 1, else a coefficient list."""
+    if field.r > 1:
+        cols = [c[:, None] // field.p ** np.arange(field.r) % field.p for c in cols]
+    keys = repeat(keys) if isinstance(keys, tuple) else keys
+    return [dict(zip(k, v)) for k, v in zip(keys, zip(*(c.tolist() for c in cols)))]
 
 
-def _branch_side(uctx, branch: int, a: FqElement, b: FqElement, aux: FqElement) -> PadicNumber:
-    """BS1's right side at (a, b), after the branch's gates: through a root
-    k of 3k^2 + a = 0 (branch 1) or a root h of x^3 + ax + b = 0 (branch 2)."""
-    _gate(not aux.is_zero, f"{_ROOT[branch]}_is_zero")
-    if branch == 1:
-        k = aux
-        _gate((a + 3 * k * k).is_zero, "branch_equation")
-        val = k**3 + a * k + b
-        _gate(not val.is_zero, "branch_value_zero")
-        return _qg(PARAMS_HALF_THIRD, uctx, -val / (4 * k**3), b * val)
-    h = aux
-    _gate((h**3 + a * h + b).is_zero, "branch_equation")
-    w = 3 * h * h + a
-    _gate(not w.is_zero, "branch_value_zero")
-    return _qg(PARAMS_HALF_QUARTER, uctx, 4 * w / (9 * h * h), -3 * b * h * w)
+def _records(theorems, p: int, r: int, K: int, rows, t0: float) -> list[VerifyRecord]:
+    """Records from (params, lhs, rhs, passed) rows, each with an equal
+    share of the wall time since t0; ``theorems`` is a name or one a row."""
+    rows = list(rows)
+    ms = int(round((time.perf_counter() - t0) * 1000 / max(len(rows), 1)))
+    theorems = repeat(theorems) if isinstance(theorems, str) else theorems
+    return [VerifyRecord(th, p, r, K, *row, ms) for th, row in zip(theorems, rows)]
 
 
-def _agree(lhs: PadicNumber, rhs: PadicNumber, K: int):
-    return lhs.digits(), rhs.digits(), lhs.agrees_to(rhs, K)
+def _compared(theorems, field: FqField, K: int, params: list, lhs, rhs, t0: float, scalar: int = 0):
+    """Records of lhs against scalar + rhs.  Both are residue rows of values
+    known to K digits, and the exact integer only adds to coordinate 0, so
+    the sides agree to K digits exactly when the rows are equal."""
+    rhs = rhs.copy()
+    rhs[:, 0] = (rhs[:, 0] + scalar) % field.p**K
+    rows = zip(params, _digits(lhs, field.p, K), _digits(rhs, field.p, K), (lhs == rhs).all(axis=1).tolist())
+    return _records(theorems, field.p, field.r, K, rows, t0)
 
 
-def _recovered(count: int, side: PadicNumber, bound: int, p: int, closed_form=lambda x: x):
-    """Recover ``side`` as an integer, map it through ``closed_form`` and
-    compare it with the enumerated ``count``."""
-    try:
-        value = closed_form(recover_integer(side, bound, p=p))
-    except PadicHyperError as exc:
-        return str(count), f"unrecoverable({exc.__class__.__name__})", False
-    return str(count), str(value), value == count
+def _counted(theorem: str, field: FqField, K: int, uctx, params, counts, sides, bound, t0, closed_form):
+    """Records of enumerated counts against series sides recovered as
+    integers in [-bound, bound] and mapped through ``closed_form``."""
+    rows = []
+    for pa, count, side in zip(params, counts, sides.tolist()):
+        try:
+            value = closed_form(recover_integer(renormalize(side, uctx, 0, K), bound, p=field.p))
+        except PadicHyperError as exc:
+            rows.append((pa, str(count), f"unrecoverable({exc.__class__.__name__})", False))
+        else:
+            rows.append((pa, str(count), str(value), value == count))
+    return _records(theorem, field.p, field.r, K, rows, t0)
 
 
 # ---------------------------------------------------------------------------
-# transformation checks
+# the series checks, a row at a time: each returns its records and its
+# skips' gate names
 
 
-@lru_cache(maxsize=1)  # one entry, as for _hessian_side
-def _mt1_gates(field: FqField, d: FqElement):
-    _gate(field.p > 3, "p_too_small")
-    _gate(not d.is_zero, "d_is_zero")
-    _gate(not (d**3 - 1).is_zero, "d_cubed_is_one")
-    m, n = hessian_bridge(d)
-    _gate(not m.is_zero, "m_is_zero")
-    _gate(not n.is_zero, "n_is_zero")
-    _gate(_trace_arg(m, n) != field.one, "g_argument_is_one")
-    return m, n
+def _mt1_row(field: FqField, K: int | None, d: np.ndarray, full: bool, branch=None, root=None):
+    """MT1 at each d: the Hessian side at d against alpha + phi(-3) plus the
+    trace side at the bridged (m, n), twisted by n.  Given each instance's
+    ``branch`` and ``root``, COR2: that trace side rewritten by BS1."""
+    t0, (K, uctx) = time.perf_counter(), _context(field, K)
+    gates, m, n = _mt1_gates(field, d)
+    if branch is None:
+        skipped, d, m, n = _gated(gates, d, m, n)
+        rhs = _series(PARAMS_QUARTER_THIRD, field, uctx, full, _trace_arg(field, m, n), n)
+        theorems, params = "MT1", _params(field, ("d",), d)
+    else:
+        branch_gates, t, twist = _branch(field, branch, m, n, root)
+        skipped, branch, d, root, n, t, twist = _gated(gates + branch_gates, branch, d, root, n, t, twist)
+        # phi(n) turns BS1's phi(n val) or phi(-3n hw) into COR2's phi(val) or phi(-3hw)
+        rhs = _branch_series(field, uctx, full, branch, t, field.np_mul(twist, n))
+        theorems = [f"COR2_{b}" for b in branch.tolist()]
+        params = _params(field, [("d", _ROOT[b]) for b in branch.tolist()], d, root)
+    lhs = _series(PARAMS_HALF_SIXTH, field, uctx, full, field.np_pow(d, -3), field.np_mul(d, -3 % field.p))
+    scalar = _alpha(field) + phi(field.element(-3))
+    return _compared(theorems, field, K, params, lhs, rhs, t0, scalar), skipped
 
 
-def _mt1_check(field: FqField, uctx, K: int, d: FqElement, series):
-    """The Hessian side at d against alpha + phi(-3) + series(m, n), for the
-    Weierstrass model (m, n) bridged from d."""
-    m, n = _mt1_gates(field, d)
-    lhs = _hessian_side(uctx, d)
-    scal = _alpha(field) + phi(field.element(-3))
-    return _agree(lhs, padic_sum([PadicNumber.from_rational(scal, uctx), series(m, n)]), K)
+def _bs1_row(field: FqField, K: int | None, x: np.ndarray, full: bool):
+    """BS1 at each (branch, a, b, root): the untwisted trace side at (a, b)
+    against the branch side, both after the q-scaling that makes them p-adic
+    integers (equivalent to comparing the series values mod p^{K-r})."""
+    t0, (K, uctx) = time.perf_counter(), _context(field, K)
+    branch, a, b, root = x.T
+    arg = _trace_arg(field, a, b)
+    gates = [("p_too_small", field.p > 3), ("a_is_zero", a != 0), ("b_is_zero", b != 0)]
+    gates.append(("g_argument_is_one", arg != 1))
+    branch_gates, t, twist = _branch(field, branch, a, b, root)
+    skipped, branch, a, b, root, arg, t, twist = _gated(gates + branch_gates, branch, a, b, root, arg, t, twist)
+    lhs = _series(PARAMS_QUARTER_THIRD, field, uctx, full, arg, np.ones_like(arg))
+    rhs = _branch_series(field, uctx, full, branch, t, twist)
+    params = _params(field, [("a", "b", _ROOT[br]) for br in branch.tolist()], a, b, root)
+    return _compared([f"BS1_{br}" for br in branch.tolist()], field, K, params, lhs, rhs, t0), skipped
+
+
+def _mc_row(field: FqField, K: int | None, x: np.ndarray):
+    """MC at each (a, b): the enumerated trace of Frobenius of y^2 = x^3 + ax + b
+    against the twisted trace side recovered as an integer, always summed."""
+    t0, (K, uctx) = time.perf_counter(), _context(field, K)
+    p, (a, b) = field.p, x.T
+    disc = field.np_add(field.np_mul(field.np_pow(a, 3), 4 % p), field.np_mul(field.np_pow(b, 2), 27 % p))
+    skipped, a, b = _gated([("p_too_small", p > 3), ("j_is_zero", a != 0), ("j_is_1728", b != 0),
+                            ("singular_curve", disc != 0)], a, b)
+    curves = (WeierstrassCurve(*map(field.from_index, ab)) for ab in zip(a.tolist(), b.tolist()))
+    traces = [count_weierstrass(E).trace for E in curves]
+    sides = _series(PARAMS_QUARTER_THIRD, field, uctx, False, _trace_arg(field, a, b), b)
+    params, bound = _params(field, ("a", "b"), a, b), math.isqrt(4 * field.q)
+    return _counted("MC", field, K, uctx, params, traces, sides, bound, t0, lambda X: X), skipped
+
+
+def _hessian_row(field: FqField, K: int | None, a: np.ndarray, full: bool, allow_small_p: bool):
+    """HESSIAN at each a: the enumerated affine count of x^3 + y^3 + 1 = 3axy
+    against alpha - 1 + q - q phi(-3a) 2G2[1/2,1/2;1/6,5/6 | 1/a^3]."""
+    t0, (K, uctx) = time.perf_counter(), _context(field, K)
+    p, q, alpha = field.p, field.q, _alpha(field)
+    small = ("p_too_small", p > 5 or (allow_small_p and p > 3))
+    skipped, a = _gated([small, ("a_is_zero", a != 0), ("a_cubed_is_one", field.np_pow(a, 3) != 1)], a)
+    counts = [count_hessian(HessianCurve(field.from_index(i))) for i in a.tolist()]
+    sides = _series(PARAMS_HALF_SIXTH, field, uctx, full, field.np_pow(a, -3), field.np_mul(a, -3 % p))
+    params, bound = _params(field, ("a",), a), q + 6 * math.isqrt(q) + 6
+    closed_form = lambda X: alpha - 1 + q - X  # noqa: E731
+    return _counted("HESSIAN", field, K, uctx, params, counts, sides, bound, t0, closed_form), skipped
+
+
+def _one(row) -> VerifyRecord:
+    """The record of a row of length 1, or its gate's PreconditionFailed."""
+    records, skipped = row
+    if skipped:
+        raise PreconditionFailed(skipped[0])
+    return records[0]
+
+
+def _indices(field: FqField, *values) -> np.ndarray:
+    return np.array([field.element(v).idx for v in values])
 
 
 def verify_mt1(p: int, r: int, d, K: int | None = None) -> VerifyRecord:
     """Main transformation between the [1/2,1/2;1/6,5/6] series at 1/d^3 and
     the [1/4,3/4;1/3,2/3] series at the bridged Weierstrass argument."""
-    field, K, uctx = _setup(p, r, K)
-    d = field.element(d)
-
-    def check():
-        return _mt1_check(field, uctx, K, d, lambda m, n: _trace_side(uctx, m, n, n))
-
-    return _timed("MT1", p, r, K, {"d": _param(d)}, check)
+    field = build_field(p, r)
+    return _one(_mt1_row(field, K, _indices(field, d), False))
 
 
 def verify_cor2(branch: int, p: int, r: int, d, aux, K: int | None = None) -> VerifyRecord:
     """The two corollary branches: the bridged series argument is rewritten
     through a root of the branch equation (3k^2 + m = 0, or x^3 + mx + n = 0)."""
-    if branch not in (1, 2):
-        raise ValueError("branch must be 1 or 2")
-    field, K, uctx = _setup(p, r, K)
-    d = field.element(d)
-    aux = field.element(aux)
-
-    def series(m, n):
-        # BS1 at (m, n) carries phi(n val) or phi(-3n hw); phi(n) turns it
-        # into the corollary's phi(val) or phi(-3hw)
-        return _branch_side(uctx, branch, m, n, aux).scale_int(phi(n))
-
-    params = {"d": _param(d), _ROOT[branch]: _param(aux)}
-    return _timed(f"COR2_{branch}", p, r, K, params, lambda: _mt1_check(field, uctx, K, d, series))
+    field = build_field(p, r)
+    return _one(_mt1_row(field, K, _indices(field, d), False, np.array([branch]), _indices(field, aux)))
 
 
 def verify_bs1(branch: int, p: int, r: int, a, b, aux, K: int | None = None) -> VerifyRecord:
     """The two series transformations at -27b^2/4a^3: toward [1/2,1/2;1/3,2/3]
-    when a = -3k^2, toward [1/2,1/2;1/4,3/4] through a root of x^3 + ax + b.
-
-    Both sides are compared after the q-scaling that makes them p-adic
-    integers (equivalent to comparing the series values mod p^{K-r}).
-    """
-    if branch not in (1, 2):
-        raise ValueError("branch must be 1 or 2")
-    field, K, uctx = _setup(p, r, K)
-    a = field.element(a)
-    b = field.element(b)
-    aux = field.element(aux)
-
-    def check():
-        _gate(field.p > 3, "p_too_small")
-        _gate(not a.is_zero, "a_is_zero")
-        _gate(not b.is_zero, "b_is_zero")
-        _gate(_trace_arg(a, b) != field.one, "g_argument_is_one")
-        lhs = _trace_side(uctx, a, b, field.one)
-        return _agree(lhs, _branch_side(uctx, branch, a, b, aux), K)
-
-    params = {"a": _param(a), "b": _param(b), _ROOT[branch]: _param(aux)}
-    return _timed(f"BS1_{branch}", p, r, K, params, check)
+    when a = -3k^2, toward [1/2,1/2;1/4,3/4] through a root of x^3 + ax + b."""
+    field = build_field(p, r)
+    return _one(_bs1_row(field, K, np.array([[branch, *_indices(field, a, b, aux)]]), False))
 
 
 def verify_mc(p: int, r: int, a, b, K: int | None = None) -> VerifyRecord:
     """Trace formula: the enumerated trace of Frobenius of y^2 = x^3 + ax + b
     against phi(b) q 2G2[1/4,3/4;1/3,2/3 | -27b^2/4a^3] recovered as an integer."""
-    field, K, uctx = _setup(p, r, K)
-    a = field.element(a)
-    b = field.element(b)
-
-    def check():
-        _gate(field.p > 3, "p_too_small")
-        _gate(not a.is_zero, "j_is_zero")
-        _gate(not b.is_zero, "j_is_1728")
-        try:
-            E = WeierstrassCurve(a, b)
-        except SingularCurve:
-            raise PreconditionFailed("singular_curve")
-        tr = count_weierstrass(E).trace
-        return _recovered(tr, _trace_side(uctx, a, b, b), math.isqrt(4 * field.q), p)
-
-    return _timed("MC", p, r, K, {"a": _param(a), "b": _param(b)}, check)
+    field = build_field(p, r)
+    return _one(_mc_row(field, K, _indices(field, a, b)[None]))
 
 
 def verify_hessian(p: int, r: int, a, K: int | None = None, allow_small_p: bool = False) -> VerifyRecord:
     """Enumerated affine count of x^3 + y^3 + 1 = 3axy against the closed form
     alpha - 1 + q - q phi(-3a) 2G2[1/2,1/2;1/6,5/6 | 1/a^3]."""
-    field, K, uctx = _setup(p, r, K)
-    a = field.element(a)
-    q = field.q
-
-    def check():
-        _gate(p > 5 or (allow_small_p and p > 3), "p_too_small")
-        _gate(not a.is_zero, "a_is_zero")
-        _gate(not (a**3 - 1).is_zero, "a_cubed_is_one")
-        count = count_hessian(HessianCurve(a))
-        bound = q + 6 * math.isqrt(q) + 6
-        return _recovered(count, _hessian_side(uctx, a), bound, p, lambda X: _alpha(field) - 1 + q - X)
-
-    return _timed("HESSIAN", p, r, K, {"a": _param(a)}, check)
+    field = build_field(p, r)
+    return _one(_hessian_row(field, K, _indices(field, a), False, allow_small_p))
 
 
 # ---------------------------------------------------------------------------
@@ -334,43 +362,32 @@ def verify_hessian(p: int, r: int, a, K: int | None = None, allow_small_p: bool 
 
 
 def verify_lemma31_record(p: int, r: int, t: int, j: int, K: int | None = None) -> VerifyRecord:
-    field, K, uctx = _setup(p, r, K)
-
-    def check():
-        _gate(t % p != 0, "t_divisible_by_p")
-        (l1, r1), (l2, r2) = lemma31_sides(t, j, uctx)
-        passed = l1.coeffs == r1.coeffs and l2.coeffs == r2.coeffs
-        return f"{_zq_str(l1)};{_zq_str(l2)}", f"{_zq_str(r1)};{_zq_str(r2)}", passed
-
-    return _timed("LEMMA31", p, r, K, {"t": t, "j": j}, check)
+    t0, (K, uctx) = time.perf_counter(), _context(build_field(p, r), K)
+    if t % p == 0:
+        raise PreconditionFailed("t_divisible_by_p")
+    (l1, r1), (l2, r2) = lemma31_sides(t, j, uctx)
+    passed = l1.coeffs == r1.coeffs and l2.coeffs == r2.coeffs
+    row = ({"t": t, "j": j}, f"{_zq_str(l1)};{_zq_str(l2)}", f"{_zq_str(r1)};{_zq_str(r2)}", passed)
+    return _records("LEMMA31", p, r, K, [row], t0)[0]
 
 
 def verify_eq29_record(p: int, r: int, l: int, K: int | None = None) -> VerifyRecord:
-    field, K, uctx = _setup(p, r, K)
-
-    def check():
-        lhs, rhs = eq29_sides(l, uctx)
-        return _zq_str(lhs), _zq_str(rhs), lhs.coeffs == rhs.coeffs
-
-    return _timed("EQ29", p, r, K, {"l": l}, check)
+    t0, (K, uctx) = time.perf_counter(), _context(build_field(p, r), K)
+    lhs, rhs = eq29_sides(l, uctx)
+    return _records("EQ29", p, r, K, [({"l": l}, _zq_str(lhs), _zq_str(rhs), lhs.coeffs == rhs.coeffs)], t0)[0]
 
 
 def verify_lemma5_record(p: int, r: int, l: int, i: int) -> VerifyRecord:
-    def check():
-        lhs, rhs = lemma5_sides(l, i, p, r)
-        return str(lhs), str(rhs), lhs == rhs
-
-    return _timed("LEMMA5", p, r, default_precision(p, r), {"l": l, "i": i}, check)
+    t0, (lhs, rhs) = time.perf_counter(), lemma5_sides(l, i, p, r)
+    row = ({"l": l, "i": i}, str(lhs), str(rhs), lhs == rhs)
+    return _records("LEMMA5", p, r, default_precision(p, r), [row], t0)[0]
 
 
 def _float_record(theorem: str, field: FqField, params: dict, sides, *args) -> VerifyRecord:
     """A complex-float identity: sides(*args, field) within default_tolerance."""
-
-    def check():
-        lhs, rhs = sides(*args, field)
-        return _cplx(lhs), _cplx(rhs), abs(lhs - rhs) < default_tolerance(field, rhs)
-
-    return _timed(theorem, field.p, field.r, 0, params, check)
+    t0, (lhs, rhs) = time.perf_counter(), sides(*args, field)
+    row = (params, _cplx(lhs), _cplx(rhs), abs(lhs - rhs) < default_tolerance(field, rhs))
+    return _records(theorem, field.p, field.r, 0, [row], t0)[0]
 
 
 def verify_gauss_gk_record(p: int, r: int, k: int) -> VerifyRecord:
@@ -379,23 +396,17 @@ def verify_gauss_gk_record(p: int, r: int, k: int) -> VerifyRecord:
 
 def verify_gauss_theta_record(p: int, r: int, alpha_idx: int) -> VerifyRecord:
     field = build_field(p, r)
-    alpha = field.from_index(alpha_idx)
-    return _float_record("GAUSS_THETA", field, {"alpha": _param(alpha)}, theta_expansion_sides, alpha)
+    params = _params(field, ("alpha",), np.array([alpha_idx]))[0]
+    return _float_record("GAUSS_THETA", field, params, theta_expansion_sides, field.from_index(alpha_idx))
 
 
 def verify_gauss_dh_record(p: int, r: int, m: int, psi: int) -> VerifyRecord:
-    params = {"m": m, "psi": psi}
-    return _float_record("GAUSS_DH", build_field(p, r), params, davenport_hasse_sides, m, psi)
+    return _float_record("GAUSS_DH", build_field(p, r), {"m": m, "psi": psi}, davenport_hasse_sides, m, psi)
 
 
 def verify_ortho_record(p: int, r: int) -> VerifyRecord:
-    field = build_field(p, r)
-
-    def check():
-        passed = check_orthogonality(field)
-        return "exact", "exact" if passed else "violated", passed
-
-    return _timed("ORTHO", p, r, 0, {}, check)
+    t0, passed = time.perf_counter(), check_orthogonality(build_field(p, r))
+    return _records("ORTHO", p, r, 0, [({}, "exact", "exact" if passed else "violated", passed)], t0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -409,162 +420,149 @@ class _SuiteRun:
         self.skipped = 0
         self.full = False  # did the current row's lister draw every position?
 
-    def attempt(self, fn, *args):
-        token = _whole_field.set(self.full)
-        try:
-            self.records.append(fn(*args))
-        except PreconditionFailed:
-            self.skipped += 1
-        finally:
-            _whole_field.reset(token)
-
-    def sampled(self, size: int, tag: str):
+    def sampled(self, size: int, tag: str) -> np.ndarray:
         """The positions a row draws among its ``size`` arguments: all of
-        them in order, or ``sample`` seeded positions.  ``random.sample``
-        picks by the population's length alone, so these are the positions
-        that sampling the argument list itself would pick.
-
-        The series values of a row follow from this one rule: when every
-        position is drawn, the row visits the whole field, so its checks
-        read ``hyper.qg_table``, one chirp transform per (family, field,
-        K); otherwise, and in rows that never call this (MC's curve draw),
-        each point is its own O(q) sum.  That is the break-even, not a
-        setting: a table costs about as much as 35 point sums at q = 121,
-        100 at q = 289 and 280 at q = 9,973; at q = 99,991 it takes 36 s
-        against 33 ms a point, and a sample of 10 points must not pay for
-        the whole field.
+        them in order, or the ``sample`` seeded positions that
+        ``random.sample`` of the argument list itself would pick.  A row
+        drawing every position reads ``hyper.qg_table``; any other row, and
+        MC's draw, makes one batched sum over its distinct points.  That is
+        the break-even, not a setting: a table costs about 145 batched points
+        at q = 121 and 270 at q = 9,973 (1.1 s), and takes 28 s at q = 99,991.
         """
         n = self.spec.sample
         self.full = n is None or size <= n
         if self.full:
-            return range(size)
-        return random.Random(f"{self.spec.seed}:{tag}").sample(range(size), n)
+            return np.arange(size)
+        return np.array(random.Random(f"{self.spec.seed}:{tag}").sample(range(size), n), dtype=np.int64)
 
 
-# Argument listers: (run, field, tag) -> the arguments of one row's calls.
+# Listers: (run, field, tag) -> the arguments of one row, an index array for
+# a series plan.  Calls: (run, field, arguments) -> (records, skip gates).
 
 
-def _each(values):
-    """The lister of the sequence values(field), sampled under the row's tag."""
+def _each(values, check):
+    """(lister, call) of a plan that is not a series check: ``check(spec,
+    field, argument)`` on each argument of values(field) that the row's tag
+    samples.  No listed argument fails a gate of its check."""
 
     def lister(run, field, tag):
         seq = values(field)
         return [seq[i] for i in run.sampled(len(seq), tag)]
 
-    return lister
+    return lister, lambda run, field, args: ([check(run.spec, field, arg) for arg in args], [])
 
 
-_units = _each(lambda f: range(1, f.q))
+def _unit_indices(run: _SuiteRun, field: FqField, tag: str) -> np.ndarray:
+    return run.sampled(field.q - 1, tag) + 1
 
 
-def _cor2_roots(run: _SuiteRun, field: FqField, tag: str):
-    """(branch, d, root) over every branch root at each sampled d; a d that
-    fails MT1's gates is a skip.  Each d's roots are yielded, and so
-    checked, before the next d is listed, while the one-entry
-    ``_mt1_gates`` and ``_hessian_side`` still hold that d."""
-    q = field.q
-    for di in _units(run, field, tag):
-        d = field.from_index(di)
-        try:
-            m, n = _mt1_gates(field, d)
-        except PreconditionFailed:
-            run.skipped += 1
-            continue
-        # branch 1: square roots of -m/3
-        s = field.dlog[(-m / 3).idx]
-        if s % 2 == 0:
-            for half in (s // 2, s // 2 + (q - 1) // 2):
-                yield 1, d, field.from_index(field.exp[half % (q - 1)])
-        # branch 2: nonzero roots of x^3 + mx + n
-        for hi in np.nonzero(cubic_values(m, n) == 0)[0]:
-            if hi:
-                yield 2, d, field.from_index(int(hi))
+def _cor2_roots(run: _SuiteRun, field: FqField, tag: str) -> np.ndarray:
+    """(branch, d, root) rows: for each sampled d in draw order, branch 1's
+    square roots k of -m/3, then branch 2's nonzero roots h of x^3 + mx + n
+    in index order, for the (m, n) bridged from d.  A d that fails MT1's
+    gates is listed once, as (1, d, 0), and its row skips it by that gate."""
+    q, p, d = field.q, field.p, _unit_indices(run, field, tag)
+    gates, m, n = _mt1_gates(field, d)
+    good = _gated(gates, np.arange(len(d)))[1]
+    s = field.dlog_np[field.np_div(m, -3 % p)]
+    even = good[s[good] % 2 == 0]
+    k = field.exp_np[np.add.outer(s[even] // 2, [0, (q - 1) // 2])].ravel()
+    bad, xs = np.setdiff1d(np.arange(len(d)), good), np.arange(1, q)
+    keys, roots, cubes = [bad, np.repeat(even, 2)], [np.zeros_like(bad), k], field.np_pow(xs, 3)
+    step = GATHER_ELEMENTS // (q - 1)  # the cubics of a block of d at every unit at once
+    for block in np.split(good, range(step, len(good), step)):
+        mx = field.np_mul(m[block, None], xs)
+        i, j = np.nonzero(field.np_add(field.np_add(cubes, mx), n[block, None]) == 0)
+        keys.append(block[i])
+        roots.append(xs[j])
+    branch = np.repeat([1, 1, 2], [len(keys[0]), len(k), sum(map(len, keys[2:]))])
+    keys = np.concatenate(keys)
+    return np.stack([branch, d[keys], np.concatenate(roots)], axis=1)[np.argsort(keys, kind="stable")]
 
 
 _BS1_PARTNERS = 3
 
 
-def _bs1_row(field: FqField, branch: int, root: FqElement) -> list:
-    """(branch, a, b, root) for the root's first ``_BS1_PARTNERS`` admissible
-    partners in index order: b for k (a = -3k^2), a for h (b = -h^3 - ah)."""
-    one = field.one
-    if branch == 1:
-        k, a = root, -3 * root * root
-        bs = (b for b in field.units() if _trace_arg(a, b) != one and not (k**3 + a * k + b).is_zero)
-        return [(1, a, b, k) for b in islice(bs, _BS1_PARTNERS)]
-    h = root
-    pairs = ((a, -(h**3 + a * h)) for a in field.units() if not (3 * h * h + a).is_zero)
-    pairs = ((a, b) for a, b in pairs if not b.is_zero and _trace_arg(a, b) != one)
-    return [(2, a, b, h) for a, b in islice(pairs, _BS1_PARTNERS)]
+def _bs1_instances(run: _SuiteRun, field: FqField, tag: str) -> np.ndarray:
+    """The sampled (branch, a, b, root) rows of the listing: each root's first
+    ``_BS1_PARTNERS`` admissible partners in index order, b for k (a = -3k^2)
+    and a for h (b = -h^3 - ah), branch 1 then branch 2, roots in index order.
+    Branch 1 excludes at most 3 values of b (b = 2k^3, two with trace
+    argument 1), branch 2 at most 5 of a (a = -3h^2, b = 0, three with trace
+    argument 1), so one array pass over the first min(q - 1, 8) units finds
+    them; from q = 9 on every root has all of them."""
+    q, p = field.q, field.p
+    roots, cand = np.arange(1, q)[:, None], np.arange(1, min(q - 1, _BS1_PARTNERS + 5) + 1)[None, :]
+    cubes, squares = field.np_pow(roots, 3), field.np_pow(roots, 2)
+    a1 = field.np_mul(squares, -3 % p)
+    ok1 = field.np_add(field.np_add(cubes, field.np_mul(a1, roots)), cand) != 0
+    ok1 &= _trace_arg(field, a1, cand) != 1
+    b2 = field.np_mul(field.np_add(cubes, field.np_mul(cand, roots)), p - 1)
+    ok2 = (field.np_add(field.np_mul(squares, 3 % p), cand) != 0) & (b2 != 0)
+    ok2 &= _trace_arg(field, cand, b2) != 1
+    parts = []
+    for branch, ok, a, b in ((1, ok1, a1, cand), (2, ok2, cand, b2)):
+        i, j = np.nonzero(ok & (np.cumsum(ok, axis=1) <= _BS1_PARTNERS))
+        a, b = np.broadcast_to(a, ok.shape)[i, j], np.broadcast_to(b, ok.shape)[i, j]
+        parts.append(np.stack([np.full_like(i, branch), a, b, i + 1], axis=1))
+    listing = np.concatenate(parts)
+    return listing[run.sampled(len(listing), tag)]
 
 
-def _bs1_instances(run: _SuiteRun, field: FqField, tag: str) -> list:
-    """The sampled (branch, a, b, root).  The listing is the rows of every
-    root, branch 1 then branch 2, in index order; row j belongs to root
-    1 + j mod (q-1) of branch 1 + j div (q-1).  Only drawn rows are built.
-
-    From q = 9 on every row is full: branch 1 excludes at most 3 values of b
-    (b = 2k^3 and two with trace argument 1), branch 2 at most 5 values of a
-    (a = -3h^2, b = 0 and three with trace argument 1).  Below that the rows
-    are built to learn their lengths."""
-    q = field.q
-    row = cache(lambda j: _bs1_row(field, 1 + j // (q - 1), field.from_index(1 + j % (q - 1))))
-    sizes = (_BS1_PARTNERS if q >= 9 else len(row(j)) for j in range(2 * (q - 1)))
-    starts = list(accumulate(sizes, initial=0))
-    out = []
-    for pos in run.sampled(starts[-1], tag):
-        j = bisect_right(starts, pos) - 1
-        out.append(row(j)[pos - starts[j]])
-    return out
+def _index_rows(x, width: int) -> np.ndarray:
+    """A written-out listing of tuples of ints and FqElements as indices."""
+    if isinstance(x, np.ndarray):
+        return x
+    return np.array([[getattr(v, "idx", v) for v in arg] for arg in x], dtype=np.int64).reshape(-1, width)
 
 
-def _mc_draws(run: _SuiteRun, field: FqField, tag: str) -> list:
-    """The seeded curve draw, not sampled: up to ``sample`` (default 20)
-    nonsingular (a, b); each singular draw is a skip."""
+def _mc_draws(run: _SuiteRun, field: FqField, tag: str) -> np.ndarray:
+    """The seeded curve draw, not sampled: (a, b) until ``sample`` (default
+    20) of them are nonsingular; the singular ones are listed too, and
+    their row skips them."""
     want = run.spec.sample if run.spec.sample is not None else 20
     rng = random.Random(f"{run.spec.seed}:{tag}")
-    draws = []
-    for _ in range(100 * want):
-        if len(draws) >= want:
-            break
-        a = field.from_index(rng.randrange(1, field.q))
-        b = field.from_index(rng.randrange(1, field.q))
-        if (4 * a**3 + 27 * b * b).is_zero:
-            run.skipped += 1
-        else:
-            draws.append((a, b))
-    return draws
+    draws, nonsingular = [], 0
+    while nonsingular < want and len(draws) < 100 * want:
+        a, b = (field.from_index(rng.randrange(1, field.q)) for _ in "ab")
+        draws.append((a.idx, b.idx))
+        nonsingular += not (4 * a**3 + 27 * b * b).is_zero
+    return np.array(draws, dtype=np.int64).reshape(-1, 2)
 
 
 def _dh_row(m: int):
-    lister = _each(lambda f: range(f.q - 1) if (f.q - 1) % m == 0 else ())
-    return f"gauss_dh:{{p}}:{{r}}:{m}", lister, lambda s, f, psi: verify_gauss_dh_record(f.p, f.r, m, psi)
+    check = lambda s, f, psi: verify_gauss_dh_record(f.p, f.r, m, psi)  # noqa: E731
+    return f"gauss_dh:{{p}}:{{r}}:{m}", *_each(lambda f: range(f.q - 1) if (f.q - 1) % m == 0 else (), check)
 
 
-_exponents = _each(lambda f: range(1, f.q - 1))
-_lemma31_pairs = _each(lambda f: [(t, j) for t in (2, 3, 6) if t % f.p for j in range(f.q - 1)])
-_lemma5_pairs = _each(lambda f: [(l, i) for l in range(1, f.q - 1) if 2 * l != f.q - 1 for i in range(f.r)])
-
-# theorem -> (smallest p, rows of (sample tag, argument lister, call)).  A call
-# (spec, field, argument) names its verify_* function in its body, so that
-# function is looked up in this module each time the call runs.
+# theorem -> (smallest p, rows of (sample tag, argument lister, call)).  A
+# call names its row function or check in its body, so that function is
+# looked up in this module each time the call runs.
 _PLANS = {
-    "mt1": (5, [("mt1:{p}:{r}", _units, lambda s, f, d: verify_mt1(f.p, f.r, f.from_index(d), K=s.K))]),
-    "cor2": (5, [("cor2:{p}:{r}", _cor2_roots, lambda s, f, x: verify_cor2(x[0], f.p, f.r, *x[1:], K=s.K))]),
-    "bs1": (5, [("bs1:{p}:{r}", _bs1_instances, lambda s, f, x: verify_bs1(x[0], f.p, f.r, *x[1:], K=s.K))]),
-    "mc": (5, [("mc:{p}:{r}", _mc_draws, lambda s, f, ab: verify_mc(f.p, f.r, *ab, K=s.K))]),
-    "hessian": (5, [("hessian:{p}:{r}", _units, lambda s, f, a: verify_hessian(
-        f.p, f.r, f.from_index(a), K=s.K, allow_small_p=s.allow_p5))]),
-    "lemma31": (3, [("lemma31:{p}:{r}", _lemma31_pairs, lambda s, f, tj: verify_lemma31_record(
-        f.p, f.r, *tj, K=s.K))]),
-    "lemma5": (5, [("lemma5:{p}:{r}", _lemma5_pairs, lambda s, f, li: verify_lemma5_record(f.p, f.r, *li))]),
-    "eq29": (3, [("eq29:{p}:{r}", _exponents, lambda s, f, l: verify_eq29_record(f.p, f.r, l, K=s.K))]),
+    "mt1": (5, [("mt1:{p}:{r}", _unit_indices, lambda run, f, d: _mt1_row(f, run.spec.K, d, run.full))]),
+    "cor2": (5, [("cor2:{p}:{r}", _cor2_roots, lambda run, f, x: _mt1_row(
+        f, run.spec.K, x[:, 1], run.full, x[:, 0], x[:, 2]))]),
+    "bs1": (5, [("bs1:{p}:{r}", _bs1_instances, lambda run, f, x: _bs1_row(
+        f, run.spec.K, _index_rows(x, 4), run.full))]),
+    "mc": (5, [("mc:{p}:{r}", _mc_draws, lambda run, f, x: _mc_row(f, run.spec.K, x))]),
+    "hessian": (5, [("hessian:{p}:{r}", _unit_indices, lambda run, f, a: _hessian_row(
+        f, run.spec.K, a, run.full, run.spec.allow_p5))]),
+    "lemma31": (3, [("lemma31:{p}:{r}", *_each(
+        lambda f: [(t, j) for t in (2, 3, 6) if t % f.p for j in range(f.q - 1)],
+        lambda s, f, tj: verify_lemma31_record(f.p, f.r, *tj, K=s.K)))]),
+    "lemma5": (5, [("lemma5:{p}:{r}", *_each(
+        lambda f: [(l, i) for l in range(1, f.q - 1) if 2 * l != f.q - 1 for i in range(f.r)],
+        lambda s, f, li: verify_lemma5_record(f.p, f.r, *li)))]),
+    "eq29": (3, [("eq29:{p}:{r}", *_each(
+        lambda f: range(1, f.q - 1), lambda s, f, l: verify_eq29_record(f.p, f.r, l, K=s.K)))]),
     "gauss": (3, [
-        ("gauss_gk:{p}:{r}", _exponents, lambda s, f, k: verify_gauss_gk_record(f.p, f.r, k)),
-        ("gauss_theta:{p}:{r}", _units, lambda s, f, i: verify_gauss_theta_record(f.p, f.r, i)),
+        ("gauss_gk:{p}:{r}", *_each(
+            lambda f: range(1, f.q - 1), lambda s, f, k: verify_gauss_gk_record(f.p, f.r, k))),
+        ("gauss_theta:{p}:{r}", *_each(
+            lambda f: range(1, f.q), lambda s, f, i: verify_gauss_theta_record(f.p, f.r, i))),
         *(_dh_row(m) for m in (2, 3, 6)),
     ]),
-    "ortho": (3, [(None, lambda run, f, tag: [None], lambda s, f, _: verify_ortho_record(f.p, f.r))]),
+    "ortho": (3, [(None, lambda run, f, tag: [None], lambda run, f, _: ([verify_ortho_record(f.p, f.r)], []))]),
 }
 
 
@@ -586,17 +584,9 @@ class RangeSpec:
     qmax: int = 2500
 
     def config_dict(self) -> dict:
-        return {
-            "theorems": list(self.theorems),
-            "pmin": self.pmin,
-            "pmax": self.pmax,
-            "r": list(self.r_values),
-            "K": self.K,
-            "seed": self.seed,
-            "sample": self.sample,
-            "allow_p5": self.allow_p5,
-            "qmax": self.qmax,
-        }
+        """The fields in order, tuples as lists, and r_values under "r"."""
+        values = {("r" if f.name == "r_values" else f.name): getattr(self, f.name) for f in fields(self)}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
 
 @dataclass
@@ -707,8 +697,9 @@ def run_suite(spec: RangeSpec) -> Report:
                 field = build_field(p, r)
                 for tag, lister, call in rows:
                     run.full = False
-                    for arg in lister(run, field, tag and tag.format(p=p, r=r)):
-                        run.attempt(call, spec, field, arg)
+                    records, skipped = call(run, field, lister(run, field, tag and tag.format(p=p, r=r)))
+                    run.records += records
+                    run.skipped += len(skipped)
     passed = sum(rec.passed for rec in run.records)
     summary = {
         "total": len(run.records),

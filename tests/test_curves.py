@@ -52,7 +52,7 @@ def count_hessian_grid(C: HessianCurve, f: FqField) -> int:
         total = 0
         for x in range(q):
             lhs = f.np_add(f.np_add(cube, (f.from_index(x) ** 3).idx), 1)
-            rhs = f.np_mul_const((f.from_index(three_d) * f.from_index(x)).idx, ys)
+            rhs = f.np_mul(ys, (f.from_index(three_d) * f.from_index(x)).idx)
             total += int(np.count_nonzero(lhs == rhs))
         return total
     lhs = f.np_add(f.np_add(cube[:, None], cube[None, :]), 1)

@@ -241,6 +241,21 @@ class TestOperators:
         for e in (1, 2, q - 1, q):
             assert (f.zero**e).is_zero
 
+    @pytest.mark.parametrize("p,r", OPERATOR_FIELDS)
+    def test_array_methods(self, p, r):
+        # np_mul, np_div and np_phi on every pair at once, and against one
+        # index, with 0 for a zero divisor
+        f = build_field(p, r)
+        q, inv, idx = f.q, vec_inverses(f), np.arange(f.q)
+        prod, quot = f.np_mul(idx[:, None], idx[None, :]), f.np_div(idx[:, None], idx[None, :])
+        for i in range(q):
+            for j in range(q):
+                assert vec(f, int(prod[i, j])) == vec_mul(f, vec(f, i), vec(f, j))
+                assert vec(f, int(quot[i, j])) == (vec_mul(f, vec(f, i), inv[j]) if j else vec(f, 0))
+        assert np.array_equal(f.np_mul(idx, 3 % p), prod[:, 3 % p])
+        squares = {tuple(vec_mul(f, vec(f, i), vec(f, i))) for i in range(1, q)}
+        assert f.np_phi(idx).tolist() == [0] + [1 if tuple(vec(f, i)) in squares else -1 for i in range(1, q)]
+
     def test_zero_division_and_zero_powers(self):
         for f in (build_field(7, 1), build_field(5, 2)):
             with pytest.raises(ZeroArgument, match="0 has no inverse"):

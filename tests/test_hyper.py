@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padichyper.curves import WeierstrassCurve, count_weierstrass
 from padichyper.errors import (
@@ -20,6 +22,7 @@ from padichyper.fields import FqField, build_field, char_eval_padic, field_for, 
 from padichyper.gamma import gamma_cache
 from padichyper.gauss import gauss_sum, gauss_tables
 from padichyper.hyper import (
+    GATHER_ELEMENTS,
     GInstance,
     GParams,
     GProfile,
@@ -36,6 +39,7 @@ from padichyper.padic import (
     PadicNumber,
     default_precision,
     frac_floor,
+    is_prime,
     padic_sum,
     renormalize,
     teichmueller,
@@ -463,16 +467,18 @@ FAMILIES = [PARAMS_QUARTER_THIRD, PARAMS_HALF_SIXTH, PARAMS_HALF_THIRD, PARAMS_H
 
 class TestWholeFieldTable:
     """``qg_table``, the chirp transform of every t at once, against the
-    per-point ``GProfile._sum`` for the four families of the identity suite."""
+    batched point sum ``GProfile._sum`` for the four families of the
+    identity suite."""
 
     @staticmethod
     def assert_rows_match(params, field, uctx, dlogs):
         prof = profile_for(params, field.model, uctx)
         table = qg_table(params, field.model, uctx)
         assert table.shape == (field.q - 1, field.r) and not table.flags.writeable
-        for s in dlogs:
+        sums = prof._sum(np.array(dlogs, dtype=np.int64), uctx.r)
+        for s, row in zip(dlogs, sums):
             got = renormalize(table[s].tolist(), uctx, 0, uctx.K)
-            want = prof._sum(field.from_index(field.exp[s]), uctx.r, 0)
+            want = renormalize(row.tolist(), uctx, 0, uctx.K)
             assert (got.digits(), got.valuation, got.abs_prec) == (want.digits(), want.valuation, want.abs_prec)
 
     # r = 1, 2 and 3 at the default K; (5, 2, 14) and (7, 3, 12) have
@@ -610,3 +616,70 @@ class TestCacheEviction:
         field_for.cache_clear()
         gc.collect()
         assert ref() is None
+
+
+class TestBatchedSum:
+    """``GProfile._sum`` over arrays of points, the one point sum, against
+    the per-point loop ``oracle_qg`` and against ``qg_table`` at every t."""
+
+    # r = 1, 2 and 3 up to q = 343 at the default K; F_25 at K = 14 and
+    # F_89 at K = 5 have p^K >= 2^31, the Python-int residues
+    @pytest.mark.parametrize(
+        "p,r,K", [(5, 1, None), (7, 1, None), (13, 1, None), (5, 2, None), (7, 2, None), (5, 3, None),
+                  (7, 3, None), (5, 2, 14), (89, 1, 5)],
+    )
+    @pytest.mark.parametrize("params", FAMILIES, ids=["qt", "hs", "ht", "hq"])
+    def test_rows_match_the_table_and_the_loop(self, p, r, K, params):
+        field = build_field(p, r)
+        uctx = uctx_for(field, K or default_precision(p, r))
+        prof = profile_for(params, field.model, uctx)
+        dlogs = np.arange(field.q - 1)
+        rows = prof.qg_rows(dlogs)
+        assert rows.shape == (field.q - 1, r) and rows.dtype == qg_table(params, field.model, uctx).dtype
+        assert np.array_equal(rows, qg_table(params, field.model, uctx))
+        for s in random.Random(f"{p}:{r}:{K}").sample(range(field.q - 1), min(field.q - 1, 6)):
+            got = renormalize(rows[s].tolist(), uctx, 0, uctx.K)
+            assert got == oracle_qg(prof, field.from_index(field.exp[s]))
+
+    # 1,100 points at q = 1,009 take two int64 chunks of 2^20 // 1,008 =
+    # 1,040; at K = 5 the Python-int chunks are an eighth as long
+    @pytest.mark.parametrize("K, n", [(3, 1100), (5, 300)])
+    def test_a_row_longer_than_one_chunk(self, K, n):
+        field = build_field(1009, 1)
+        uctx = uctx_for(field, K)
+        assert GATHER_ELEMENTS // 1008 // (8 if uctx.modulus >= 2**31 else 1) < n
+        dlogs = np.random.default_rng(K).integers(0, 1008, n)  # repeated points, in no order
+        for params in FAMILIES if K == 3 else FAMILIES[:1]:
+            rows = profile_for(params, field.model, uctx).qg_rows(dlogs)
+            assert np.array_equal(rows, qg_table(params, field.model, uctx)[dlogs])
+
+    def test_an_empty_row(self):
+        field = build_field(7, 2)
+        for K in (5, 14):
+            prof = profile_for(QT, field.model, uctx_for(field, K))
+            assert prof.qg_rows(np.zeros(0, dtype=np.int64)).shape == (0, 2)
+
+
+# the fields with q <= 343, as (p, r)
+_SMALL_FIELDS = [(p, r) for r in (1, 2, 3) for p in range(5, 344) if is_prime(p) and p**r <= 343]
+_GUARD_FAMILIES = [gparams("1/2,1/2,1/2;1,1,1"), gparams("1/2,1/2,1/2,1/2;1/6,5/6,1/6,5/6")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    field_pr=st.sampled_from(_SMALL_FIELDS),
+    family=st.sampled_from(FAMILIES + _GUARD_FAMILIES),
+    t_seed=st.integers(0, 2**32),
+)
+def test_values_at_K_and_K_plus_3_agree_to_K_digits(field_pr, family, t_seed):
+    # the four families of the identity suite and the benchmark's two guard
+    # families, whose terms have negative valuations and need g_eval
+    p, r = field_pr
+    field = build_field(p, r)
+    K = default_precision(p, r)
+    t = field.from_index(random.Random(t_seed).randrange(1, field.q))
+    lo, hi = (GInstance(family, field, uctx_for(field, k), t) for k in (K, K + 3))
+    assert g_eval(lo).agrees_to(g_eval(hi), K)
+    if family in FAMILIES:
+        a, b = (profile_for(family, field.model, inst.uctx).eval_qg(t) for inst in (lo, hi))
+        assert a.agrees_to(b, K)

@@ -4,13 +4,14 @@ import random
 from collections import Counter
 from itertools import islice
 
+import numpy as np
 import pytest
 
 import padichyper.verify as verify_module
 from padichyper.errors import PreconditionFailed
-from padichyper.fields import DEFAULT_MAX_Q, build_field, phi
+from padichyper.fields import DEFAULT_MAX_Q, build_field, phi, residue_dtype, uctx_for
 from padichyper.hyper import GProfile
-from padichyper.padic import is_prime
+from padichyper.padic import is_prime, renormalize
 from padichyper.verify import (
     PARAMS_HALF_QUARTER,
     PARAMS_HALF_SIXTH,
@@ -385,47 +386,42 @@ class TestSuite:
         assert report.all_passed
 
     def test_cor2_evaluates_the_hessian_side_once_per_d(self, monkeypatch):
-        # unsampled, every row is full: each series value is read from one
-        # table per (family, field) and no point is summed on its own
-        eval_qg, table = GProfile.eval_qg, verify_module.qg_table
-        calls, lookups = Counter(), Counter()
+        # unsampled, every row is full: each series side is read from one
+        # table per (family, field), and no point is summed
+        point_sum, table = GProfile._sum, verify_module.qg_table
+        points, lookups = Counter(), Counter()
 
-        def counting(prof, t):
-            calls[prof.params] += 1
-            return eval_qg(prof, t)
+        def counting(prof, s, shift):
+            points[prof.params] += len(s)
+            return point_sum(prof, s, shift)
 
         def counting_table(params, model, uctx):
             lookups[params, model] += 1
             return table(params, model, uctx)
 
-        monkeypatch.setattr(GProfile, "eval_qg", counting)
+        monkeypatch.setattr(GProfile, "_sum", counting)
         monkeypatch.setattr(verify_module, "qg_table", counting_table)
         spec = RangeSpec(theorems=("cor2",), pmin=5, pmax=11, r_values=(1, 2))
-        verify_module._hessian_side.cache_clear()
         table.cache_clear()
         report = run_suite(spec)
         per_d = {(rec.p, rec.r, json.dumps(rec.params["d"])) for rec in report.records}
         assert (len(report.records), len(per_d)) == (282, 136)
-        assert not calls
-        assert table.cache_info().misses == len(lookups)
+        assert not points
+        assert table.cache_info().misses == len(lookups) and set(lookups.values()) == {1}
         assert {params for params, _ in lookups} == {PARAMS_HALF_SIXTH, PARAMS_HALF_THIRD, PARAMS_HALF_QUARTER}
-        # the Hessian side once per d, the branch side once per record
-        assert sum(n for (params, _), n in lookups.items() if params == PARAMS_HALF_SIXTH) == 136
-        assert sum(lookups.values()) == 418
-        # sampled, a row sums its points: the Hessian side still once per d
+        assert {model for _, model in lookups} == {(rec.p, rec.r, 0) for rec in report.records}
+        # sampled, a row sums its points in one batch, the Hessian side once
+        # per distinct argument 1/d^3 of its admissible d and the branch side
+        # at most once per record
         lookups.clear()
         sampled = RangeSpec(theorems=("cor2",), pmin=5, pmax=11, r_values=(1, 2), sample=3)
         report = run_suite(sampled)
-        per_d = {(rec.p, rec.r, json.dumps(rec.params["d"])) for rec in report.records}
-        assert not lookups and calls[PARAMS_HALF_SIXTH] == len(per_d)
-        assert sum(calls.values()) == len(per_d) + len(report.records)
-        # without the one-entry cache every record evaluates both sides
-        calls.clear()
-        monkeypatch.setattr(verify_module, "_hessian_side", verify_module._hessian_side.__wrapped__)
-        uncached = run_suite(sampled)
-        assert calls[PARAMS_HALF_SIXTH] == len(report.records)
-        assert sum(calls.values()) == 2 * len(report.records)
-        assert _report_digest(uncached) == _report_digest(report)
+        hessian_args = set()
+        for rec in report.records:
+            field = build_field(rec.p, rec.r)
+            hessian_args.add((rec.p, rec.r, (1 / field.element(rec.params["d"]) ** 3).idx))
+        assert not lookups and points[PARAMS_HALF_SIXTH] == len(hessian_args) > 0
+        assert points[PARAMS_HALF_THIRD] + points[PARAMS_HALF_QUARTER] <= len(report.records)
 
 
 def _report_digest(report) -> str:
@@ -445,37 +441,35 @@ def _report_digest(report) -> str:
 
 class TestTableRule:
     """A row reads whole-field tables exactly when ``_SuiteRun.sampled``
-    returned every position of its listing; otherwise each point is summed
-    on its own, and no table is built."""
+    returned every position of its listing; otherwise its points go through
+    the batched sum, and no table is built."""
 
     @staticmethod
     def forbid(monkeypatch, name):
         def fail(*args):
             raise AssertionError(f"{name} called")
 
-        if name == "eval_qg":
-            monkeypatch.setattr(GProfile, "eval_qg", fail)
+        if name == "point sum":
+            monkeypatch.setattr(GProfile, "_sum", fail)
         else:
             monkeypatch.setattr(verify_module, name, fail)
 
     @pytest.mark.parametrize("theorem", ["mt1", "cor2", "hessian", "bs1"])
     def test_full_rows_sum_no_point(self, monkeypatch, theorem):
-        self.forbid(monkeypatch, "eval_qg")
-        verify_module._hessian_side.cache_clear()
+        self.forbid(monkeypatch, "point sum")
         report = run_suite(RangeSpec(theorems=(theorem,), pmin=5, pmax=7, r_values=(1, 2), allow_p5=True))
         assert report.summary["total"] > 0 and report.all_passed
 
     @pytest.mark.parametrize("theorem", ["mt1", "cor2", "hessian", "bs1"])
     def test_sampled_rows_make_no_table(self, monkeypatch, theorem):
         self.forbid(monkeypatch, "qg_table")
-        verify_module._hessian_side.cache_clear()
         spec = RangeSpec(theorems=(theorem,), pmin=7, pmax=11, r_values=(1, 2), allow_p5=True, sample=3)
         report = run_suite(spec)
         assert report.summary["total"] > 0 and report.all_passed
 
     def test_a_sample_covering_the_listing_is_full(self, monkeypatch):
         # F_7 has 6 units: a sample of 6 draws them all, in order
-        self.forbid(monkeypatch, "eval_qg")
+        self.forbid(monkeypatch, "point sum")
         full = run_suite(RangeSpec(theorems=("hessian",), pmin=7, pmax=7, r_values=(1,), sample=6))
         assert full.summary == {"total": 3, "passed": 3, "failed": 0, "skipped": 3}
 
@@ -489,21 +483,35 @@ class TestTableRule:
         assert verify_mt1(11, 1, 2).passed and verify_hessian(11, 1, 2).passed
 
     def test_full_and_point_reports_agree(self, monkeypatch):
-        # the same rows, once from tables and once forced point by point
+        # the same rows, once from tables and once forced through the batched sum
         theorems = ("mt1", "cor2", "hessian", "bs1")
         spec = RangeSpec(theorems=theorems, pmin=5, pmax=13, r_values=(1, 2), allow_p5=True)
         tables = run_suite(spec)
         self.forbid(monkeypatch, "qg_table")
-        monkeypatch.setattr(verify_module._SuiteRun, "attempt", _attempt_point_by_point)
+        sampled = verify_module._SuiteRun.sampled
+
+        def every_row_summed(run, size, tag):
+            positions = sampled(run, size, tag)
+            run.full = False
+            return positions
+
+        monkeypatch.setattr(verify_module._SuiteRun, "sampled", every_row_summed)
         assert _report_digest(run_suite(spec)) == _report_digest(tables)
 
 
-def _attempt_point_by_point(run, fn, *args):
-    """``_SuiteRun.attempt`` with every row treated as sampled."""
-    try:
-        run.records.append(fn(*args))
-    except PreconditionFailed:
-        run.skipped += 1
+class TestRowDigits:
+    """``verify._digits`` on residue rows against ``renormalize(...).digits()``."""
+
+    @pytest.mark.parametrize("p, r, K", [(5, 1, 5), (7, 2, 4), (5, 3, 6), (11, 2, 9), (89, 1, 5), (3, 2, 1)])
+    def test_rows_render_as_padic_numbers(self, p, r, K):
+        uctx = uctx_for(build_field(p, r), K)
+        m, rng = uctx.modulus, random.Random(f"{p}:{r}:{K}")
+        rows = [[rng.randrange(m) for _ in range(r)] for _ in range(200)]
+        # low valuations, exact zeros and single nonzero coordinates
+        rows += [[c * p**w % m for c in row] for w, row in zip(range(K + 1), rows)]
+        rows += [[0] * r, [0] * (r - 1) + [p ** (K - 1)]]
+        got = verify_module._digits(np.array(rows, dtype=residue_dtype(m)), p, K)
+        assert got == [renormalize(row, uctx, 0, K).digits() for row in rows]
 
 
 class TestReportJson:
@@ -562,32 +570,41 @@ class TestGoldenReports:
 
 
 class TestPlanCallsByName:
-    """The plans look each check up by its module name when they call it, so
-    a wrapper installed on the module (as a tracer does) sees every call."""
+    """The plans look each row function up by its module name when they call
+    it, so a wrapper installed on the module (as a tracer does) sees every
+    row, and every record and skip of the report comes from such a call."""
+
+    ROW_FUNCTIONS = {"mt1": "_mt1_row", "cor2": "_mt1_row", "bs1": "_bs1_row", "mc": "_mc_row",
+                     "hessian": "_hessian_row"}
 
     @pytest.mark.parametrize(
         "theorem, exact",
         [("mt1", True), ("hessian", True), ("bs1", True), ("cor2", False), ("mc", False)],
     )
     def test_wrapper_sees_every_call(self, monkeypatch, theorem, exact):
-        name = f"verify_{theorem}"
-        check = getattr(verify_module, name)
-        calls = []
+        name = self.ROW_FUNCTIONS[theorem]
+        row_function = getattr(verify_module, name)
+        rows, records, skips = [], [], 0
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return check(*args, **kwargs)
+        def counting(field, *args):
+            nonlocal skips
+            out = row_function(field, *args)
+            rows.append((field.model, len(out[0]) + len(out[1])))
+            records.extend(out[0])
+            skips += len(out[1])
+            return out
 
         monkeypatch.setattr(verify_module, name, counting)
         spec = RangeSpec(theorems=(theorem,), pmin=5, pmax=11, r_values=(1,), allow_p5=True, sample=6)
-        summary = run_suite(spec).summary
-        assert summary["total"] > 0
+        report = run_suite(spec)
+        assert report.summary["total"] > 0
+        # one call per field, and each record or skip came from one
+        assert [model for model, _ in rows] == [(p, 1, 0) for p in (5, 7, 11)]
+        assert records == report.records and skips == report.summary["skipped"]
         if exact:
-            # each call gives a record or a gate skip, and every skip is a call
-            assert len(calls) == summary["total"] + summary["skipped"]
-        else:
-            # cor2 and mc also skip in the plan, before any call
-            assert len(calls) >= summary["total"]
+            # each instance is a drawn position; cor2 lists every root of a
+            # drawn d, and mc draws until its sample of curves is nonsingular
+            assert all(n <= spec.sample for _, n in rows)
 
 
 def oracle_bs1_instances(field, partners=3):
@@ -621,8 +638,10 @@ def _indices(instances):
 
 
 def _bs1_listing(field, seed=0, sample=None):
+    """The lister's index rows as (branch, a, b, root) with FqElements."""
     run = verify_module._SuiteRun(RangeSpec(seed=seed, sample=sample))
-    return verify_module._bs1_instances(run, field, f"bs1:{field.p}:{field.r}")
+    rows = verify_module._bs1_instances(run, field, f"bs1:{field.p}:{field.r}").tolist()
+    return [(branch, *map(field.from_index, (a, b, root))) for branch, a, b, root in rows]
 
 
 def _fields(qmin, qmax):
