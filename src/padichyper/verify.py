@@ -51,7 +51,7 @@ from .errors import PreconditionFailed, PadicHyperError
 from .fields import DEFAULT_MAX_Q, FqField, build_field, check_orthogonality, phi, residue_dtype, uctx_for
 from .gamma import lemma31_sides, lemma5_sides, eq29_sides
 from .gauss import davenport_hasse_sides, default_tolerance, gk_product_sides, theta_expansion_sides
-from .hyper import GATHER_ELEMENTS, GParams, profile_for, qg_table, recover_integer
+from .hyper import GParams, profile_for, qg_table, recover_integer
 from .padic import default_precision, is_prime, renormalize
 
 # Not called here; perfbench/tracing.py wraps it under this name.
@@ -185,14 +185,12 @@ def _digits(res: np.ndarray, p: int, K: int) -> list[str]:
     """``renormalize(row, ctx, 0, K).digits()`` for each row of residues mod
     p^K: "w:" and the base-p digits w..K-1 of each coordinate, low first,
     for the largest p^w dividing the row; "zero:O(p^K)" for a zero row."""
-    digs = np.stack([res // p**k % p for k in range(K)], axis=-1)  # (n, r, K)
-    nonzero = (digs != 0).any(axis=1)
+    digs = np.stack([res // p**k % p for k in range(K)], axis=1)  # (n, K, r)
+    nonzero = (digs != 0).any(axis=2)
     vals = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), K).tolist()
-    text = digs.astype(str)
-    pos = text[:, 0]  # each position's coordinate digits, dot-joined
-    for c in range(1, res.shape[1]):
-        pos = np.char.add(np.char.add(pos, "."), text[:, c])
-    return [f"{w}:" + ",".join(row[w:]) if w < K else f"zero:O(p^{K})" for w, row in zip(vals, pos.tolist())]
+    text = digs.astype(str)  # pos: each position's coordinate digits, dot-joined
+    pos = text[:, :, 0].tolist() if res.shape[1] == 1 else [list(map(".".join, row)) for row in text.tolist()]
+    return [f"{w}:" + ",".join(row[w:]) if w < K else f"zero:O(p^{K})" for w, row in zip(vals, pos)]
 
 
 def _params(field: FqField, keys, *cols: np.ndarray) -> list[dict]:
@@ -458,26 +456,33 @@ def _unit_indices(run: _SuiteRun, field: FqField, tag: str) -> np.ndarray:
 
 def _cor2_roots(run: _SuiteRun, field: FqField, tag: str) -> np.ndarray:
     """(branch, d, root) rows: for each sampled d in draw order, branch 1's
-    square roots k of -m/3, then branch 2's nonzero roots h of x^3 + mx + n
-    in index order, for the (m, n) bridged from d.  A d that fails MT1's
-    gates is listed once, as (1, d, 0), and its row skips it by that gate."""
+    square roots k of -m/3, then branch 2's roots h of x^3 + mx + n in index
+    order, for the (m, n) bridged from d.  A d that fails MT1's gates is
+    listed once, as (1, d, 0), and its row skips it by that gate.  The h are
+    the 2-torsion, on the Hessian cubic's line x = y: each unit x lies on the
+    cubic of d = (2x^3 + 1)/(3x^2), and ``hessian_bridge``'s substitution at
+    y = x gives h = -(36 - 9d^3 + 54d^2 x)/(3(2x + d)).  If 2x + d = 0 then
+    d^3 = 1, which MT1 skips, so no row gathers that x.  One sort by (d, h)
+    lists a whole field's roots, O(q log q) for every q and sample."""
     q, p, d = field.q, field.p, _unit_indices(run, field, tag)
     gates, m, n = _mt1_gates(field, d)
     good = _gated(gates, np.arange(len(d)))[1]
     s = field.dlog_np[field.np_div(m, -3 % p)]
     even = good[s[good] % 2 == 0]
     k = field.exp_np[np.add.outer(s[even] // 2, [0, (q - 1) // 2])].ravel()
-    bad, xs = np.setdiff1d(np.arange(len(d)), good), np.arange(1, q)
-    keys, roots, cubes = [bad, np.repeat(even, 2)], [np.zeros_like(bad), k], field.np_pow(xs, 3)
-    step = GATHER_ELEMENTS // (q - 1)  # the cubics of a block of d at every unit at once
-    for block in np.split(good, range(step, len(good), step)):
-        mx = field.np_mul(m[block, None], xs)
-        i, j = np.nonzero(field.np_add(field.np_add(cubes, mx), n[block, None]) == 0)
-        keys.append(block[i])
-        roots.append(xs[j])
-    branch = np.repeat([1, 1, 2], [len(keys[0]), len(k), sum(map(len, keys[2:]))])
-    keys = np.concatenate(keys)
-    return np.stack([branch, d[keys], np.concatenate(roots)], axis=1)[np.argsort(keys, kind="stable")]
+    x = np.arange(1, q)
+    dx = field.np_div(field.np_add(field.np_mul(field.np_pow(x, 3), 2), 1), field.np_mul(field.np_pow(x, 2), 3))
+    num = field.np_add(field.np_mul(field.np_pow(dx, 2), field.np_add(dx, field.np_mul(x, -6 % p))), -4 % p)
+    h = field.np_div(field.np_mul(num, 3), field.np_add(field.np_mul(x, 2), dx))  # 3(d^3 - 6d^2 x - 4)/(2x + d)
+    dx, h = np.stack([dx, h])[:, np.lexsort((h, dx))]
+    lo, hi = (np.searchsorted(dx, d[good], side) for side in ("left", "right"))
+    count = hi - lo
+    at = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())  # each good d's group in turn
+    bad = np.delete(np.arange(len(d)), good)
+    keys = np.concatenate([bad, np.repeat(even, 2), np.repeat(good, count)])
+    branch = np.repeat([1, 1, 2], [len(bad), len(k), len(at)])
+    roots = np.concatenate([np.zeros_like(bad), k, h[at]])
+    return np.stack([branch, d[keys], roots], axis=1)[np.argsort(keys, kind="stable")]
 
 
 _BS1_PARTNERS = 3
@@ -509,13 +514,6 @@ def _bs1_instances(run: _SuiteRun, field: FqField, tag: str) -> np.ndarray:
     return listing[run.sampled(len(listing), tag)]
 
 
-def _index_rows(x, width: int) -> np.ndarray:
-    """A written-out listing of tuples of ints and FqElements as indices."""
-    if isinstance(x, np.ndarray):
-        return x
-    return np.array([[getattr(v, "idx", v) for v in arg] for arg in x], dtype=np.int64).reshape(-1, width)
-
-
 def _mc_draws(run: _SuiteRun, field: FqField, tag: str) -> np.ndarray:
     """The seeded curve draw, not sampled: (a, b) until ``sample`` (default
     20) of them are nonsingular; the singular ones are listed too, and
@@ -542,8 +540,7 @@ _PLANS = {
     "mt1": (5, [("mt1:{p}:{r}", _unit_indices, lambda run, f, d: _mt1_row(f, run.spec.K, d, run.full))]),
     "cor2": (5, [("cor2:{p}:{r}", _cor2_roots, lambda run, f, x: _mt1_row(
         f, run.spec.K, x[:, 1], run.full, x[:, 0], x[:, 2]))]),
-    "bs1": (5, [("bs1:{p}:{r}", _bs1_instances, lambda run, f, x: _bs1_row(
-        f, run.spec.K, _index_rows(x, 4), run.full))]),
+    "bs1": (5, [("bs1:{p}:{r}", _bs1_instances, lambda run, f, x: _bs1_row(f, run.spec.K, x, run.full))]),
     "mc": (5, [("mc:{p}:{r}", _mc_draws, lambda run, f, x: _mc_row(f, run.spec.K, x))]),
     "hessian": (5, [("hessian:{p}:{r}", _unit_indices, lambda run, f, a: _hessian_row(
         f, run.spec.K, a, run.full, run.spec.allow_p5))]),

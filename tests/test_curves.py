@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from padichyper.curves import (
     check_count_relation,
     count_hessian,
     count_weierstrass,
+    cubic_values,
     hessian_bridge,
     j_invariant,
 )
@@ -223,6 +225,25 @@ class TestBridge:
                 checked += 1
             except SingularCurve:
                 continue
+
+    @pytest.mark.parametrize("p, r", [(11, 1), (31, 1), (101, 1), (1009, 1), (5, 2), (7, 2), (11, 2), (5, 3)])
+    def test_two_torsion_gives_the_roots_of_the_bridged_cubic(self, p, r):
+        # The 2-torsion of x^3 + y^3 + 1 = 3dxy lies on x = y, where
+        # 2x^3 - 3dx^2 + 1 = 0: each unit x is such a point for one d, and
+        # the bridge's substitution at y = x carries it to a root h of
+        # x^3 + mx + n.  Every root arises so, once.
+        f = build_field(p, r)
+        found = Counter()
+        for x in f.units():
+            d = (2 * x**3 + 1) / (3 * x * x)
+            if (d**3 - 1).is_zero:
+                continue
+            h = -(36 - 9 * d**3 + 54 * d * d * x) / (3 * (2 * x + d))
+            assert cubic_values(*hessian_bridge(d))[h.idx] == 0, (p, r, x)
+            found[d.idx] += 1
+        for d in f.elements():
+            if not (d**3 - 1).is_zero:
+                assert found[d.idx] == np.count_nonzero(cubic_values(*hessian_bridge(d)) == 0), (p, r, d)
 
     def test_half_scaled_bridge_admits_counterexamples(self):
         # the relation pins the 54-coefficient: halving it yields a genuinely

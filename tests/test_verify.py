@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import islice
 
@@ -10,7 +12,7 @@ import pytest
 import padichyper.verify as verify_module
 from padichyper.errors import PreconditionFailed
 from padichyper.fields import DEFAULT_MAX_Q, build_field, phi, residue_dtype, uctx_for
-from padichyper.hyper import GProfile
+from padichyper.hyper import GATHER_ELEMENTS, GProfile
 from padichyper.padic import is_prime, renormalize
 from padichyper.verify import (
     PARAMS_HALF_QUARTER,
@@ -693,10 +695,88 @@ class TestBS1Listing:
         min_p, [(tag, _, call)] = verify_module._PLANS["bs1"]
 
         def oracle_lister(run, field, tag):
-            return oracle_bs1_draw(field, run.spec.seed, run.spec.sample, tag)
+            rows = _indices(oracle_bs1_draw(field, run.spec.seed, run.spec.sample, tag))
+            return np.array(rows, dtype=np.int64).reshape(-1, 4)
 
         monkeypatch.setitem(verify_module._PLANS, "bs1", (min_p, [(tag, oracle_lister, call)]))
         expected = run_suite(spec)
         assert report.summary == expected.summary
         assert report.summary["total"] > 0
         assert _report_digest(report) == _report_digest(expected)
+
+
+def oracle_cor2_roots(run, field, tag):
+    """The per-d COR2 listing: for each sampled d in draw order, branch 1's
+    square roots k of -m/3, then branch 2's nonzero roots h of x^3 + mx + n
+    in index order, found by evaluating the cubics of a block of d at every
+    unit; a d failing MT1's gates is listed once, as (1, d, 0)."""
+    q, p, d = field.q, field.p, verify_module._unit_indices(run, field, tag)
+    gates, m, n = verify_module._mt1_gates(field, d)
+    good = verify_module._gated(gates, np.arange(len(d)))[1]
+    s = field.dlog_np[field.np_div(m, -3 % p)]
+    even = good[s[good] % 2 == 0]
+    k = field.exp_np[np.add.outer(s[even] // 2, [0, (q - 1) // 2])].ravel()
+    bad, xs = np.setdiff1d(np.arange(len(d)), good), np.arange(1, q)
+    keys, roots, cubes = [bad, np.repeat(even, 2)], [np.zeros_like(bad), k], field.np_pow(xs, 3)
+    step = GATHER_ELEMENTS // (q - 1)  # the cubics of a block of d at every unit at once
+    for block in np.split(good, range(step, len(good), step)):
+        mx = field.np_mul(m[block, None], xs)
+        i, j = np.nonzero(field.np_add(field.np_add(cubes, mx), n[block, None]) == 0)
+        keys.append(block[i])
+        roots.append(xs[j])
+    branch = np.repeat([1, 1, 2], [len(keys[0]), len(k), sum(map(len, keys[2:]))])
+    keys = np.concatenate(keys)
+    return np.stack([branch, d[keys], np.concatenate(roots)], axis=1)[np.argsort(keys, kind="stable")]
+
+
+class TestCOR2Listing:
+    """The 2-torsion COR2 lister against the per-d cubic scan it replaced,
+    at every position of the listing and in its length."""
+
+    @staticmethod
+    def listings(p, r, seed=0, sample=None):
+        field = build_field(p, r)
+        run = verify_module._SuiteRun(RangeSpec(seed=seed, sample=sample))
+        tag = f"cor2:{p}:{r}"
+        return verify_module._cor2_roots(run, field, tag), oracle_cor2_roots(run, field, tag)
+
+    @pytest.mark.parametrize("p, r", _fields(5, 2500))
+    def test_every_position(self, p, r):
+        listed, expected = self.listings(p, r)
+        assert listed.shape == expected.shape
+        assert (listed == expected).all()
+
+    @pytest.mark.parametrize("p, r", [(11, 2), (13, 2), (31, 2), (47, 2), (7, 3), (101, 1), (1009, 1)])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_sampled_positions(self, p, r, seed):
+        listed, expected = self.listings(p, r, seed=seed, sample=30)
+        assert listed.shape == expected.shape
+        assert (listed == expected).all()
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_gated_d_are_listed_once(self, r):
+        listed, expected = self.listings(7, r)
+        gated = listed[(listed[:, 0] == 1) & (listed[:, 2] == 0)]
+        assert len(gated) > 0
+        assert len(set(gated[:, 1].tolist())) == len(gated)
+        assert listed.shape == expected.shape
+        assert (listed == expected).all()
+
+
+class TestColdPath:
+    def test_series_sweeps_import_no_numpy_module(self):
+        """The series plans use no numpy module that ``import numpy`` leaves
+        unloaded (``numpy.ma``, ``numpy.char``, ...), so a cold sweep pays
+        for no such import.  A fresh interpreter starts numpy's cache clean."""
+        code = (
+            "import sys\n"
+            "import padichyper\n"
+            "before = set(sys.modules)\n"
+            "spec = padichyper.RangeSpec(theorems=('mt1', 'cor2', 'bs1', 'mc', 'hessian'), pmin=5, pmax=11,\n"
+            "                            r_values=(1, 2), allow_p5=True)\n"
+            "assert padichyper.run_suite(spec).summary['total'] > 0\n"
+            "print(sorted(m for m in set(sys.modules) - before if m.startswith('numpy.')))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
