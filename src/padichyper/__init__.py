@@ -7,7 +7,7 @@ Layers, bottom up:
   case), Teichmueller lifts, and valuation/unit p-adic numbers with tracked
   absolute precision.
 - ``gamma``: Morita's p-adic gamma at rational arguments (polynomial time
-  in p and K, memoized) and both sides of the gamma product identities.
+  in p and K), one point or an array of points at once.
 - ``fields``: F_{p^r} with deterministic generator and discrete-log tables,
   multiplicative characters, trace.
 - ``gauss``: complex-float Gauss sums and both sides of their relations.
@@ -15,7 +15,8 @@ Layers, bottom up:
   share one gather-and-dot-product sum) and integer recovery.
 - ``curves``: Weierstrass/Hessian point counts and the parameter bridge.
 - ``verify``: identity checks as records, each its identity's one pass/fail
-  decision; range sweeps and reports.
+  decision, the series and gamma product checks a row of instances at a
+  time; range sweeps and reports.
 - ``cli``: the command-line entry point.
 """
 

@@ -36,11 +36,7 @@ def _cmd_gamma(args) -> int:
     K = args.K if args.K is not None else default_precision(args.p, 1)
     cache = gamma_cache(args.p, K)
     value = cache.gamma(x)
-    digits = []
-    v = value
-    for _ in range(K):
-        v, d = divmod(v, args.p)
-        digits.append(str(d))
+    digits = [str(value // args.p**k % args.p) for k in range(K)]
     print(f"Gamma_{args.p}({x}) mod {args.p}^{K} = {value}")
     print(f"digits (low first): {','.join(digits)}")
     return 0
@@ -100,11 +96,7 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    rendered = {
-        "table": report.to_table,
-        "json": report.to_json,
-        "csv": report.to_csv,
-    }[args.format]()
+    rendered = getattr(report, f"to_{args.format}")()
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(rendered)

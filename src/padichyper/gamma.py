@@ -1,6 +1,6 @@
 """Morita's p-adic gamma function at rational arguments with p-free
-denominator, to precision p^K, plus both sides of the gamma product and
-floor identities, which the verification suite's records compare.
+denominator, to precision p^K, the reflection check, and both sides of the
+floor identity.  The gamma product identities are rows in ``verify``.
 
 The continuity estimate Gamma_p(x) = Gamma_p(n) mod p^K for any integer
 n = x mod p^K reduces every evaluation to Gamma_p(n) = (-1)^n f(n), where
@@ -19,9 +19,9 @@ therefore keeps only its first ceil(K/(L+1)) coefficients (5, 3, 2, 2, 1 for
 K = 5), every later one being 0 mod p^K, and the blocks of one (p, K) cost
 about sum_L ceil(K/(L+1))^2 p multiplications mod p^K.  Splitting [0, n) by
 the base-p digits d_L of n gives f(n) = prod_L C_{L,d_L}(n // p^(L+1)): one
-short Horner evaluation per level.  ``GammaCache.rational_table`` runs them
-for every point c/D of a table at once, as numpy arrays; ``gamma`` runs them
-for one point.
+short Horner evaluation per level.  ``GammaCache.values`` runs them for an
+array of points c/D at once, as numpy arrays (``rational_table`` is its table
+of every c < D); ``gamma`` runs them for one point.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DenominatorDivisibleByP
 from .fields import residue_dtype
-from .padic import UnramifiedContext, frac_floor, odd_prime_modulus
+from .padic import frac_floor, odd_prime_modulus
 
 
 def _mul(a: list[int], b: list[int], m: int) -> list[int]:
@@ -81,8 +81,8 @@ class GammaCache:
 
     ``blocks[L]`` holds the digit-block polynomials of level L as a
     (p + 1, ceil(K/(L+1))) array of ``residue_dtype``, row d the
-    coefficients of C_{L,d}; ``rational_table`` gathers from them for all its
-    points at once, and ``table[n]`` memoizes f(n), the product of all p-free
+    coefficients of C_{L,d}; ``values`` gathers from them for all its points
+    at once, and ``table[n]`` memoizes f(n), the product of all p-free
     0 < j < n mod p^K, at every point ``gamma`` evaluated so far.
     """
 
@@ -122,22 +122,18 @@ class GammaCache:
         m = self.modulus
         return num * pow(den, -1, m) % m
 
-    def _gamma_of_n(self, n: int) -> int:
-        f = self._f(n)
-        return f if n % 2 == 0 else -f % self.modulus
-
     def gamma(self, x) -> int:
         x = Fraction(x)
-        return self._gamma_of_n(self._reduce(x.numerator, x.denominator))
+        n = self._reduce(x.numerator, x.denominator)
+        return self._f(n) if n % 2 == 0 else -self._f(n) % self.modulus
 
-    @lru_cache(maxsize=64)
-    def rational_table(self, denominator: int) -> list[int]:
-        """Gamma_p(c/denominator) for every c in [0, denominator), as a list:
-        ``_f`` at every n = c/denominator mod p^K at once, one gather and
-        Horner pass per level over arrays of ``residue_dtype``."""
+    def values(self, c: np.ndarray, denominator: int) -> np.ndarray:
+        """Gamma_p(c/denominator) at each integer |c| < 2^32 of an array, as
+        residues of ``residue_dtype``: ``_f`` at every n = c/denominator mod
+        p^K at once, one gather and Horner pass per level."""
         inv = self._reduce(1, denominator)
         p, m = self.p, self.modulus
-        n = np.arange(denominator, dtype=np.int64).astype(residue_dtype(m)) * inv % m
+        n = np.asarray(c, dtype=np.int64).astype(residue_dtype(m)) * inv % m
         f, y = 1, n
         for level in self.blocks:
             coeffs = level[(y % p).astype(np.int64)]
@@ -146,7 +142,12 @@ class GammaCache:
             for k in range(level.shape[1] - 2, -1, -1):
                 acc = (acc * y + coeffs[:, k]) % m
             f = f * acc % m
-        return np.where(n % 2 == 1, -f % m, f).tolist()
+        return np.where(n % 2 == 1, -f % m, f)
+
+    @lru_cache(maxsize=64)
+    def rational_table(self, denominator: int) -> list[int]:
+        """Gamma_p(c/denominator) for every c in [0, denominator), as a list."""
+        return self.values(np.arange(denominator), denominator).tolist()
 
 
 gamma_cache = lru_cache(maxsize=64)(GammaCache)
@@ -162,64 +163,6 @@ def verify_reflection(x, cache: GammaCache) -> bool:
     x0 = p if r0 == 0 else r0
     expected = (m - 1) if x0 % 2 else 1
     return prod == expected
-
-
-def _omega_power(t_int: int, exponent: int, uctx: UnramifiedContext):
-    """omega(t)^exponent for an integer t coprime to p.  omega(t) lies in Z_p,
-    equals t^(p^(K-1)) mod p^K and has order dividing p-1."""
-    p, K = uctx.p, uctx.K
-    return uctx.from_int(pow(t_int, p ** (K - 1) * (exponent % (p - 1)), uctx.modulus))
-
-
-def lemma31_sides(t: int, j: int, uctx: UnramifiedContext):
-    """Both sides of the two gamma multiplication identities over a
-    denominator-t grid shifted by j/(q-1), as Z_q values mod p^K.
-
-    Returns ((lhs1, rhs1), (lhs2, rhs2)).
-    """
-    p, r, q = uctx.p, uctx.r, uctx.q
-    if t <= 0 or t % p == 0:
-        raise ValueError("t must be a positive integer coprime to p")
-    if not 0 <= j <= q - 2:
-        raise ValueError("j out of range")
-    cache = gamma_cache(p, uctx.K)
-    m = uctx.modulus
-
-    def gv(x: Fraction) -> int:
-        return cache.gamma(frac_floor(x)[0])
-
-    lhs1 = rhs1 = lhs2 = rhs2 = 1
-    for i in range(r):
-        pi = p**i
-        lhs1 = lhs1 * gv(Fraction(t * pi * j, q - 1)) % m
-        lhs2 = lhs2 * gv(Fraction(-t * pi * j, q - 1)) % m
-        for h in range(1, t):
-            base = gv(Fraction(h * pi, t))
-            lhs1 = lhs1 * base % m
-            lhs2 = lhs2 * base % m
-        for h in range(t):
-            rhs1 = rhs1 * gv(Fraction(h * pi, t) + Fraction(pi * j, q - 1)) % m
-            rhs2 = rhs2 * gv(Fraction((1 + h) * pi, t) - Fraction(pi * j, q - 1)) % m
-
-    left1 = _omega_power(t, t * j, uctx).scale(lhs1)
-    left2 = _omega_power(t, -t * j, uctx).scale(lhs2)
-    return (left1, uctx.from_int(rhs1)), (left2, uctx.from_int(rhs2))
-
-
-def eq29_sides(l: int, uctx: UnramifiedContext):
-    """(gamma product over Frobenius twists, (-1)^r omega-bar^l(-1)) mod p^K."""
-    p, r, q = uctx.p, uctx.r, uctx.q
-    if not 0 < l < q - 1:
-        raise ValueError("l must satisfy 0 < l < q-1")
-    cache = gamma_cache(p, uctx.K)
-    m = uctx.modulus
-    lhs = 1
-    for i in range(r):
-        pi = p**i
-        lhs = lhs * cache.gamma(frac_floor(Fraction((q - 1 - l) * pi, q - 1))[0]) % m
-        lhs = lhs * cache.gamma(frac_floor(Fraction(l * pi, q - 1))[0]) % m
-    # omega-bar(-1) = -1 for odd p
-    return uctx.from_int(lhs), uctx.from_int((-1) ** (r + l))
 
 
 def lemma5_sides(l: int, i: int, p: int, r: int) -> tuple[int, int]:

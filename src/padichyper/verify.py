@@ -1,12 +1,13 @@
 """Theorem-level identity checks and the range-sweeping verification suite.
 
-The five series checks run over rows: the instances of one plan on one field,
-as arrays of element indices.  A row gates every instance at once from an
-ordered list of (gate name, passing mask), and an instance's first failing
-gate makes it a skip.  Each series side is one gather for the instances that
-pass, and the records are built at the end of the row.  A ``verify_*`` call
-is a row of length 1: it returns the VerifyRecord, or raises
-PreconditionFailed with the violated gate's name.
+The five series checks and the two gamma product identities run over rows:
+the instances of one plan on one field, as index arrays.  A row gates every
+instance at once from an ordered list of (gate name, passing mask), and an
+instance's first failing gate makes it a skip.  Each series side is one
+gather for the instances that pass; LEMMA31's and EQ29's sides are products
+of one ``GammaCache.values`` evaluation per (row, t); the records are built
+at the end of the row.  A ``verify_*`` call is a row of length 1: it returns
+the VerifyRecord, or raises PreconditionFailed with the violated gate's name.
 
 A series side is phi(twist) q 2G2[... | t] (``_series``): the Hessian side
 phi(-3d) q 2G2[1/2,1/2;1/6,5/6 | 1/d^3], McCarthy's trace side phi(twist)
@@ -49,7 +50,7 @@ from fractions import Fraction
 from .curves import HessianCurve, WeierstrassCurve, count_hessian, count_weierstrass
 from .errors import PreconditionFailed, PadicHyperError
 from .fields import DEFAULT_MAX_Q, FqField, build_field, check_orthogonality, phi, residue_dtype, uctx_for
-from .gamma import lemma31_sides, lemma5_sides, eq29_sides
+from .gamma import GammaCache, gamma_cache, lemma5_sides
 from .gauss import davenport_hasse_sides, default_tolerance, gk_product_sides, theta_expansion_sides
 from .hyper import GParams, profile_for, qg_table, recover_integer
 from .padic import default_precision, is_prime, renormalize
@@ -103,10 +104,6 @@ def _context(field: FqField, K: int | None):
 
 def _cplx(z: complex) -> str:
     return f"{z.real:.12e}{z.imag:+.12e}j"
-
-
-def _zq_str(z) -> str:
-    return ".".join(str(c) for c in z.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -356,23 +353,89 @@ def verify_hessian(p: int, r: int, a, K: int | None = None, allow_small_p: bool 
 
 
 # ---------------------------------------------------------------------------
-# lemma-level and float checks as records
+# the gamma product identities, a row at a time; lemma-level and float checks
+
+
+def _omega_powers(t: int, e: np.ndarray, p: int, K: int) -> np.ndarray:
+    """omega(t)^e mod p^K at each exponent e, for an integer t prime to p:
+    omega(t) = t^(p^(K-1)) mod p^K lies in Z_p and has order dividing p - 1."""
+    m, powers = p**K, np.frompyfunc(pow, 3, 1)
+    return powers(pow(t, p ** (K - 1), m), (e % (p - 1)).astype(object), m).astype(residue_dtype(m))
+
+
+def _gamma_products(cache: GammaCache, c: np.ndarray, D: int) -> np.ndarray:
+    """The product mod p^K of Gamma_p({c/D}) along the last axis of c, from
+    one evaluation at the distinct points."""
+    points, inverse = np.unique(c.ravel() % D, return_inverse=True)
+    values = cache.values(points, D)[inverse].reshape(c.shape)
+    out = 1
+    for k in range(c.shape[-1]):
+        out = out * values[..., k] % cache.modulus
+    return out
+
+
+def _gamma_records(theorem: str, field: FqField, K: int, params: list, sides: np.ndarray, t0: float):
+    """Records of the residues sides[:, :k] against sides[:, k:], k the half
+    width, each side written as ';'-joined coordinate strings of Z_q."""
+    k, zero = sides.shape[1] // 2, ".0" * (field.r - 1)
+    text = [[";".join(f"{v}{zero}" for v in half) for half in (row[:k], row[k:])] for row in sides.tolist()]
+    passed = (sides[:, :k] == sides[:, k:]).all(axis=1).tolist()
+    rows = [(pa, *tx, ok) for pa, tx, ok in zip(params, text, passed)]
+    return _records(theorem, field.p, field.r, K, rows, t0)
+
+
+def _lemma31_row(field: FqField, K: int | None, x: np.ndarray):
+    """LEMMA31 at each (t, j), both multiplication identities, over i < r:
+    omega(t)^(tj) times Gamma_p at {t p^i j/(q-1)} and the grid {h p^i/t},
+    0 < h < t, against Gamma_p at {h p^i/t + p^i j/(q-1)}, 0 <= h < t; and
+    omega(t)^(-tj) times Gamma_p at {-t p^i j/(q-1)} and the same grid,
+    against Gamma_p at {h p^i/t - p^i j/(q-1)}, 0 < h <= t.  Every point is
+    c/D with D = t(q-1), one evaluation for each t's instances.  A left
+    side puts its point {+-t p^i j/(q-1)} at the grid's h = 0, whose own
+    value is Gamma_p(0) = 1, so the four sides have t points for each i."""
+    t0, (p, r, q) = time.perf_counter(), (field.p, field.r, field.q)
+    cache = gamma_cache(p, default_precision(p, r) if K is None else K)
+    skipped, t, j = _gated([("t_divisible_by_p", x[:, 0] % p != 0)], *x.T)
+    if (t <= 0).any():
+        raise ValueError("t must be a positive integer coprime to p")
+    if ((j < 0) | (j > q - 2)).any():
+        raise ValueError("j out of range")
+    sides, pi = np.zeros((len(t), 4), dtype=residue_dtype(cache.modulus)), p ** np.arange(r)
+    for tv in sorted(set(t.tolist())):
+        at = t == tv
+        grid = np.outer(np.arange(tv + 1), pi * (q - 1))  # h p^i/t over D, h <= t
+        shift = tv * pi * j[at, None, None]  # p^i j/(q-1) over D, shape (n, 1, r)
+        own = tv * shift * (np.arange(tv) == 0)[:, None]  # t p^i j/(q-1) at h = 0
+        c = np.stack([grid[:tv] + own, grid[:tv] - own, grid[:tv] + shift, grid[1:] - shift], axis=1)
+        prods = _gamma_products(cache, c.reshape(len(shift), 4, tv * r), tv * (q - 1))
+        omega = _omega_powers(tv, tv * j[at, None] * np.array([1, -1]), p, cache.K)
+        prods[:, :2] = prods[:, :2] * omega % cache.modulus
+        sides[at] = prods
+    params = [{"t": tv, "j": jv} for tv, jv in zip(t.tolist(), j.tolist())]
+    return _gamma_records("LEMMA31", field, cache.K, params, sides, t0), skipped
+
+
+def _eq29_row(field: FqField, K: int | None, l: np.ndarray):
+    """EQ29 at each l: the product of Gamma_p at {l p^i/(q-1)} and
+    {-l p^i/(q-1)} over i < r, against (-1)^r omega-bar(-1)^l = (-1)^(r+l),
+    since omega-bar(-1) = -1 for odd p."""
+    t0, (p, r, q) = time.perf_counter(), (field.p, field.r, field.q)
+    cache = gamma_cache(p, default_precision(p, r) if K is None else K)
+    if ((l <= 0) | (l >= q - 1)).any():
+        raise ValueError("l must satisfy 0 < l < q-1")
+    shift = l[:, None] * p ** np.arange(r)
+    lhs = _gamma_products(cache, np.concatenate([shift, -shift], axis=1), q - 1)
+    sign = np.array([1, cache.modulus - 1], dtype=lhs.dtype)[(r + l) % 2]
+    params = [{"l": v} for v in l.tolist()]
+    return _gamma_records("EQ29", field, cache.K, params, np.stack([lhs, sign], axis=1), t0), []
 
 
 def verify_lemma31_record(p: int, r: int, t: int, j: int, K: int | None = None) -> VerifyRecord:
-    t0, (K, uctx) = time.perf_counter(), _context(build_field(p, r), K)
-    if t % p == 0:
-        raise PreconditionFailed("t_divisible_by_p")
-    (l1, r1), (l2, r2) = lemma31_sides(t, j, uctx)
-    passed = l1.coeffs == r1.coeffs and l2.coeffs == r2.coeffs
-    row = ({"t": t, "j": j}, f"{_zq_str(l1)};{_zq_str(l2)}", f"{_zq_str(r1)};{_zq_str(r2)}", passed)
-    return _records("LEMMA31", p, r, K, [row], t0)[0]
+    return _one(_lemma31_row(build_field(p, r), K, np.array([[t, j]])))
 
 
 def verify_eq29_record(p: int, r: int, l: int, K: int | None = None) -> VerifyRecord:
-    t0, (K, uctx) = time.perf_counter(), _context(build_field(p, r), K)
-    lhs, rhs = eq29_sides(l, uctx)
-    return _records("EQ29", p, r, K, [({"l": l}, _zq_str(lhs), _zq_str(rhs), lhs.coeffs == rhs.coeffs)], t0)[0]
+    return _one(_eq29_row(build_field(p, r), K, np.array([l])))
 
 
 def verify_lemma5_record(p: int, r: int, l: int, i: int) -> VerifyRecord:
@@ -485,6 +548,14 @@ def _cor2_roots(run: _SuiteRun, field: FqField, tag: str) -> np.ndarray:
     return np.stack([branch, d[keys], roots], axis=1)[np.argsort(keys, kind="stable")]
 
 
+def _lemma31_instances(run: _SuiteRun, field: FqField, tag: str) -> np.ndarray:
+    """The sampled (t, j) of the listing: each t in (2, 3, 6) prime to p with
+    every j in [0, q - 2], t then j in order."""
+    t, n = np.array([t for t in (2, 3, 6) if t % field.p]), field.q - 1
+    pos = run.sampled(len(t) * n, tag)
+    return np.stack([t[pos // n], pos % n], axis=1)
+
+
 _BS1_PARTNERS = 3
 
 
@@ -544,14 +615,12 @@ _PLANS = {
     "mc": (5, [("mc:{p}:{r}", _mc_draws, lambda run, f, x: _mc_row(f, run.spec.K, x))]),
     "hessian": (5, [("hessian:{p}:{r}", _unit_indices, lambda run, f, a: _hessian_row(
         f, run.spec.K, a, run.full, run.spec.allow_p5))]),
-    "lemma31": (3, [("lemma31:{p}:{r}", *_each(
-        lambda f: [(t, j) for t in (2, 3, 6) if t % f.p for j in range(f.q - 1)],
-        lambda s, f, tj: verify_lemma31_record(f.p, f.r, *tj, K=s.K)))]),
+    "lemma31": (3, [("lemma31:{p}:{r}", _lemma31_instances, lambda run, f, x: _lemma31_row(f, run.spec.K, x))]),
     "lemma5": (5, [("lemma5:{p}:{r}", *_each(
         lambda f: [(l, i) for l in range(1, f.q - 1) if 2 * l != f.q - 1 for i in range(f.r)],
         lambda s, f, li: verify_lemma5_record(f.p, f.r, *li)))]),
-    "eq29": (3, [("eq29:{p}:{r}", *_each(
-        lambda f: range(1, f.q - 1), lambda s, f, l: verify_eq29_record(f.p, f.r, l, K=s.K)))]),
+    "eq29": (3, [("eq29:{p}:{r}", lambda run, f, tag: run.sampled(f.q - 2, tag) + 1,
+                  lambda run, f, l: _eq29_row(f, run.spec.K, l))]),
     "gauss": (3, [
         ("gauss_gk:{p}:{r}", *_each(
             lambda f: range(1, f.q - 1), lambda s, f, k: verify_gauss_gk_record(f.p, f.r, k))),
@@ -559,7 +628,7 @@ _PLANS = {
             lambda f: range(1, f.q), lambda s, f, i: verify_gauss_theta_record(f.p, f.r, i))),
         *(_dh_row(m) for m in (2, 3, 6)),
     ]),
-    "ortho": (3, [(None, lambda run, f, tag: [None], lambda run, f, _: ([verify_ortho_record(f.p, f.r)], []))]),
+    "ortho": (3, [("ortho:{p}:{r}", *_each(lambda f: (None,), lambda s, f, _: verify_ortho_record(f.p, f.r)))]),
 }
 
 
@@ -674,6 +743,9 @@ def run_suite(spec: RangeSpec) -> Report:
     unknown = set(spec.theorems) - set(THEOREM_NAMES)
     if unknown:
         raise ValueError(f"unknown theorems: {sorted(unknown)}")
+    for name, values in (("theorems", spec.theorems), ("r values", spec.r_values)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"repeated {name}: {list(values)}")
     if spec.sample is not None and spec.sample < 0:
         raise ValueError(f"sample must be >= 0, got {spec.sample}")
     if spec.K is not None and spec.K < 1:
@@ -694,20 +766,9 @@ def run_suite(spec: RangeSpec) -> Report:
                 field = build_field(p, r)
                 for tag, lister, call in rows:
                     run.full = False
-                    records, skipped = call(run, field, lister(run, field, tag and tag.format(p=p, r=r)))
+                    records, skipped = call(run, field, lister(run, field, tag.format(p=p, r=r)))
                     run.records += records
                     run.skipped += len(skipped)
-    passed = sum(rec.passed for rec in run.records)
-    summary = {
-        "total": len(run.records),
-        "passed": passed,
-        "failed": len(run.records) - passed,
-        "skipped": run.skipped,
-    }
-    return Report(
-        suite="+".join(spec.theorems),
-        started_at=started,
-        config=spec.config_dict(),
-        records=run.records,
-        summary=summary,
-    )
+    total, passed = len(run.records), sum(rec.passed for rec in run.records)
+    summary = {"total": total, "passed": passed, "failed": total - passed, "skipped": run.skipped}
+    return Report("+".join(spec.theorems), started, spec.config_dict(), run.records, summary)

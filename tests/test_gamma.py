@@ -7,17 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padichyper.errors import CompositeP, DenominatorDivisibleByP
-from padichyper.fields import residue_dtype
+from padichyper.errors import CompositeP, DenominatorDivisibleByP, PreconditionFailed
+from padichyper.fields import build_field, residue_dtype
 from padichyper.gamma import (
     GammaCache,
-    _omega_power,
-    eq29_sides,
     gamma_cache,
     lemma5_sides,
     verify_reflection,
 )
 from padichyper.padic import (
+    default_precision,
+    frac_floor,
     teichmueller,
     unramified_context,
     zq_inv,
@@ -25,6 +25,8 @@ from padichyper.padic import (
 )
 from padichyper.verify import (
     RangeSpec,
+    _eq29_row,
+    _omega_powers,
     run_suite,
     verify_eq29_record,
     verify_lemma31_record,
@@ -405,22 +407,145 @@ class TestTeichmuellerIntegerForm:
 
     @pytest.mark.parametrize("p,K,r", [(5, 4, 1), (7, 3, 2), (5, 3, 3), (11, 5, 1), (3, 4, 2)])
     def test_omega_power_matches_lift(self, p, K, r):
+        # LEMMA31's rows take omega(t)^e as one integer in Z_p
         u = unramified_context(p, K, r)
-        q = p**r
+        q, zero = p**r, (0,) * (r - 1)
+        exponents = [0, 2, -1, q - 2, 3 * q]
         for a in range(1, p):
             lift = teichmueller(a, u)
-            assert _omega_power(a, 1, u).coeffs == lift.coeffs, (p, K, r, a)
-            for e in (0, 2, -1, q - 2, 3 * q):
+            assert (*_omega_powers(a, np.array([1]), p, K).tolist(), *zero) == lift.coeffs, (p, K, r, a)
+            powers = _omega_powers(a + p, np.array(exponents), p, K).tolist()
+            for e, power in zip(exponents, powers):
                 expected = zq_pow(lift, e % (q - 1))
-                assert _omega_power(a + p, e, u).coeffs == expected.coeffs, (a, e)
+                assert (power, *zero) == expected.coeffs, (a, e)
 
     @pytest.mark.parametrize("p,K,r", [(5, 4, 1), (7, 3, 2), (5, 3, 3)])
     def test_eq29_sign_matches_lift(self, p, K, r):
+        # the right side of EQ29's rows, (-1)^(r+l), against omega-bar(-1)^l (-1)^r
         u = unramified_context(p, K, r)
         q = p**r
         bar = zq_inv(teichmueller(p - 1, u))
-        for l in range(1, min(q - 1, 40)):
+        records, _ = _eq29_row(build_field(p, r), K, np.arange(1, min(q - 1, 40)))
+        for l, rec in enumerate(records, start=1):
             expected = zq_pow(bar, l)
             if r % 2:
                 expected = -expected
-            assert eq29_sides(l, u)[1].coeffs == expected.coeffs, (p, r, l)
+            assert rec.rhs == ".".join(map(str, expected.coeffs)), (p, r, l)
+
+
+def oracle_lemma31_sides(t: int, j: int, p: int, r: int, K: int):
+    """Both sides of LEMMA31's two multiplication identities as integers mod
+    p^K, one scalar Gamma_p value at a time: ((lhs1, rhs1), (lhs2, rhs2))."""
+    q, m, cache = p**r, p**K, gamma_cache(p, K)
+
+    def gv(x: Fraction) -> int:
+        return cache.gamma(frac_floor(x)[0])
+
+    lhs1 = pow(t, p ** (K - 1) * (t * j % (p - 1)), m)  # omega(t)^(tj)
+    lhs2 = pow(t, p ** (K - 1) * (-t * j % (p - 1)), m)
+    rhs1 = rhs2 = 1
+    for i in range(r):
+        pi = p**i
+        lhs1 = lhs1 * gv(Fraction(t * pi * j, q - 1)) % m
+        lhs2 = lhs2 * gv(Fraction(-t * pi * j, q - 1)) % m
+        for h in range(1, t):
+            lhs1 = lhs1 * gv(Fraction(h * pi, t)) % m
+            lhs2 = lhs2 * gv(Fraction(h * pi, t)) % m
+        for h in range(t):
+            rhs1 = rhs1 * gv(Fraction(h * pi, t) + Fraction(pi * j, q - 1)) % m
+            rhs2 = rhs2 * gv(Fraction((1 + h) * pi, t) - Fraction(pi * j, q - 1)) % m
+    return (lhs1, rhs1), (lhs2, rhs2)
+
+
+def oracle_eq29_sides(l: int, p: int, r: int, K: int):
+    """EQ29's product over Frobenius twists and its sign (-1)^(r+l), as
+    integers mod p^K, one scalar Gamma_p value at a time."""
+    q, m, cache = p**r, p**K, gamma_cache(p, K)
+    lhs = 1
+    for i in range(r):
+        pi = p**i
+        lhs = lhs * cache.gamma(frac_floor(Fraction((q - 1 - l) * pi, q - 1))[0]) % m
+        lhs = lhs * cache.gamma(frac_floor(Fraction(l * pi, q - 1))[0]) % m
+    return lhs, (-1) ** (r + l) % m
+
+
+def _zq(values, r: int) -> str:
+    """Integers of Z_p as the records write them: ';'-joined Z_q coordinates."""
+    return ";".join(f"{v}" + ".0" * (r - 1) for v in values)
+
+
+def _sweep(theorem: str, p: int, r: int, sample=None):
+    return run_suite(RangeSpec(theorems=(theorem,), pmin=p, pmax=p, r_values=(r,), qmax=p**r, sample=sample)).records
+
+
+ROW_FIELDS = [(7, 1), (13, 1), (5, 2), (7, 2), (5, 3), (89, 1)]  # F_7, F_13, F_25, F_49, F_125, F_89
+
+
+class TestProductIdentityRows:
+    """LEMMA31 and EQ29 rows against the per-point formulas over scalar
+    Gamma_p, at every record of a whole field."""
+
+    @pytest.mark.parametrize("p, r", ROW_FIELDS)
+    def test_lemma31_row_matches_oracle(self, p, r):
+        K, records = default_precision(p, r), _sweep("lemma31", p, r)
+        listed = [(t, j) for t in (2, 3, 6) if t % p for j in range(p**r - 1)]
+        assert [(rec.params["t"], rec.params["j"]) for rec in records] == listed
+        for rec in records:
+            (l1, r1), (l2, r2) = oracle_lemma31_sides(rec.params["t"], rec.params["j"], p, r, K)
+            assert (rec.lhs, rec.rhs, rec.passed) == (_zq((l1, l2), r), _zq((r1, r2), r), True), rec.params
+            assert rec.K == K
+
+    @pytest.mark.parametrize("p, r", ROW_FIELDS)
+    def test_eq29_row_matches_oracle(self, p, r):
+        K, records = default_precision(p, r), _sweep("eq29", p, r)
+        assert [rec.params["l"] for rec in records] == list(range(1, p**r - 1))
+        for rec in records:
+            lhs, rhs = oracle_eq29_sides(rec.params["l"], p, r, K)
+            assert (rec.lhs, rec.rhs, rec.passed) == (_zq((lhs,), r), _zq((rhs,), r), lhs == rhs), rec.params
+
+    @pytest.mark.parametrize("p, r", [(7, 1), (5, 2), (89, 1)])
+    def test_lone_records_equal_row_records(self, p, r):
+        strip = lambda rec: {**rec.to_dict(), "elapsed_ms": 0}  # noqa: E731
+        for rec in _sweep("lemma31", p, r, sample=12):
+            assert strip(verify_lemma31_record(p, r, rec.params["t"], rec.params["j"])) == strip(rec)
+        for rec in _sweep("eq29", p, r, sample=12):
+            assert strip(verify_eq29_record(p, r, rec.params["l"])) == strip(rec)
+
+    @pytest.mark.parametrize("p, K", [(7, 4), (89, 5)])
+    def test_lone_records_at_t_one_and_low_precision(self, p, K):
+        # t = 1 is outside the listing; its grid is {0} alone
+        for t, j in [(1, 0), (1, 5), (4, 5), (5, 1)]:
+            rec = verify_lemma31_record(p, 1, t, j, K=K)
+            (l1, r1), (l2, r2) = oracle_lemma31_sides(t, j, p, 1, K)
+            assert (rec.lhs, rec.rhs, rec.passed) == (_zq((l1, l2), 1), _zq((r1, r2), 1), True)
+
+    def test_lone_record_rejections(self):
+        with pytest.raises(PreconditionFailed, match="t_divisible_by_p"):
+            verify_lemma31_record(7, 1, 14, 99)
+        with pytest.raises(ValueError, match="t must be"):
+            verify_lemma31_record(7, 1, -2, 0)
+        for j in (-1, 6):
+            with pytest.raises(ValueError, match="j out of range"):
+                verify_lemma31_record(7, 1, 2, j)
+        for l in (0, 6, -1):
+            with pytest.raises(ValueError, match="0 < l < q-1"):
+                verify_eq29_record(7, 1, l)
+
+
+class TestArrayEvaluator:
+    """``GammaCache.values`` at arbitrary integer points c/D against scalar
+    Gamma_p(c/D)."""
+
+    @pytest.mark.parametrize("p, K", [(7, 5), (13, 4), (89, 5), (199, 5)])
+    @pytest.mark.parametrize("D", [1, 12, 60])
+    def test_points_against_scalar(self, p, K, D):
+        cache = gamma_cache(p, K)
+        rng = random.Random(p * D + K)
+        c = [0, -1, -D, D, 2 * D + 1, 5, 5, -7, -7, 3 * D - 1] + [rng.randrange(-5 * D, 5 * D) for _ in range(30)]
+        values = cache.values(np.array(c), D)
+        assert values.dtype == residue_dtype(p**K)
+        assert values.tolist() == [cache.gamma(Fraction(x, D)) for x in c], (p, K, D)
+
+    def test_rejects_denominator_divisible_by_p(self):
+        with pytest.raises(DenominatorDivisibleByP):
+            GammaCache(7, 3).values(np.arange(3), 21)

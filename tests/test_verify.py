@@ -342,6 +342,31 @@ class TestSuite:
         with pytest.raises(ValueError):
             run_suite(RangeSpec(theorems=("nope",)))
 
+    @pytest.mark.parametrize(
+        "theorems, r_values, name",
+        [
+            (("ortho", "ortho"), (1,), "theorems"),
+            (("ortho",), (1, 1), "r values"),
+            (("mt1", "ortho", "mt1"), (2, 1), "theorems"),
+        ],
+        ids=["theorem", "r", "theorem-among-others"],
+    )
+    def test_repeats_rejected_before_any_field(self, monkeypatch, theorems, r_values, name):
+        # a repeated theorem or r used to sweep each field again and count its records twice
+        def no_fields(*args, **kwargs):
+            raise AssertionError("a field was built")
+
+        monkeypatch.setattr(verify_module, "build_field", no_fields)
+        with pytest.raises(ValueError, match=f"repeated {name}"):
+            run_suite(RangeSpec(theorems=theorems, pmin=7, pmax=7, r_values=r_values))
+
+    def test_sample_zero_checks_nothing_in_every_plan(self):
+        # ortho used to check its one record per field whatever the sample
+        report = run_suite(RangeSpec(pmin=5, pmax=7, r_values=(1, 2), sample=0, allow_p5=True))
+        assert report.summary == {"total": 0, "passed": 0, "failed": 0, "skipped": 0}
+        ortho = run_suite(RangeSpec(theorems=("ortho",), pmin=5, pmax=7, r_values=(1, 2), sample=1))
+        assert [(rec.p, rec.r) for rec in ortho.records] == [(5, 1), (7, 1), (5, 2), (7, 2)]
+
     def test_json_schema(self):
         spec = RangeSpec(theorems=("lemma5",), pmin=7, pmax=7, r_values=(1,))
         doc = json.loads(run_suite(spec).to_json())
@@ -780,3 +805,23 @@ class TestColdPath:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_other_plans_import_no_numpy_module_but_fft(self):
+        """lemma31, lemma5, eq29 and ortho load no such module either; gauss
+        loads only ``numpy.fft``, which its FFT Gauss-sum tables use.  Each
+        plan's sweep is charged with the modules it loads first."""
+        code = (
+            "import sys\n"
+            "import padichyper\n"
+            "for theorem in ('lemma31', 'lemma5', 'eq29', 'ortho', 'gauss'):\n"
+            "    before = set(sys.modules)\n"
+            "    spec = padichyper.RangeSpec(theorems=(theorem,), pmin=5, pmax=89, r_values=(1, 2), qmax=200)\n"
+            "    assert padichyper.run_suite(spec).summary['total'] > 0\n"
+            "    print(theorem, *sorted(m for m in set(sys.modules) - before if m.startswith('numpy.')))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        loaded = {theorem: modules for theorem, *modules in map(str.split, proc.stdout.splitlines())}
+        gauss = loaded.pop("gauss")
+        assert all(m.startswith("numpy.fft") for m in gauss), gauss
+        assert loaded == {"lemma31": [], "lemma5": [], "eq29": [], "ortho": []}
