@@ -2,8 +2,11 @@
 the j-invariant, and the Hessian-to-Weierstrass parameter bridge used by
 the transformation checks.
 
-Both counts are O(q) quadratic-character sums; their brute-force oracles
-live in the test suite.
+Both counts are quadratic-character sums over the field, taken for a whole
+row of curves at once (``weierstrass_traces``, ``hessian_counts``) in chunks
+of ``COUNT_ELEMENTS`` (curve, element) pairs; ``count_weierstrass`` and
+``count_hessian`` are rows of one.  Their brute-force oracles live in the
+test suite.
 """
 
 from __future__ import annotations
@@ -57,41 +60,90 @@ class CurveCount:
     trace: int
 
 
-def cubic_values(a: FqElement, b: FqElement) -> np.ndarray:
-    """x^3 + a x + b at every x of the field, as element indices in index order."""
-    f = a.field
+# (curve, field element) terms per chunk of a row's character sum, 512 KB
+# of int64 per temporary: small enough to stay near the cache and to bound
+# a row's memory, large enough that numpy's per-call cost vanishes.
+COUNT_ELEMENTS = 2**16
+
+
+def _row_sums(n: int, width: int, chunk_sum) -> np.ndarray:
+    """``chunk_sum(lo, hi)`` for the curves lo..hi-1 of a row of n, each summed
+    over ``width`` terms, in chunks of at most ``COUNT_ELEMENTS`` terms and
+    one curve at least."""
+    step = max(1, COUNT_ELEMENTS // width)
+    if n <= step:
+        return chunk_sum(0, n)
+    return np.concatenate([chunk_sum(lo, lo + step) for lo in range(0, n, step)])
+
+
+def weierstrass_traces(f: FqField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Trace of Frobenius of each y^2 = x^3 + a x + b, for index arrays a, b of
+    nonsingular curves: each x contributes 1 + phi(x^3 + ax + b) affine points,
+    so the trace is q - affine = -sum_x phi(x^3 + ax + b).  Raises
+    AssertionError if a trace breaks the Hasse bound tr^2 <= 4q."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
     xs = np.arange(f.q, dtype=np.int64)
-    return f.np_add(f.np_add(f.np_pow(xs, 3), f.np_mul(xs, a.idx)), b.idx)
+    cubes = f.np_pow(xs, 3)
+
+    def chunk_sum(lo, hi):
+        values = f.np_add(f.np_add(cubes, f.np_mul(xs, a[lo:hi, None])), b[lo:hi, None])
+        return -f.np_phi(values).sum(axis=1)
+
+    traces = _row_sums(len(a), f.q, chunk_sum)
+    bad = traces[traces * traces > 4 * f.q]
+    if bad.size:
+        raise AssertionError(f"trace {bad[0]} violates the Hasse bound for q={f.q}")
+    return traces
+
+
+def hessian_counts(f: FqField, d: np.ndarray) -> np.ndarray:
+    """Number of affine solutions of x^3 + y^3 + 1 = 3 d x y, for an index array
+    of smooth d.  With u = x + y, v = xy it reads 3 v (u + d) = u^3 + 1: u = -d
+    gives no point (1 - d^3 != 0), any other u fixes v and gives the
+    1 + phi(u^2 - 4v) ordered roots (x, y) of z^2 - u z + v.  Times the square
+    (u + d)^2, u^2 - 4v is (u + d)(d u^2 - (u^3 + 4)/3), so the count is q - 1
+    plus S(d) = sum_u phi(u + d) phi(d u^2 - (u^3 + 4)/3), whose u = -d term is 0.
+    S(0) is summed as it stands.  For d != 0, u = d w gives
+    S(d) = phi(d) sum_w phi(w + 1) phi(d^3 B(w) + c), B(w) = w^2 - w^3/3 and
+    c = -4/3: one gather per (d, w) from the table of phi(g^s + c), at
+    s = dlog d^3 + dlog B(w).  In characteristic 3 it is (x + y + 1)^3 = 0,
+    q points."""
+    d = np.asarray(d, dtype=np.int64)
+    q = f.q
+    if f.p == 3:
+        return np.full(len(d), q, dtype=np.int64)
+    ws = np.arange(q, dtype=np.int64)
+    chi, minus_third = f.np_phi(ws), (f.element(-1) / f.element(3)).idx
+    cubes = f.np_pow(ws, 3)
+    c = f.np_mul(4, minus_third)
+    at_zero = (chi * chi[f.np_mul(f.np_add(cubes, 4), minus_third)]).sum()
+    B = f.np_add(f.np_pow(ws, 2), f.np_mul(cubes, minus_third))
+    # phi(w + 1) = 0 masks the w = -1 term, which is u = -d; a w with B(w) = 0
+    # adds phi(w + 1) phi(c) whatever d is
+    weight = chi[f.np_add(ws, 1)]
+    on_zero = weight[B == 0].sum() * chi[c]
+    cols = np.flatnonzero((B != 0) & (weight != 0))
+    log_B, weight, table = f.dlog_np[B[cols]], weight[cols], chi[f.np_add(f.exp_np, c)]
+    log_D = 3 * f.dlog_np[d] % (q - 1)
+
+    def chunk_sum(lo, hi):
+        return (table[log_D[lo:hi, None] + log_B] * weight).sum(axis=1)
+
+    sums = _row_sums(len(d), len(cols), chunk_sum)
+    return q - 1 + np.where(d == 0, at_zero, chi[d] * (sums + on_zero))
 
 
 def count_weierstrass(E: WeierstrassCurve) -> CurveCount:
-    """Point count via the character sum: each x contributes 1 + phi(x^3+ax+b)
-    affine points, plus the single point at infinity."""
-    f = E.field
-    q = f.q
-    affine = q + int(f.np_phi(cubic_values(E.a, E.b)).sum())
-    tr = q - affine
-    if tr * tr > 4 * q:
-        raise AssertionError(f"trace {tr} violates the Hasse bound for q={q}")
+    """Point count of one curve, a row of one through ``weierstrass_traces``:
+    q - trace affine points, plus the single point at infinity."""
+    tr = int(weierstrass_traces(E.field, np.array([E.a.idx]), np.array([E.b.idx]))[0])
+    affine = E.field.q - tr
     return CurveCount(affine=affine, projective=affine + 1, trace=tr)
 
 
 def count_hessian(C: HessianCurve) -> int:
-    """Number of affine solutions of x^3 + y^3 + 1 = 3 d x y.  With u = x + y,
-    v = xy it reads 3 v (u + d) = u^3 + 1: u = -d gives no point (1 - d^3 != 0),
-    any other u fixes v and gives the 1 + phi(u^2 - 4v) ordered roots (x, y) of
-    z^2 - u z + v.  In characteristic 3 it is (x + y + 1)^3 = 0, q points."""
-    f = C.field
-    if f.p == 3:
-        return f.q
-    us = np.delete(np.arange(f.q, dtype=np.int64), (-C.d).idx)
-    num = f.np_add(f.np_pow(us, 3), 1)
-    den = f.np_add(us, C.d.idx)
-    # -4v = (-4/3) (u^3 + 1) / (u + d) through the dlog tables; den is never 0
-    shift = (f.element(-4) / f.element(3)).dlog()
-    minus_4v = f.exp_np[(f.dlog_np[num] - f.dlog_np[den] + shift) % (f.q - 1)]
-    disc = f.np_add(f.np_pow(us, 2), np.where(num == 0, 0, minus_4v))
-    return us.size + int(f.np_phi(disc).sum())
+    """Affine count of one Hessian cubic, a row of one through ``hessian_counts``."""
+    return int(hessian_counts(C.field, np.array([C.d.idx]))[0])
 
 
 def hessian_bridge(d: FqElement) -> tuple[FqElement, FqElement]:

@@ -109,6 +109,11 @@ class FqField:
         self.dlog = dlog.tolist()
         self.exp_np = np.concatenate([exp, exp])
         self.dlog_np = dlog
+        # the quadratic character by index (g^s is a square iff s is even), as
+        # int8: gathering one byte a value, not eight, runs about four times faster
+        self.phi_np = np.ones(q, dtype=np.int8)
+        self.phi_np[exp[1::2]] = -1
+        self.phi_np[0] = 0
         self.zero, self.one = FqElement(self, 0), FqElement(self, 1)
         self.generator = FqElement(self, gen_idx)
         if r > 1:  # 1 + x bumps only the low base-p digit of x; -1 marks 1 + g^n = 0
@@ -150,6 +155,8 @@ class FqField:
         return np.where(a == 0, b, np.where(b == 0, a, out))
 
     def np_mul(self, a: np.ndarray, b) -> np.ndarray:
+        if self.r == 1:  # p < 2^17, so products stay below 2^34
+            return (a * b) % self.p
         a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
         out = self.exp_np[self.dlog_np[a] + self.dlog_np[b]]
         return np.where((a == 0) | (b == 0), 0, out)
@@ -163,8 +170,8 @@ class FqField:
         return np.where(arr == 0, 0, out)
 
     def np_phi(self, arr: np.ndarray) -> np.ndarray:
-        """The quadratic character of each element: 0, 1 or -1."""
-        return np.where(arr == 0, 0, 1 - 2 * (self.dlog_np[arr] & 1))
+        """The quadratic character of each element: 0, 1 or -1, as int8."""
+        return self.phi_np[arr]
 
     # -- elements ---------------------------------------------------------------
 

@@ -17,7 +17,8 @@ Hessian side at d with alpha + phi(-3) plus the trace side at the bridged
 Weierstrass model (m, n), twisted by n; COR2 rewrites that trace side by BS1
 at (m, n), as the branch side times phi(n).  BS1 compares the untwisted
 trace side with the branch side.  MC and HESSIAN recover one side as an
-integer and compare it with a count enumerated for each instance.
+integer and compare it with a point count, one character sum per row
+(``weierstrass_traces``, ``hessian_counts``).
 
 The transformation identities are implemented in the form that the
 enumeration cross-checks force: the Weierstrass model bridged to the Hessian
@@ -47,7 +48,7 @@ from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from fractions import Fraction
 
-from .curves import HessianCurve, WeierstrassCurve, count_hessian, count_weierstrass
+from .curves import hessian_counts, weierstrass_traces
 from .errors import PreconditionFailed, PadicHyperError
 from .fields import DEFAULT_MAX_Q, FqField, build_field, check_orthogonality, phi, residue_dtype, uctx_for
 from .gamma import GammaCache, gamma_cache, lemma5_sides
@@ -55,7 +56,8 @@ from .gauss import davenport_hasse_sides, default_tolerance, gk_product_sides, t
 from .hyper import GParams, profile_for, qg_table, recover_integer
 from .padic import default_precision, is_prime, renormalize
 
-# Not called here; perfbench/tracing.py wraps it under this name.
+# Not called here; perfbench/tracing.py wraps them under these names.
+from .curves import count_hessian, count_weierstrass  # noqa: F401
 from .padic import padic_sum  # noqa: F401
 
 PARAMS_QUARTER_THIRD = GParams(2, (Fraction(1, 4), Fraction(3, 4)), (Fraction(1, 3), Fraction(2, 3)))
@@ -219,7 +221,7 @@ def _compared(theorems, field: FqField, K: int, params: list, lhs, rhs, t0: floa
 
 
 def _counted(theorem: str, field: FqField, K: int, uctx, params, counts, sides, bound, t0, closed_form):
-    """Records of enumerated counts against series sides recovered as
+    """Records of point counts against series sides recovered as
     integers in [-bound, bound] and mapped through ``closed_form``."""
     rows = []
     for pa, count, side in zip(params, counts, sides.tolist()):
@@ -276,29 +278,33 @@ def _bs1_row(field: FqField, K: int | None, x: np.ndarray, full: bool):
     return _compared([f"BS1_{br}" for br in branch.tolist()], field, K, params, lhs, rhs, t0), skipped
 
 
+def _weierstrass_disc(field: FqField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """4a^3 + 27b^2 at each (a, b): y^2 = x^3 + ax + b is singular where it is 0."""
+    p = field.p
+    return field.np_add(field.np_mul(field.np_pow(a, 3), 4 % p), field.np_mul(field.np_pow(b, 2), 27 % p))
+
+
 def _mc_row(field: FqField, K: int | None, x: np.ndarray):
-    """MC at each (a, b): the enumerated trace of Frobenius of y^2 = x^3 + ax + b
+    """MC at each (a, b): the counted trace of Frobenius of y^2 = x^3 + ax + b
     against the twisted trace side recovered as an integer, always summed."""
     t0, (K, uctx) = time.perf_counter(), _context(field, K)
     p, (a, b) = field.p, x.T
-    disc = field.np_add(field.np_mul(field.np_pow(a, 3), 4 % p), field.np_mul(field.np_pow(b, 2), 27 % p))
     skipped, a, b = _gated([("p_too_small", p > 3), ("j_is_zero", a != 0), ("j_is_1728", b != 0),
-                            ("singular_curve", disc != 0)], a, b)
-    curves = (WeierstrassCurve(*map(field.from_index, ab)) for ab in zip(a.tolist(), b.tolist()))
-    traces = [count_weierstrass(E).trace for E in curves]
+                            ("singular_curve", _weierstrass_disc(field, a, b) != 0)], a, b)
+    traces = weierstrass_traces(field, a, b).tolist()
     sides = _series(PARAMS_QUARTER_THIRD, field, uctx, False, _trace_arg(field, a, b), b)
     params, bound = _params(field, ("a", "b"), a, b), math.isqrt(4 * field.q)
     return _counted("MC", field, K, uctx, params, traces, sides, bound, t0, lambda X: X), skipped
 
 
 def _hessian_row(field: FqField, K: int | None, a: np.ndarray, full: bool, allow_small_p: bool):
-    """HESSIAN at each a: the enumerated affine count of x^3 + y^3 + 1 = 3axy
+    """HESSIAN at each a: the affine count of x^3 + y^3 + 1 = 3axy
     against alpha - 1 + q - q phi(-3a) 2G2[1/2,1/2;1/6,5/6 | 1/a^3]."""
     t0, (K, uctx) = time.perf_counter(), _context(field, K)
     p, q, alpha = field.p, field.q, _alpha(field)
     small = ("p_too_small", p > 5 or (allow_small_p and p > 3))
     skipped, a = _gated([small, ("a_is_zero", a != 0), ("a_cubed_is_one", field.np_pow(a, 3) != 1)], a)
-    counts = [count_hessian(HessianCurve(field.from_index(i))) for i in a.tolist()]
+    counts = hessian_counts(field, a).tolist()
     sides = _series(PARAMS_HALF_SIXTH, field, uctx, full, field.np_pow(a, -3), field.np_mul(a, -3 % p))
     params, bound = _params(field, ("a",), a), q + 6 * math.isqrt(q) + 6
     closed_form = lambda X: alpha - 1 + q - X  # noqa: E731
@@ -339,14 +345,14 @@ def verify_bs1(branch: int, p: int, r: int, a, b, aux, K: int | None = None) -> 
 
 
 def verify_mc(p: int, r: int, a, b, K: int | None = None) -> VerifyRecord:
-    """Trace formula: the enumerated trace of Frobenius of y^2 = x^3 + ax + b
+    """Trace formula: the counted trace of Frobenius of y^2 = x^3 + ax + b
     against phi(b) q 2G2[1/4,3/4;1/3,2/3 | -27b^2/4a^3] recovered as an integer."""
     field = build_field(p, r)
     return _one(_mc_row(field, K, _indices(field, a, b)[None]))
 
 
 def verify_hessian(p: int, r: int, a, K: int | None = None, allow_small_p: bool = False) -> VerifyRecord:
-    """Enumerated affine count of x^3 + y^3 + 1 = 3axy against the closed form
+    """The affine count of x^3 + y^3 + 1 = 3axy against the closed form
     alpha - 1 + q - q phi(-3a) 2G2[1/2,1/2;1/6,5/6 | 1/a^3]."""
     field = build_field(p, r)
     return _one(_hessian_row(field, K, _indices(field, a), False, allow_small_p))
@@ -591,12 +597,16 @@ def _mc_draws(run: _SuiteRun, field: FqField, tag: str) -> np.ndarray:
     their row skips them."""
     want = run.spec.sample if run.spec.sample is not None else 20
     rng = random.Random(f"{run.spec.seed}:{tag}")
-    draws, nonsingular = [], 0
-    while nonsingular < want and len(draws) < 100 * want:
-        a, b = (field.from_index(rng.randrange(1, field.q)) for _ in "ab")
-        draws.append((a.idx, b.idx))
-        nonsingular += not (4 * a**3 + 27 * b * b).is_zero
-    return np.array(draws, dtype=np.int64).reshape(-1, 2)
+    batches, drawn, nonsingular = [], 0, 0
+    while nonsingular < want and drawn < 100 * want:
+        # each draw may be the last nonsingular one wanted, so a batch of this
+        # size makes the rng calls and stops where one draw at a time would
+        n = min(want - nonsingular, 100 * want - drawn)
+        ab = np.array([rng.randrange(1, field.q) for _ in range(2 * n)], dtype=np.int64).reshape(n, 2)
+        batches.append(ab)
+        drawn += n
+        nonsingular += int(np.count_nonzero(_weierstrass_disc(field, ab[:, 0], ab[:, 1])))
+    return np.concatenate(batches) if batches else np.zeros((0, 2), dtype=np.int64)
 
 
 def _dh_row(m: int):

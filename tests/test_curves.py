@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from padichyper import curves
 from padichyper.curves import (
     CurveCount,
     HessianCurve,
@@ -11,13 +12,21 @@ from padichyper.curves import (
     check_count_relation,
     count_hessian,
     count_weierstrass,
-    cubic_values,
     hessian_bridge,
+    hessian_counts,
     j_invariant,
+    weierstrass_traces,
 )
 from padichyper.errors import PreconditionFailed, SingularCurve, SingularHessian
 from padichyper.fields import FqField, build_field, phi
 from padichyper.verify import verify_mc
+
+
+def cubic_values(a, b) -> np.ndarray:
+    """x^3 + a x + b at every x of the field, as element indices in index order."""
+    f = a.field
+    xs = np.arange(f.q, dtype=np.int64)
+    return f.np_add(f.np_add(f.np_pow(xs, 3), f.np_mul(xs, a.idx)), b.idx)
 
 
 def count_weierstrass_enumerate(E: WeierstrassCurve, f: FqField) -> CurveCount:
@@ -143,8 +152,10 @@ class TestHessianCount:
 
     @pytest.mark.parametrize("p,r", [(3, 1), (3, 2), (3, 3)])
     def test_characteristic_three_is_a_line(self, p, r):
-        # (x + y + 1)^3 = 0: the count is q for every smooth d
+        # (x + y + 1)^3 = 0: the count is q for every smooth d, in a row too
         f = build_field(p, r)
+        row = hessian_counts(f, np.array([C.d.idx for C in smooth_hessians(f)])).tolist()
+        assert row == [f.q] * len(row)
         for C in smooth_hessians(f):
             assert count_hessian(C) == count_hessian_enumerate(C, f) == f.q
 
@@ -154,10 +165,14 @@ class TestHessianCount:
          (23, 1), (29, 1), (31, 1), (37, 1), (41, 1), (43, 1), (47, 1)],
     )
     def test_every_d_matches_enumeration(self, p, r):
-        # with the p = 3 fields above, every field with q <= 49, d = 0 included
+        # with the p = 3 fields above, every field with q <= 49, d = 0 included:
+        # each d alone, and every d in one row
         f = build_field(p, r)
-        for C in smooth_hessians(f):
-            assert count_hessian(C) == count_hessian_enumerate(C, f), (p, r, C.d)
+        hessians = list(smooth_hessians(f))
+        row = hessian_counts(f, np.array([C.d.idx for C in hessians])).tolist()
+        for C, in_row in zip(hessians, row):
+            expected = count_hessian_enumerate(C, f)
+            assert count_hessian(C) == in_row == expected, (p, r, C.d)
 
     @pytest.mark.parametrize("p,r", [(5, 3), (13, 2)])
     def test_every_d_matches_grid(self, p, r):
@@ -170,6 +185,76 @@ class TestHessianCount:
         for di in random.Random(0).sample(range(f.q), 3):
             C = HessianCurve(f.from_index(di))
             assert count_hessian(C) == count_hessian_grid(C, f), di
+
+
+def weierstrass_oracle_traces(f: FqField) -> dict:
+    """count_weierstrass_enumerate's trace at every nonsingular (a, b) of f,
+    enumerated once per class (a, b) ~ (u^4 a, u^6 b): (x, y) -> (u^2 x, u^3 y)
+    carries one curve onto the other, so both have the same count."""
+    traces = {}
+    for ai in range(f.q):
+        for bi in range(f.q):
+            a, b = f.from_index(ai), f.from_index(bi)
+            if (ai, bi) in traces or (4 * a**3 + 27 * b * b).is_zero:
+                continue
+            trace = count_weierstrass_enumerate(WeierstrassCurve(a, b), f).trace
+            for u in f.units():
+                traces[((u**4 * a).idx, (u**6 * b).idx)] = trace
+    return traces
+
+
+def _small_fields():
+    """Every field with q <= 49 and r <= 2."""
+    return [(p, 1) for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)] + [(3, 2), (5, 2), (7, 2)]
+
+
+class TestCountKernels:
+    """The row kernels against the enumeration and grid oracles, which share
+    no code with them."""
+
+    @pytest.mark.parametrize("p,r", _small_fields())
+    def test_every_curve_in_one_row(self, p, r):
+        f = build_field(p, r)
+        expected = weierstrass_oracle_traces(f)
+        a, b = np.array(sorted(expected), dtype=np.int64).T
+        assert weierstrass_traces(f, a, b).tolist() == [expected[ab] for ab in zip(a.tolist(), b.tolist())]
+
+    def test_empty_rows(self):
+        none = np.zeros(0, dtype=np.int64)
+        for p, r in ((3, 1), (5, 1), (7, 2)):
+            f = build_field(p, r)
+            assert weierstrass_traces(f, none, none).shape == (0,)
+            assert hessian_counts(f, none).shape == (0,)
+
+    @pytest.mark.parametrize("p,r", [(13, 1), (5, 2)])
+    def test_rows_split_unevenly_across_chunks(self, monkeypatch, p, r):
+        f = build_field(p, r)
+        expected = weierstrass_oracle_traces(f)
+        a, b = np.array(sorted(expected), dtype=np.int64).T
+        traces = [expected[ab] for ab in zip(a.tolist(), b.tolist())]
+        hessians = list(smooth_hessians(f))
+        d = np.array([C.d.idx for C in hessians])
+        counts = [count_hessian_grid(C, f) for C in hessians]
+        for chunk in (1, f.q - 1, f.q, 2 * f.q + 1, 3 * f.q - 1, 7 * f.q + 3):
+            monkeypatch.setattr(curves, "COUNT_ELEMENTS", chunk)
+            assert weierstrass_traces(f, a, b).tolist() == traces, chunk
+            assert hessian_counts(f, d).tolist() == counts, chunk
+
+    @pytest.mark.parametrize("p,r", [(9973, 1), (101, 2)])
+    def test_seeded_d_on_large_fields(self, p, r):
+        # seven d, whose last one falls in a second chunk of the row; the grid
+        # row oracle takes seconds a d at this size, so it checks that one
+        f = build_field(p, r)
+        hessians = [HessianCurve(f.from_index(i)) for i in random.Random(p).sample(range(f.q), 7)]
+        counts = hessian_counts(f, np.array([C.d.idx for C in hessians])).tolist()
+        assert counts == [count_hessian(C) for C in hessians]
+        assert counts[-1] == count_hessian_grid(hessians[-1], f)
+
+    def test_hasse_bound_is_checked(self, monkeypatch):
+        f = build_field(7, 1)
+        monkeypatch.setattr(f, "np_phi", lambda arr: np.ones_like(arr))
+        with pytest.raises(AssertionError, match="Hasse bound"):
+            weierstrass_traces(f, np.array([1, 2]), np.array([1, 1]))
 
 
 class TestBridge:

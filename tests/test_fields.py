@@ -256,6 +256,17 @@ class TestOperators:
         squares = {tuple(vec_mul(f, vec(f, i), vec(f, i))) for i in range(1, q)}
         assert f.np_phi(idx).tolist() == [0] + [1 if tuple(vec(f, i)) in squares else -1 for i in range(1, q)]
 
+    def test_prime_field_products_and_characters_at_the_largest_p(self):
+        # np_mul multiplies prime-field indices as integers: (p - 1)^2 must not
+        # overflow; np_phi against Euler's criterion
+        p = 99_991
+        f = build_field(p, 1)
+        xs = np.array([0, 1, 2, 3, 12_345, p // 2, p - 2, p - 1])
+        expected = [[x * y % p for y in xs.tolist()] for x in xs.tolist()]
+        assert f.np_mul(xs[:, None], xs[None, :]).tolist() == expected
+        euler = [0] + [1 if pow(x, (p - 1) // 2, p) == 1 else -1 for x in xs.tolist()[1:]]
+        assert f.np_phi(xs).tolist() == euler
+
     def test_zero_division_and_zero_powers(self):
         for f in (build_field(7, 1), build_field(5, 2)):
             with pytest.raises(ZeroArgument, match="0 has no inverse"):

@@ -788,6 +788,35 @@ class TestCOR2Listing:
         assert (listed == expected).all()
 
 
+def oracle_mc_draws(run, field, tag):
+    """The scalar MC draw: one (a, b) at a time until ``sample`` are nonsingular."""
+    want = run.spec.sample if run.spec.sample is not None else 20
+    rng = random.Random(f"{run.spec.seed}:{tag}")
+    draws, nonsingular = [], 0
+    while nonsingular < want and len(draws) < 100 * want:
+        a, b = (field.from_index(rng.randrange(1, field.q)) for _ in "ab")
+        draws.append((a.idx, b.idx))
+        nonsingular += not (4 * a**3 + 27 * b * b).is_zero
+    return np.array(draws, dtype=np.int64).reshape(-1, 2)
+
+
+class TestMCDraws:
+    """The batched MC draw against the scalar loop it replaced."""
+
+    @pytest.mark.parametrize("p, r", [(p, r) for r in (1, 2) for p in range(5, 48) if is_prime(p)])
+    def test_identical_draws(self, p, r):
+        field = build_field(p, r)
+        tag, singular = f"mc:{p}:{r}", 0
+        for seed in range(5):
+            for sample in (0, 1, 20, 40):
+                run = verify_module._SuiteRun(RangeSpec(seed=seed, sample=sample))
+                drawn, expected = verify_module._mc_draws(run, field, tag), oracle_mc_draws(run, field, tag)
+                assert drawn.shape == expected.shape and (drawn == expected).all(), (seed, sample)
+                singular += len(expected) - sample
+        if field.q in (5, 7, 25):
+            assert singular > 0
+
+
 class TestColdPath:
     def test_series_sweeps_import_no_numpy_module(self):
         """The series plans use no numpy module that ``import numpy`` leaves
