@@ -10,13 +10,13 @@ Layers, bottom up:
   in p and K), one point or an array of points at once.
 - ``fields``: F_{p^r} with deterministic generator and discrete-log tables,
   multiplicative characters, trace.
-- ``gauss``: complex-float Gauss sums and both sides of their relations.
+- ``gauss``: complex-float Gauss sums and their tolerance.
 - ``hyper``: the nGn series evaluator (``g_eval`` and ``GProfile.eval_qg``
   share one gather-and-dot-product sum) and integer recovery.
 - ``curves``: Weierstrass/Hessian point counts and the parameter bridge.
 - ``verify``: identity checks as records, each its identity's one pass/fail
-  decision, the series and gamma product checks a row of instances at a
-  time; range sweeps and reports.
+  decision, every check a row of instances at a time; range sweeps and
+  reports.
 - ``cli``: the command-line entry point.
 """
 

@@ -1,6 +1,6 @@
 """Morita's p-adic gamma function at rational arguments with p-free
-denominator, to precision p^K, the reflection check, and both sides of the
-floor identity.  The gamma product identities are rows in ``verify``.
+denominator, to precision p^K, and the reflection check.  The gamma product
+identities are rows in ``verify``.
 
 The continuity estimate Gamma_p(x) = Gamma_p(n) mod p^K for any integer
 n = x mod p^K reduces every evaluation to Gamma_p(n) = (-1)^n f(n), where
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DenominatorDivisibleByP
 from .fields import residue_dtype
-from .padic import frac_floor, odd_prime_modulus
+from .padic import odd_prime_modulus
 
 
 def _mul(a: list[int], b: list[int], m: int) -> list[int]:
@@ -164,28 +164,3 @@ def verify_reflection(x, cache: GammaCache) -> bool:
     expected = (m - 1) if x0 % 2 else 1
     return prod == expected
 
-
-def lemma5_sides(l: int, i: int, p: int, r: int) -> tuple[int, int]:
-    """The two signed floor sums built from l p^i/(q-1) and the fractional
-    parts of p^i/2, -p^i/6, -5 p^i/6."""
-    q = p**r
-    if not 1 <= l <= q - 2:
-        raise ValueError("l out of range")
-    if 2 * l == q - 1:
-        raise ValueError("l = (q-1)/2 is excluded")
-    if not 0 <= i <= r - 1:
-        raise ValueError("i out of range")
-    if p in (2, 3):
-        raise ValueError("p must be coprime to 6")
-    pi = p**i
-    s = Fraction(l * pi, q - 1)
-
-    def fl(x) -> int:
-        return frac_floor(x)[1]
-
-    lhs = fl(3 * s) + 3 * fl(-s) - 3 * fl(-2 * s) - fl(6 * s)
-    half = frac_floor(Fraction(pi, 2))[0]
-    sixth = frac_floor(Fraction(-pi, 6))[0]
-    five_sixth = frac_floor(Fraction(-5 * pi, 6))[0]
-    rhs = -2 * fl(half - s) - fl(sixth + s) - fl(five_sixth + s)
-    return lhs, rhs

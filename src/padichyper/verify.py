@@ -1,13 +1,15 @@
 """Theorem-level identity checks and the range-sweeping verification suite.
 
-The five series checks and the two gamma product identities run over rows:
-the instances of one plan on one field, as index arrays.  A row gates every
-instance at once from an ordered list of (gate name, passing mask), and an
-instance's first failing gate makes it a skip.  Each series side is one
-gather for the instances that pass; LEMMA31's and EQ29's sides are products
-of one ``GammaCache.values`` evaluation per (row, t); the records are built
-at the end of the row.  A ``verify_*`` call is a row of length 1: it returns
-the VerifyRecord, or raises PreconditionFailed with the violated gate's name.
+Every check runs over rows: the instances of one plan on one field, as
+index arrays.  A row gates every instance at once from an ordered list of
+(gate name, passing mask), and an instance's first failing gate makes it a
+skip.  Each series side is one gather for the instances that pass;
+LEMMA31's and EQ29's sides are products of one ``GammaCache.values``
+evaluation per (row, t); LEMMA5's are integer floor quotients, and the
+Gauss-sum relations' are complex floats gathered from ``gauss_tables``.
+The records are built at the end of the row.  A ``verify_*`` call is a row
+of length 1: it returns the VerifyRecord, or raises PreconditionFailed with
+the violated gate's name (or the check's own error for a bad argument).
 
 A series side is phi(twist) q 2G2[... | t] (``_series``): the Hessian side
 phi(-3d) q 2G2[1/2,1/2;1/6,5/6 | 1/d^3], McCarthy's trace side phi(twist)
@@ -28,7 +30,8 @@ and the square-root-free branch characters carry the phi(3h) twist.  Each of
 these is pinned by exhaustive point-count agreement in the test suite.
 
 The sweep is the table ``_PLANS``: per theorem, the smallest p and rows of
-(sample tag, argument lister, call).  ``run_suite`` makes one call per row of
+(sample tag, argument lister, call), the lister returning an index array and
+the call (records, skipped gates).  ``run_suite`` makes one call per row of
 each field within the limits, into a report rendered as a table, JSON or CSV.
 """
 
@@ -49,10 +52,10 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from .curves import hessian_counts, weierstrass_traces
-from .errors import PreconditionFailed, PadicHyperError
+from .errors import ModulusMismatch, PreconditionFailed, PadicHyperError, TrivialCharacter, ZeroArgument
 from .fields import DEFAULT_MAX_Q, FqField, build_field, check_orthogonality, phi, residue_dtype, uctx_for
-from .gamma import GammaCache, gamma_cache, lemma5_sides
-from .gauss import davenport_hasse_sides, default_tolerance, gk_product_sides, theta_expansion_sides
+from .gamma import GammaCache, gamma_cache
+from .gauss import default_tolerance, gauss_tables
 from .hyper import GParams, profile_for, qg_table, recover_integer
 from .padic import default_precision, is_prime, renormalize
 
@@ -102,10 +105,6 @@ _COLUMNS = {("pass" if f.name == "passed" else f.name): f.name for f in fields(V
 def _context(field: FqField, K: int | None):
     K = default_precision(field.p, field.r) if K is None else K
     return K, uctx_for(field, K)
-
-
-def _cplx(z: complex) -> str:
-    return f"{z.real:.12e}{z.imag:+.12e}j"
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +358,8 @@ def verify_hessian(p: int, r: int, a, K: int | None = None, allow_small_p: bool 
 
 
 # ---------------------------------------------------------------------------
-# the gamma product identities, a row at a time; lemma-level and float checks
+# the gamma product identities, the floor identity and the Gauss-sum
+# relations, a row at a time
 
 
 def _omega_powers(t: int, e: np.ndarray, p: int, K: int) -> np.ndarray:
@@ -444,36 +444,114 @@ def verify_eq29_record(p: int, r: int, l: int, K: int | None = None) -> VerifyRe
     return _one(_eq29_row(build_field(p, r), K, np.array([l])))
 
 
+def _lemma5_row(p: int, r: int, x: np.ndarray):
+    """LEMMA5 at each (l, i): with n = l p^i and s = n/(q-1), the floor sum
+    [3s] + 3[-s] - 3[-2s] - [6s] against -2[1/2 - s] - [a/6 + s] - [b/6 + s],
+    where 1/2, a/6 and b/6 are the fractional parts of p^i/2, -p^i/6 and
+    -5p^i/6: every floor an integer quotient over q - 1 or 6(q - 1)."""
+    t0, q1 = time.perf_counter(), p**r - 1
+    l, i = x.T
+    if p in (2, 3) or ((l < 1) | (l >= q1) | (2 * l == q1) | (i < 0) | (i >= r)).any():
+        raise ValueError("LEMMA5 needs p prime to 6, 0 < l < q - 1, l != (q - 1)/2 and 0 <= i < r")
+    pi, n, d = p**i, l * p**i, 6 * q1
+    lhs = 3 * n // q1 + 3 * (-n // q1) - 3 * (-2 * n // q1) - 6 * n // q1
+    rhs = -2 * ((3 * q1 - 6 * n) // d) - (-pi % 6 * q1 + 6 * n) // d - (-5 * pi % 6 * q1 + 6 * n) // d
+    params = [{"l": lv, "i": iv} for lv, iv in zip(l.tolist(), i.tolist())]
+    rows = zip(params, map(str, lhs.tolist()), map(str, rhs.tolist()), (lhs == rhs).tolist())
+    return _records("LEMMA5", p, r, default_precision(p, r), rows, t0), []
+
+
+def _cmul(a, b) -> np.ndarray:
+    """a * b from four separate float64 products, rounded as numpy's scalar
+    complex multiply rounds; its array multiply may round them differently."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _float_records(theorem: str, field: FqField, params: list, lhs: np.ndarray, rhs: np.ndarray, t0: float):
+    """Records of complex float sides, each pair passing within
+    ``default_tolerance``; |lhs - rhs| is ``np.hypot``, as ``abs`` rounds it."""
+    if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+        raise ArithmeticError("non-finite product")
+    diff, text = lhs - rhs, "{0.real:.12e}{0.imag:+.12e}j".format
+    passed = (np.hypot(diff.real, diff.imag) < default_tolerance(field, rhs)).tolist()
+    rows = zip(params, map(text, lhs.tolist()), map(text, rhs.tolist()), passed)
+    return _records(theorem, field.p, field.r, 0, rows, t0), []
+
+
+def _gauss_gk_row(field: FqField, k: np.ndarray):
+    """GAUSS_GK at each k: G_k G_{-k} against q T^k(-1) = (-1)^k q."""
+    t0, q1, tab = time.perf_counter(), field.q - 1, gauss_tables(field.model)
+    e = k % q1
+    if (e == 0).any():
+        raise TrivialCharacter("k must be nonzero mod q-1")
+    lhs, rhs = _cmul(tab.G[e], tab.G[-e % q1]), np.where(e % 2, -field.q, field.q).astype(complex)
+    return _float_records("GAUSS_GK", field, [{"k": v} for v in k.tolist()], lhs, rhs, t0)
+
+
+def _gauss_theta_row(field: FqField, alpha: np.ndarray):
+    """GAUSS_THETA at each alpha: theta(alpha) against its expansion
+    (1/(q-1)) sum_m G_{-m} T^m(alpha), one array sum over m per alpha: a
+    sum over a block of alphas at once runs slower from q near 10^4 on."""
+    t0, q1, tab = time.perf_counter(), field.q - 1, gauss_tables(field.model)
+    if (alpha == 0).any():
+        raise ZeroArgument("alpha must be nonzero")
+    s, m = field.dlog_np[alpha], np.arange(q1)
+    g = tab.G[-m % q1]
+    rhs = np.array([np.sum(g * tab.zeta_q1[m * v % q1]) for v in s.tolist()], dtype=complex) / q1
+    params = _params(field, ("alpha",), alpha)
+    return _float_records("GAUSS_THETA", field, params, tab.zeta_p[tab.trace[s]], rhs, t0)
+
+
+def _gauss_dh_row(field: FqField, x: np.ndarray):
+    """GAUSS_DH at each (m, psi): the product of G over the m-torsion
+    characters twisted by psi against -G(psi^m) psi(m^-m) times the
+    untwisted product (Davenport-Hasse)."""
+    t0, q1, tab = time.perf_counter(), field.q - 1, gauss_tables(field.model)
+    m, psi = x.T
+    if (bad := (m <= 0) | (q1 % np.maximum(m, 1) != 0)).any():
+        raise ModulusMismatch(f"q = {field.q} is not 1 mod {m[bad][0]}")
+    e, step = psi % q1, q1 // m
+    lhs = base = np.ones(len(m), dtype=complex)
+    for k in range(m.max(initial=0)):
+        lhs = np.where(k < m, _cmul(lhs, tab.G[(k * step + e) % q1]), lhs)
+        base = np.where(k < m, _cmul(base, tab.G[k * step % q1]), base)
+    char = tab.zeta_q1[e * -m * field.dlog_np[m % field.p] % q1]  # psi(m^-m)
+    rhs = _cmul(_cmul(-tab.G[m * e % q1], char), base)
+    params = [{"m": mv, "psi": pv} for mv, pv in zip(m.tolist(), psi.tolist())]
+    return _float_records("GAUSS_DH", field, params, lhs, rhs, t0)
+
+
+def _ortho_row(field: FqField, x: np.ndarray):
+    """ORTHO once per entry of x, a listing of at most one: both
+    orthogonality relations of the field's characters, checked exactly."""
+    t0 = time.perf_counter()
+    passed = len(x) > 0 and check_orthogonality(field)
+    rows = [({}, "exact", "exact" if passed else "violated", passed) for _ in x]
+    return _records("ORTHO", field.p, field.r, 0, rows, t0), []
+
+
 def verify_lemma5_record(p: int, r: int, l: int, i: int) -> VerifyRecord:
-    t0, (lhs, rhs) = time.perf_counter(), lemma5_sides(l, i, p, r)
-    row = ({"l": l, "i": i}, str(lhs), str(rhs), lhs == rhs)
-    return _records("LEMMA5", p, r, default_precision(p, r), [row], t0)[0]
-
-
-def _float_record(theorem: str, field: FqField, params: dict, sides, *args) -> VerifyRecord:
-    """A complex-float identity: sides(*args, field) within default_tolerance."""
-    t0, (lhs, rhs) = time.perf_counter(), sides(*args, field)
-    row = (params, _cplx(lhs), _cplx(rhs), abs(lhs - rhs) < default_tolerance(field, rhs))
-    return _records(theorem, field.p, field.r, 0, [row], t0)[0]
+    return _one(_lemma5_row(p, r, np.array([[l, i]])))
 
 
 def verify_gauss_gk_record(p: int, r: int, k: int) -> VerifyRecord:
-    return _float_record("GAUSS_GK", build_field(p, r), {"k": k}, gk_product_sides, k)
+    return _one(_gauss_gk_row(build_field(p, r), np.array([k])))
 
 
 def verify_gauss_theta_record(p: int, r: int, alpha_idx: int) -> VerifyRecord:
     field = build_field(p, r)
-    params = _params(field, ("alpha",), np.array([alpha_idx]))[0]
-    return _float_record("GAUSS_THETA", field, params, theta_expansion_sides, field.from_index(alpha_idx))
+    return _one(_gauss_theta_row(field, np.array([field.from_index(alpha_idx).idx])))
 
 
 def verify_gauss_dh_record(p: int, r: int, m: int, psi: int) -> VerifyRecord:
-    return _float_record("GAUSS_DH", build_field(p, r), {"m": m, "psi": psi}, davenport_hasse_sides, m, psi)
+    return _one(_gauss_dh_row(build_field(p, r), np.array([[m, psi]])))
 
 
 def verify_ortho_record(p: int, r: int) -> VerifyRecord:
-    t0, passed = time.perf_counter(), check_orthogonality(build_field(p, r))
-    return _records("ORTHO", p, r, 0, [({}, "exact", "exact" if passed else "violated", passed)], t0)[0]
+    return _one(_ortho_row(build_field(p, r), np.zeros(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +572,8 @@ class _SuiteRun:
         drawing every position reads ``hyper.qg_table``; any other row, and
         MC's draw, makes one batched sum over its distinct points.  That is
         the break-even, not a setting: a table costs about 145 batched points
-        at q = 121 and 270 at q = 9,973 (1.1 s), and takes 28 s at q = 99,991.
+        at q = 121 and 270 at q = 9,973 (1.1 s), and took 39.5 s in-process at
+        q = 99,991.
         """
         n = self.spec.sample
         self.full = n is None or size <= n
@@ -503,20 +582,8 @@ class _SuiteRun:
         return np.array(random.Random(f"{self.spec.seed}:{tag}").sample(range(size), n), dtype=np.int64)
 
 
-# Listers: (run, field, tag) -> the arguments of one row, an index array for
-# a series plan.  Calls: (run, field, arguments) -> (records, skip gates).
-
-
-def _each(values, check):
-    """(lister, call) of a plan that is not a series check: ``check(spec,
-    field, argument)`` on each argument of values(field) that the row's tag
-    samples.  No listed argument fails a gate of its check."""
-
-    def lister(run, field, tag):
-        seq = values(field)
-        return [seq[i] for i in run.sampled(len(seq), tag)]
-
-    return lister, lambda run, field, args: ([check(run.spec, field, arg) for arg in args], [])
+# Listers: (run, field, tag) -> the arguments of one row, an index array.
+# Calls: (run, field, arguments) -> (records, skip gates).
 
 
 def _unit_indices(run: _SuiteRun, field: FqField, tag: str) -> np.ndarray:
@@ -609,14 +676,26 @@ def _mc_draws(run: _SuiteRun, field: FqField, tag: str) -> np.ndarray:
     return np.concatenate(batches) if batches else np.zeros((0, 2), dtype=np.int64)
 
 
-def _dh_row(m: int):
-    check = lambda s, f, psi: verify_gauss_dh_record(f.p, f.r, m, psi)  # noqa: E731
-    return f"gauss_dh:{{p}}:{{r}}:{m}", *_each(lambda f: range(f.q - 1) if (f.q - 1) % m == 0 else (), check)
+def _lemma5_instances(run: _SuiteRun, field: FqField, tag: str) -> np.ndarray:
+    """The sampled (l, i) of the listing: each l in [1, q - 2] but (q - 1)/2,
+    with every i < r, l then i in order."""
+    r = field.r
+    pos = run.sampled((field.q - 3) * r, tag)
+    l = pos // r + 1
+    return np.stack([l + (2 * l >= field.q - 1), pos % r], axis=1)
+
+
+def _dh_instances(run: _SuiteRun, field: FqField, tag: str) -> np.ndarray:
+    """The sampled (m, psi) of the listing, m the tag's last field: every psi
+    in [0, q - 2] if m divides q - 1, else none."""
+    m, q1 = int(tag.rsplit(":", 1)[1]), field.q - 1
+    psi = run.sampled(q1 if q1 % m == 0 else 0, tag)
+    return np.stack([np.full_like(psi, m), psi], axis=1)
 
 
 # theorem -> (smallest p, rows of (sample tag, argument lister, call)).  A
-# call names its row function or check in its body, so that function is
-# looked up in this module each time the call runs.
+# call names its row function in its body, so that function is looked up in
+# this module each time the call runs.
 _PLANS = {
     "mt1": (5, [("mt1:{p}:{r}", _unit_indices, lambda run, f, d: _mt1_row(f, run.spec.K, d, run.full))]),
     "cor2": (5, [("cor2:{p}:{r}", _cor2_roots, lambda run, f, x: _mt1_row(
@@ -626,19 +705,16 @@ _PLANS = {
     "hessian": (5, [("hessian:{p}:{r}", _unit_indices, lambda run, f, a: _hessian_row(
         f, run.spec.K, a, run.full, run.spec.allow_p5))]),
     "lemma31": (3, [("lemma31:{p}:{r}", _lemma31_instances, lambda run, f, x: _lemma31_row(f, run.spec.K, x))]),
-    "lemma5": (5, [("lemma5:{p}:{r}", *_each(
-        lambda f: [(l, i) for l in range(1, f.q - 1) if 2 * l != f.q - 1 for i in range(f.r)],
-        lambda s, f, li: verify_lemma5_record(f.p, f.r, *li)))]),
+    "lemma5": (5, [("lemma5:{p}:{r}", _lemma5_instances, lambda run, f, x: _lemma5_row(f.p, f.r, x))]),
     "eq29": (3, [("eq29:{p}:{r}", lambda run, f, tag: run.sampled(f.q - 2, tag) + 1,
                   lambda run, f, l: _eq29_row(f, run.spec.K, l))]),
     "gauss": (3, [
-        ("gauss_gk:{p}:{r}", *_each(
-            lambda f: range(1, f.q - 1), lambda s, f, k: verify_gauss_gk_record(f.p, f.r, k))),
-        ("gauss_theta:{p}:{r}", *_each(
-            lambda f: range(1, f.q), lambda s, f, i: verify_gauss_theta_record(f.p, f.r, i))),
-        *(_dh_row(m) for m in (2, 3, 6)),
+        ("gauss_gk:{p}:{r}", lambda run, f, tag: run.sampled(f.q - 2, tag) + 1,
+         lambda run, f, k: _gauss_gk_row(f, k)),
+        ("gauss_theta:{p}:{r}", _unit_indices, lambda run, f, a: _gauss_theta_row(f, a)),
+        *((f"gauss_dh:{{p}}:{{r}}:{m}", _dh_instances, lambda run, f, x: _gauss_dh_row(f, x)) for m in (2, 3, 6)),
     ]),
-    "ortho": (3, [("ortho:{p}:{r}", *_each(lambda f: (None,), lambda s, f, _: verify_ortho_record(f.p, f.r)))]),
+    "ortho": (3, [("ortho:{p}:{r}", lambda run, f, tag: run.sampled(1, tag), lambda run, f, x: _ortho_row(f, x))]),
 }
 
 

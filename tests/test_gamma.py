@@ -12,17 +12,18 @@ from padichyper.fields import build_field, residue_dtype
 from padichyper.gamma import (
     GammaCache,
     gamma_cache,
-    lemma5_sides,
     verify_reflection,
 )
 from padichyper.padic import (
     default_precision,
     frac_floor,
+    is_prime,
     teichmueller,
     unramified_context,
     zq_inv,
     zq_pow,
 )
+from padichyper import verify
 from padichyper.verify import (
     RangeSpec,
     _eq29_row,
@@ -294,7 +295,7 @@ class TestProductIdentities:
 
     def test_floor_identity_rejects_midpoint(self):
         with pytest.raises(ValueError):
-            lemma5_sides(3, 0, 7, 1)
+            verify_lemma5_record(7, 1, 3, 0)
 
 
 class TestOracles:
@@ -469,6 +470,33 @@ def oracle_eq29_sides(l: int, p: int, r: int, K: int):
     return lhs, (-1) ** (r + l) % m
 
 
+# The scalar floor sides the LEMMA5 row replaced, kept verbatim as its oracle.
+def lemma5_sides(l: int, i: int, p: int, r: int) -> tuple[int, int]:
+    """The two signed floor sums built from l p^i/(q-1) and the fractional
+    parts of p^i/2, -p^i/6, -5 p^i/6."""
+    q = p**r
+    if not 1 <= l <= q - 2:
+        raise ValueError("l out of range")
+    if 2 * l == q - 1:
+        raise ValueError("l = (q-1)/2 is excluded")
+    if not 0 <= i <= r - 1:
+        raise ValueError("i out of range")
+    if p in (2, 3):
+        raise ValueError("p must be coprime to 6")
+    pi = p**i
+    s = Fraction(l * pi, q - 1)
+
+    def fl(x) -> int:
+        return frac_floor(x)[1]
+
+    lhs = fl(3 * s) + 3 * fl(-s) - 3 * fl(-2 * s) - fl(6 * s)
+    half = frac_floor(Fraction(pi, 2))[0]
+    sixth = frac_floor(Fraction(-pi, 6))[0]
+    five_sixth = frac_floor(Fraction(-5 * pi, 6))[0]
+    rhs = -2 * fl(half - s) - fl(sixth + s) - fl(five_sixth + s)
+    return lhs, rhs
+
+
 def _zq(values, r: int) -> str:
     """Integers of Z_p as the records write them: ';'-joined Z_q coordinates."""
     return ";".join(f"{v}" + ".0" * (r - 1) for v in values)
@@ -530,6 +558,60 @@ class TestProductIdentityRows:
         for l in (0, 6, -1):
             with pytest.raises(ValueError, match="0 < l < q-1"):
                 verify_eq29_record(7, 1, l)
+
+
+# every field with q <= 500, r <= 3 and p prime to 6
+LEMMA5_FIELDS = [(p, r) for r in (1, 2, 3) for p in range(5, 500) if is_prime(p) and p**r <= 500]
+
+
+def _lemma5_listing(q: int, r: int) -> list[dict]:
+    return [{"l": l, "i": i} for l in range(1, q - 1) if 2 * l != q - 1 for i in range(r)]
+
+
+class TestLemma5Row:
+    """The LEMMA5 row's integer floor sums against the ``Fraction`` sides
+    they replaced: both integer sides and the verdict of every record."""
+
+    @staticmethod
+    def _check(records, p, r):
+        for rec in records:
+            lhs, rhs = lemma5_sides(rec.params["l"], rec.params["i"], p, r)
+            assert (rec.lhs, rec.rhs, rec.passed) == (str(lhs), str(rhs), lhs == rhs), rec.params
+            assert (rec.theorem, rec.p, rec.r, rec.K) == ("LEMMA5", p, r, default_precision(p, r))
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_every_argument_of_every_small_field(self, r):
+        for p, rr in LEMMA5_FIELDS:
+            if rr == r:
+                records = _sweep("lemma5", p, r)
+                assert [rec.params for rec in records] == _lemma5_listing(p**r, r), (p, r)
+                self._check(records, p, r)
+
+    @pytest.mark.parametrize("p, r, sample, seed", [(9973, 1, 60, 0), (101, 2, 40, 1), (23, 3, 40, 2)])
+    def test_sampled_positions_of_large_fields(self, p, r, sample, seed):
+        spec = RangeSpec(theorems=("lemma5",), pmin=p, pmax=p, r_values=(r,), qmax=p**r, sample=sample, seed=seed)
+        records, listing = run_suite(spec).records, _lemma5_listing(p**r, r)
+        picked = random.Random(f"{seed}:lemma5:{p}:{r}").sample(range(len(listing)), sample)
+        assert [rec.params for rec in records] == [listing[k] for k in picked]
+        self._check(records, p, r)
+
+    def test_lone_records_equal_row_records(self):
+        strip = lambda rec: {**rec.to_dict(), "elapsed_ms": 0}  # noqa: E731
+        for p, r in ((5, 1), (7, 2), (5, 3)):
+            for rec in _sweep("lemma5", p, r, sample=10):
+                assert strip(verify_lemma5_record(p, r, rec.params["l"], rec.params["i"])) == strip(rec)
+
+    def test_lone_record_rejections(self):
+        # the midpoint l = (q-1)/2, l and i out of range, and p = 2, 3
+        for p, r, l, i in ((7, 1, 3, 0), (5, 2, 12, 1), (7, 1, 0, 0), (7, 1, 6, 0), (7, 1, 1, 1),
+                           (7, 2, 1, -1), (3, 2, 1, 0), (2, 3, 1, 0)):
+            with pytest.raises(ValueError):
+                verify_lemma5_record(p, r, l, i)
+            with pytest.raises(ValueError):
+                lemma5_sides(l, i, p, r)
+
+    def test_empty_row(self):
+        assert verify._lemma5_row(7, 1, np.zeros((0, 2), dtype=np.int64)) == ([], [])
 
 
 class TestArrayEvaluator:
