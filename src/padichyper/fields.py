@@ -361,7 +361,8 @@ class TeichmuellerPowers:
     of the field of ``model``; then omega^m(x) = T[m * dlog(x) mod (q-1)].
 
     One Teichmueller lift and about log2(q) row-wise products build it, by
-    doubling: T[n:2n] = T[:n] * omega^n.  ``array`` holds the coordinates as
+    doubling: T[n:2n] = T[:n] * omega^n, with omega^n squared on its
+    coefficient list.  ``array`` holds the coordinates as
     a (q-1, r) array of ``residue_dtype`` for gathers; ``table[s]`` reads one
     row back as a Z_q element.
     """
@@ -373,11 +374,11 @@ class TeichmuellerPowers:
         m, n, q1 = uctx.modulus, 1, field.q - 1
         array = np.zeros((q1, uctx.r), dtype=residue_dtype(m))
         array[0, 0] = 1
-        wn = teichmueller(field.generator, uctx)
+        wn = list(teichmueller(field.generator, uctx).coeffs)
         while n < q1:
             k = min(n, q1 - n)
-            array[n : n + k] = poly_mul_rows(array[:k], np.array(wn.coeffs, dtype=array.dtype), uctx.poly, m)
-            wn, n = wn * wn, n + k
+            array[n : n + k] = poly_mul_rows(array[:k], np.array(wn, dtype=array.dtype), uctx.poly, m)
+            wn, n = _poly_mulmod(wn, wn, uctx.poly, m), n + k
         self.array = array
 
     def __getitem__(self, s: int) -> ZqElement:

@@ -61,7 +61,12 @@ GATHER_ELEMENTS = 2**20
 
 @dataclass(frozen=True)
 class GParams:
-    """Upper/lower rational parameter lists of an nGn instance."""
+    """Upper/lower rational parameter lists of an nGn instance.
+
+    Entries may be Fractions, ints or strings such as "1/4"; a Fraction is
+    kept as it is, and only the others are converted.  Equal lists compare
+    and hash alike however they were spelled.
+    """
 
     n: int
     a: tuple[Fraction, ...]
@@ -70,8 +75,8 @@ class GParams:
     def __post_init__(self):
         if self.n < 1 or len(self.a) != self.n or len(self.b) != self.n:
             raise ValueError("parameter lists must both have length n")
-        object.__setattr__(self, "a", tuple(Fraction(x) for x in self.a))
-        object.__setattr__(self, "b", tuple(Fraction(x) for x in self.b))
+        object.__setattr__(self, "a", tuple(x if type(x) is Fraction else Fraction(x) for x in self.a))
+        object.__setattr__(self, "b", tuple(x if type(x) is Fraction else Fraction(x) for x in self.b))
         # hashing and comparing 2n Fractions is slow, and every profile and
         # exponent lookup does both: the hash is taken once, and equality
         # compares a tuple of ints
@@ -90,8 +95,14 @@ class GParams:
                 raise DenominatorDivisibleByP(f"parameter {x} is not a p-adic integer for p={p}")
 
 
+@lru_cache(maxsize=256)  # sized with profile_for
 def gparams(text: str) -> GParams:
-    """Parse 'a1,a2;b1,b2' with entries like 1/4 or 3."""
+    """Parse 'a1,a2;b1,b2' with entries like 1/4 or 3.
+
+    Each spec string is parsed and checked once: the frozen GParams is
+    stored and shared by every later call with the same string.  A bad spec
+    raises ValueError on every call, and nothing is stored for it.
+    """
     try:
         top, bottom = text.split(";")
         a = tuple(Fraction(s) for s in top.split(","))
@@ -161,6 +172,13 @@ def term_exponents(params: GParams, p: int, r: int) -> tuple[int, np.ndarray, np
     args = np.array(args)
     vals.flags.writeable = args.flags.writeable = False
     return D, vals, args
+
+
+@lru_cache(maxsize=256)  # keyed as term_exponents
+def term_range(params: GParams, p: int, r: int) -> tuple[int, int]:
+    """(v_min, v_max) of the term valuations of ``term_exponents``."""
+    vals = term_exponents(params, p, r)[1]
+    return int(vals.min()), int(vals.max())
 
 
 class GProfile:
@@ -333,13 +351,13 @@ def g_term(inst: GInstance, j: int) -> PadicNumber:
 def g_eval(inst: GInstance) -> PadicNumber:
     """Full series value as a PadicNumber, at absolute precision K + v_max >= K.
 
-    Follows the guard rule.  The term valuations v_j come first, from the
-    gamma-free ``term_exponents``; the profile at K + (v_max - v_min) then
+    Follows the guard rule.  The term valuations v_j come first: their range
+    is read from ``term_range``, cached with the gamma-free
+    ``term_exponents``; the profile at K + (v_max - v_min) then
     sums c_j p^(v_j - v_min) omega-bar(t)^j with the -1/(q-1) prefactor, and
     the result is that sum times p^(v_min).
     """
-    _, vals, _ = term_exponents(inst.params, inst.field.p, inst.field.r)
-    vmin, vmax = int(vals.min()), int(vals.max())
+    vmin, vmax = term_range(inst.params, inst.field.p, inst.field.r)
     uctx = inst.uctx
     if vmax > vmin:  # the guard context keeps the instance's lifted polynomial
         uctx = unramified_context(uctx.p, uctx.K + vmax - vmin, uctx.r, uctx.poly)

@@ -121,31 +121,36 @@ def _poly_mulmod(a: Sequence[int], b: Sequence[int], poly: Sequence[int], m: int
     return prod[:r]
 
 
-def _poly_powmod(a: Sequence[int], e: int, poly: Sequence[int], p: int) -> list[int]:
+def _poly_powmod(a: Sequence[int], e: int, poly: Sequence[int], m: int) -> list[int]:
+    """a^e reduced by x^r + poly, mod m, by binary exponentiation."""
     r = len(poly)
     result = [1] + [0] * (r - 1)
     base = list(a)
     while e:
         if e & 1:
-            result = _poly_mulmod(result, base, poly, p)
-        base = _poly_mulmod(base, base, poly, p)
+            result = _poly_mulmod(result, base, poly, m)
+        base = _poly_mulmod(base, base, poly, m)
         e >>= 1
     return result
 
 
-def _is_admissible(poly: Sequence[int], p: int) -> bool:
+@lru_cache(maxsize=256)  # find_defining_poly proves a polynomial; each context rereads it
+def _is_admissible(poly: tuple[int, ...], p: int) -> bool:
     """Does x have multiplicative order exactly q - 1 mod (p, x^r + poly)?
 
     If it does, its norm (-1)^r c_0 = x^((q-1)/(p-1)) generates F_p^*, so a
     candidate whose norm does not is rejected before any polynomial powering.
+    At r = 1 the root -c_0 is its own norm, and that test is the whole one.
     """
     r = len(poly)
     norm = (-1) ** r * poly[0] % p
     if norm == 0 or any(pow(norm, (p - 1) // ell, p) == 1 for ell in prime_factors(p - 1)):
         return False
+    if r == 1:
+        return True
     q = p**r
     one = [1] + [0] * (r - 1)
-    x = ([0, 1] + [0] * (r - 2)) if r > 1 else [(-poly[0]) % p]
+    x = [0, 1] + [0] * (r - 2)
     if _poly_powmod(x, q - 1, poly, p) != one:
         return False
     return all(_poly_powmod(x, (q - 1) // ell, poly, p) != one for ell in prime_factors(q - 1))
@@ -188,7 +193,7 @@ class UnramifiedContext:
     lower coefficients (c_0, ..., c_{r-1}) of x^r + c_{r-1} x^{r-1} + ... + c_0,
     reduced mod p^K; mod p its root must have multiplicative order exactly
     q - 1, which makes the reduction irreducible with a primitive root
-    (checked at construction).
+    (checked once per polynomial).
     """
 
     p: int
@@ -332,16 +337,20 @@ def teichmueller(t, uctx: UnramifiedContext) -> ZqElement:
     (q-1)-th root of unity in Z_q congruent to t mod p.
 
     Computed in closed form as z^(q^(K-1)) for the coefficient-wise naive
-    lift z: z = omega(t)(1 + p y), and (1 + p y)^(q^(K-1)) = 1 mod p^K.
+    lift z: z = omega(t)(1 + p y), and (1 + p y)^(q^(K-1)) = 1 mod p^K.  The
+    power is taken on coefficients: ``pow`` at r = 1, ``_poly_powmod`` above.
     Accepts an integer, a coefficient sequence, or anything with ``.coeffs``.
     """
-    coeffs = _coeffs_of(t)
-    coeffs = tuple(c % uctx.p for c in coeffs)
-    if all(c == 0 for c in coeffs):
+    coeffs = [c % uctx.p for c in _coeffs_of(t)]
+    if not any(coeffs):
         raise ZeroArgument("Teichmueller lift requires a nonzero element")
     if len(coeffs) > uctx.r:
         raise ContextMismatch("element has more coordinates than the extension degree")
-    return zq_pow(uctx.element(coeffs), uctx.q ** (uctx.K - 1))
+    e, m = uctx.q ** (uctx.K - 1), uctx.modulus
+    if uctx.r == 1:
+        return ZqElement((pow(coeffs[0], e, m),), uctx)
+    coeffs += [0] * (uctx.r - len(coeffs))
+    return ZqElement(tuple(_poly_powmod(coeffs, e, uctx.poly, m)), uctx)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,17 @@ from padichyper.errors import (
     PrecisionExhausted,
     ZeroArgument,
 )
-from padichyper.fields import FqField, build_field, char_eval_padic, field_for, phi, teichmueller_powers, uctx_for
+from padichyper.fields import (
+    FqField,
+    build_field,
+    char_eval_padic,
+    field_for,
+    phi,
+    poly_mul_rows,
+    residue_dtype,
+    teichmueller_powers,
+    uctx_for,
+)
 from padichyper.gamma import gamma_cache
 from padichyper.gauss import gauss_sum, gauss_tables
 from padichyper.hyper import (
@@ -34,6 +44,7 @@ from padichyper.hyper import (
     qg_table,
     recover_integer,
     term_exponents,
+    term_range,
 )
 from padichyper.padic import (
     PadicNumber,
@@ -112,6 +123,20 @@ def oracle_teichmueller_powers(field, uctx):
         rows.append(z.coeffs)
         z = z * g
     return rows
+
+
+def oracle_zq_power_table(field, uctx):
+    """The doubling build of the power table as it stood when omega^n was a
+    ZqElement, lifted and squared by ring multiplies."""
+    m, n, q1 = uctx.modulus, 1, field.q - 1
+    array = np.zeros((q1, uctx.r), dtype=residue_dtype(m))
+    array[0, 0] = 1
+    wn = zq_pow(uctx.element(field.generator.coeffs), uctx.q ** (uctx.K - 1))
+    while n < q1:
+        k = min(n, q1 - n)
+        array[n : n + k] = poly_mul_rows(array[:k], np.array(wn.coeffs, dtype=array.dtype), uctx.poly, m)
+        wn, n = wn * wn, n + k
+    return array
 
 
 def oracle_correlation(a, b, m):
@@ -197,6 +222,42 @@ class TestGParams:
         for read in (prof.eval_qg, lambda t: prof.term(t, 1)):
             with pytest.raises(ValueError, match="element belongs to another field"):
                 read(t)
+
+    def test_same_spec_returns_the_same_object(self):
+        spec = "1/2,1/2,1/2,1/2;1/6,5/6,1/6,5/6"
+        first = gparams(spec)
+        assert gparams(spec) is first
+        assert first == HS2
+
+    @pytest.mark.parametrize("spec", ["1/0;1/2", "1/2;1/3,2/3", "1/2;x", "1/2", "1/2;1/3;1"])
+    def test_bad_spec_raises_on_every_call_and_is_not_stored(self, spec):
+        size = gparams.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                gparams(spec)
+        assert gparams.cache_info().currsize == size
+
+    def test_ints_strings_and_fractions_build_equal_params(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        from_fractions = GParams(2, (half, Fraction(1)), (third, Fraction(2, 3)))
+        from_ints = GParams(2, (Fraction(1, 2), 1), (Fraction(1, 3), Fraction(2, 3)))
+        from_strings = GParams(2, ("1/2", "1"), ("1/3", "2/3"))
+        mixed = GParams(2, [half, "1"], (third, "4/6"))
+        assert from_fractions == from_ints == from_strings == mixed == gparams("1/2,1;1/3,2/3")
+        assert len({hash(x) for x in (from_fractions, from_ints, from_strings, mixed)}) == 1
+        assert all(type(x) is Fraction for g in (from_ints, from_strings, mixed) for x in g.a + g.b)
+        assert isinstance(mixed.a, tuple)
+        # a Fraction entry is kept as it is, not rebuilt
+        assert from_fractions.a[0] is half and from_fractions.b[0] is third
+        assert mixed.a[0] is half and mixed.b[0] is third
+
+    @pytest.mark.parametrize("p,r", [(5, 1), (7, 1), (11, 1), (13, 1), (5, 2), (7, 2), (11, 2), (5, 3), (7, 3)])
+    def test_cached_term_range_is_the_valuation_range(self, p, r):
+        for params in FAMILIES + _GUARD_FAMILIES:
+            vals = term_exponents(params, p, r)[1]
+            assert term_range(params, p, r) == (int(vals.min()), int(vals.max())), (params, p, r)
+        # the guard families have spread valuations, so the range is a real one
+        assert all(term_range(params, p, r)[0] < term_range(params, p, r)[1] for params in _GUARD_FAMILIES)
 
     def test_equal_spellings_hash_alike_and_share_a_profile(self):
         parsed = gparams("1/2,1/2;1/6,5/6")
@@ -414,6 +475,16 @@ class TestTwistTable:
             want = teichmueller(g**s, table.uctx).coeffs
             assert table[s].coeffs == want
             assert tuple(int(c) for c in table.array[s]) == want
+
+    @pytest.mark.parametrize("p,r,K", [(7, 1, 4), (5, 2, 3), (3, 3, 4), (13, 1, 9), (5, 2, 14), (11, 2, 6)])
+    def test_table_matches_the_zq_chain_build(self, p, r, K):
+        # the field's own lift, and one whose coefficients differ from it mod p^K
+        field = build_field(p, r)
+        own = uctx_for(field, K)
+        for uctx in (own, unramified_context(p, K, r, tuple(c + p for c in own.poly))):
+            table = teichmueller_powers(field.model, uctx).array
+            want = oracle_zq_power_table(field, uctx)
+            assert table.dtype == want.dtype and np.array_equal(table, want), uctx.poly
 
     def test_table_rejects_foreign_context(self):
         f0, f1 = build_field(5, 2, variant=0), build_field(5, 2, variant=1)

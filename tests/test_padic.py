@@ -16,6 +16,7 @@ from padichyper.padic import (
     PadicNumber,
     UnramifiedContext,
     _is_admissible,
+    _poly_powmod,
     default_precision,
     find_defining_poly,
     frac_floor,
@@ -140,6 +141,27 @@ def _oracle_admissible(poly, p):
     return _oracle_is_irreducible(poly, p) and _oracle_root_is_primitive(poly, p)
 
 
+def _oracle_uncached_admissible(poly, p):
+    """The order test as it stood before its verdicts were cached, copied
+    verbatim: at r = 1 it powers the root after the norm test too."""
+    r = len(poly)
+    norm = (-1) ** r * poly[0] % p
+    if norm == 0 or any(pow(norm, (p - 1) // ell, p) == 1 for ell in prime_factors(p - 1)):
+        return False
+    q = p**r
+    one = [1] + [0] * (r - 1)
+    x = ([0, 1] + [0] * (r - 2)) if r > 1 else [(-poly[0]) % p]
+    if _poly_powmod(x, q - 1, poly, p) != one:
+        return False
+    return all(_poly_powmod(x, (q - 1) // ell, poly, p) != one for ell in prime_factors(q - 1))
+
+
+def _oracle_zq_lift(coeffs, u):
+    """The Teichmueller lift as a chain of ZqElement multiplies, the way it
+    was computed before it moved onto coefficient lists."""
+    return zq_pow(u.element(tuple(c % u.p for c in coeffs)), u.q ** (u.K - 1))
+
+
 class TestFracFloor:
     def test_positive(self):
         assert frac_floor(Fraction(7, 3)) == (Fraction(1, 3), 2)
@@ -239,6 +261,34 @@ class TestContexts:
         with pytest.raises(ValueError):
             UnramifiedContext(5, 2, 2, (2, 0))
 
+    def test_cached_order_test_matches_the_uncached_one(self):
+        # every candidate of every (p, r) with q <= 1000 and r <= 3
+        models = [(p, r) for p in range(3, 1000) if is_prime(p) for r in (1, 2, 3) if p**r <= 1000]
+        for p, r in models:
+            for n in range(p**r):
+                poly = tuple(n // p**i % p for i in range(r))
+                assert _is_admissible(poly, p) == _oracle_uncached_admissible(poly, p), (p, poly)
+
+    @pytest.mark.parametrize("p,r", [(7, 1), (5, 2), (3, 3)])
+    def test_inadmissible_poly_rejected_after_an_admissible_one(self, p, r):
+        # an admissible context of p first, so its verdict is cached; every
+        # inadmissible polynomial of the same p still fails, at K = 1 a second
+        # time from the cached verdict, and so does a lift differing by p
+        good = find_defining_poly(p, r)
+        for K in (1, 3):
+            UnramifiedContext(p, K, r, good)
+        bad = [
+            poly for poly in (tuple(n // p**i % p for i in range(r)) for n in range(p**r))
+            if not _oracle_admissible(poly, p)
+        ]
+        assert bad
+        for poly in bad:
+            for K in (1, 3, 1):
+                with pytest.raises(ValueError, match="order q - 1"):
+                    UnramifiedContext(p, K, r, poly)
+            with pytest.raises(ValueError, match="order q - 1"):
+                UnramifiedContext(p, 3, r, (poly[0] + p,) + poly[1:])
+
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_order_test_matches_irreducible_and_primitive(self, p):
         # every monic polynomial of every degree with q <= 2197
@@ -335,6 +385,26 @@ class TestTeichmueller:
         u = unramified_context(7, 3, 1)
         with pytest.raises(ZeroArgument):
             teichmueller(0, u)
+
+    @pytest.mark.parametrize("K", [1, 5, 9])
+    def test_coefficient_lift_matches_the_zq_chain(self, K):
+        # every unit of every field with q <= 500 and r <= 3, in the field's
+        # own model and, for r >= 2, under a second lift of its polynomial;
+        # short coefficient lists and integers are padded alike
+        models = [(p, r) for p in range(3, 500) if is_prime(p) for r in (1, 2, 3) if p**r <= 500]
+        for p, r in models:
+            u = unramified_context(p, K, r)
+            contexts = [u]
+            if r > 1 and K > 1:
+                contexts.append(unramified_context(p, K, r, tuple(c + p for c in u.poly)))
+            for u in contexts:
+                for n in range(1, p**r):
+                    coeffs = [n // p**i % p for i in range(r)]
+                    want = _oracle_zq_lift(coeffs, u).coeffs
+                    got = teichmueller(coeffs, u)
+                    assert got.coeffs == want and got.context is u, (p, r, K, n, u.poly)
+                    if n < p:
+                        assert teichmueller(n, u).coeffs == teichmueller([n], u).coeffs == want
 
     def test_roots_of_unity_exhaustive(self):
         # lift^(q-1) = 1 and lift = naive lift mod p, for every unit of every
