@@ -5,9 +5,10 @@ Layers, bottom up:
 
 - ``padic``: the unramified extension Z_q mod p^K (Z/p^K is its r = 1
   case), Teichmueller lifts, and valuation/unit p-adic numbers with tracked
-  absolute precision.
+  absolute precision, which every series value reaches through one
+  renormaliser.  Scalar ring arithmetic is left to the test oracles.
 - ``gamma``: Morita's p-adic gamma at rational arguments (polynomial time
-  in p and K), one point or an array of points at once.
+  in p and K) by one array evaluator; a single point is an array of one.
 - ``fields``: F_{p^r} with deterministic generator and discrete-log tables,
   multiplicative characters, trace.
 - ``gauss``: complex-float Gauss sums and their tolerance.
@@ -55,7 +56,6 @@ from .fields import (
     FqElement,
     FqField,
     build_field,
-    char_eval_padic,
     check_orthogonality,
     phi,
     trace,

@@ -20,8 +20,8 @@ K = 5), every later one being 0 mod p^K, and the blocks of one (p, K) cost
 about sum_L ceil(K/(L+1))^2 p multiplications mod p^K.  Splitting [0, n) by
 the base-p digits d_L of n gives f(n) = prod_L C_{L,d_L}(n // p^(L+1)): one
 short Horner evaluation per level.  ``GammaCache.values`` runs them for an
-array of points c/D at once, as numpy arrays (``rational_table`` is its table
-of every c < D); ``gamma`` runs them for one point.
+array of points c/D at once, as numpy arrays; ``rational_table`` is its table
+of every c < D, and ``gamma`` is ``values`` at one point.
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ class GammaCache:
     ``blocks[L]`` holds the digit-block polynomials of level L as a
     (p + 1, ceil(K/(L+1))) array of ``residue_dtype``, row d the
     coefficients of C_{L,d}; ``values`` gathers from them for all its points
-    at once, and ``table[n]`` memoizes f(n), the product of all p-free
-    0 < j < n mod p^K, at every point ``gamma`` evaluated so far.
+    at once, and ``table[n]`` memoizes Gamma_p(n) = (-1)^n f(n) at every
+    residue n that ``gamma`` evaluated so far.
     """
 
     def __init__(self, p: int, K: int):
@@ -97,22 +97,6 @@ class GammaCache:
         dtype = residue_dtype(self.modulus)
         return [np.array(level, dtype=dtype) for level in _digit_blocks(self.p, self.K)]
 
-    def _f(self, n: int) -> int:
-        """f(n) for 0 <= n < p^K, one block per base-p digit of n."""
-        f = self.table.get(n)
-        if f is None:
-            p, m = self.p, self.modulus
-            f, y = 1, n
-            for level in self.blocks:
-                y, d = divmod(y, p)
-                if d:
-                    acc = 0
-                    for coeff in reversed(level[d].tolist()):
-                        acc = (acc * y + coeff) % m
-                    f = f * acc % m
-            self.table[n] = f
-        return f
-
     # -- gamma values ---------------------------------------------------------
 
     def _reduce(self, num: int, den: int) -> int:
@@ -123,17 +107,23 @@ class GammaCache:
         return num * pow(den, -1, m) % m
 
     def gamma(self, x) -> int:
+        """Gamma_p(x): ``values`` at the one residue n = x mod p^K."""
         x = Fraction(x)
         n = self._reduce(x.numerator, x.denominator)
-        return self._f(n) if n % 2 == 0 else -self._f(n) % self.modulus
+        value = self.table.get(n)
+        if value is None:
+            value = self.table[n] = int(self.values([n], 1)[0])
+        return value
 
     def values(self, c: np.ndarray, denominator: int) -> np.ndarray:
-        """Gamma_p(c/denominator) at each integer |c| < 2^32 of an array, as
-        residues of ``residue_dtype``: ``_f`` at every n = c/denominator mod
-        p^K at once, one gather and Horner pass per level."""
+        """Gamma_p(c/denominator) at each integer c of an array, as residues
+        of ``residue_dtype``: (-1)^n f(n) at every n = c/denominator mod p^K
+        at once, one gather and Horner pass per level.  While p^K < 2^31 the
+        points are int64 and need |c| < 2^32; above it they are Python ints
+        of any size."""
         inv = self._reduce(1, denominator)
         p, m = self.p, self.modulus
-        n = np.asarray(c, dtype=np.int64).astype(residue_dtype(m)) * inv % m
+        n = np.asarray(c, dtype=residue_dtype(m)) * inv % m
         f, y = 1, n
         for level in self.blocks:
             coeffs = level[(y % p).astype(np.int64)]

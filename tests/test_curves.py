@@ -52,27 +52,36 @@ def count_hessian_enumerate(C: HessianCurve, f: FqField) -> int:
     return total
 
 
+# cells of the (x, y) grid that count_hessian_grid evaluates per block of rows
+GRID_CELLS = 2**16
+
+
 def count_hessian_grid(C: HessianCurve, f: FqField) -> int:
-    """Oracle: x^3 + y^3 + 1 against 3dxy on a q-by-q grid of element
-    indices, or one numpy row per x once q*q int64 grids would pass ~100 MB."""
-    q = f.q
+    """Oracle: x^3 + y^3 + 1 against 3dxy at every cell of the q-by-q grid of
+    element indices, a block of x rows at a time.  The row term x^3 + 1 and
+    the column term y^3 come from the field's tables; their sum at a cell
+    adds the two indices, less p^(k+1) for each base-p digit k whose two
+    digits carry.  3dxy reads the exp table at log(3dx) + log(y), where a log
+    of 0 points past both copies of the table, into zeros."""
+    q, p = f.q, f.p
     ys = np.arange(q, dtype=np.int64)
-    cube = f.np_pow(ys, 3)
-    three_d = (f.element(3) * C.d).idx
-    if q > 3000:
-        total = 0
-        for x in range(q):
-            lhs = f.np_add(f.np_add(cube, (f.from_index(x) ** 3).idx), 1)
-            rhs = f.np_mul(ys, (f.from_index(three_d) * f.from_index(x)).idx)
-            total += int(np.count_nonzero(lhs == rhs))
-        return total
-    lhs = f.np_add(f.np_add(cube[:, None], cube[None, :]), 1)
-    if three_d == 0:
-        rhs = np.zeros_like(lhs)
-    else:
-        exponents = (f.dlog_np[ys][:, None] + f.dlog_np[ys][None, :] + f.dlog[three_d]) % (q - 1)
-        rhs = np.where((ys[:, None] == 0) | (ys[None, :] == 0), 0, f.exp_np[exponents])
-    return int(np.count_nonzero(lhs == rhs))
+    cube, zero = f.np_pow(ys, 3), 2 * (q - 1)
+    row = f.np_add(cube, 1)
+    three_dx = f.np_mul(ys, (f.element(3) * C.d).idx)
+    log_y = np.where(ys == 0, zero, f.dlog_np).astype(np.int32)
+    log_row = np.where(three_dx == 0, zero, f.dlog_np[three_dx]).astype(np.int32)
+    exp = np.concatenate([f.exp_np, np.zeros(2 * q, dtype=np.int64)]).astype(np.int32)
+    place = p ** np.arange(f.r)
+    row_digits, cube_digits = ((v[:, None] // place % p).astype(np.int32) for v in (row, cube))
+    row, cube = row.astype(np.int32), cube.astype(np.int32)
+    step, total = max(1, GRID_CELLS // q), 0
+    for lo in range(0, q, step):
+        rows = slice(lo, lo + step)
+        lhs = row[rows, None] + cube
+        for k in range(f.r):
+            lhs -= ((row_digits[rows, k, None] + cube_digits[:, k]) >= p) * np.int32(p ** (k + 1))
+        total += int(np.count_nonzero(lhs == exp[log_row[rows, None] + log_y]))
+    return total
 
 
 def smooth_hessians(f: FqField):
@@ -243,7 +252,7 @@ class TestCountKernels:
     @pytest.mark.parametrize("p,r", [(9973, 1), (101, 2)])
     def test_seeded_d_on_large_fields(self, p, r):
         # seven d, whose last one falls in a second chunk of the row; the grid
-        # row oracle takes seconds a d at this size, so it checks that one
+        # oracle evaluates q^2 ~ 10^8 cells a d at this size, so it checks that one
         f = build_field(p, r)
         hessians = [HessianCurve(f.from_index(i)) for i in random.Random(p).sample(range(f.q), 7)]
         counts = hessian_counts(f, np.array([C.d.idx for C in hessians])).tolist()

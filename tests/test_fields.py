@@ -1,3 +1,4 @@
+import math
 import pickle
 import random
 
@@ -8,13 +9,14 @@ from padichyper.errors import CompositeP, FieldTooLarge, ZeroArgument
 from padichyper.fields import (
     FqField,
     build_field,
-    char_eval_padic,
     check_orthogonality,
     phi,
     trace,
     uctx_for,
 )
-from padichyper.padic import _poly_mulmod
+from padichyper.padic import _poly_mulmod, is_prime
+
+from padic_oracle import char_eval_padic, check_orthogonality_per_character
 
 
 class TestBuild:
@@ -420,3 +422,26 @@ class TestOrthogonality:
     @pytest.mark.parametrize("p,r", [(7, 1), (3, 2), (5, 2), (13, 1)])
     def test_exact(self, p, r):
         assert check_orthogonality(build_field(p, r))
+
+    def test_matches_the_per_character_oracle(self):
+        # every field with q <= 2,500 and r <= 3
+        models = [(p, r) for p in range(3, 2501) if is_prime(p) for r in (1, 2, 3) if p**r <= 2500]
+        for p, r in models:
+            field = build_field(p, r)
+            assert check_orthogonality(field) == check_orthogonality_per_character(field) is True, (p, r)
+
+    @pytest.mark.parametrize("p,r", [(17, 1), (7, 2), (3, 3), (9973, 1)])
+    def test_one_exponent_count_per_divisor(self, monkeypatch, p, r):
+        # m = 0, then one m per divisor d < q-1: the gcd of each counted
+        # multiset with q-1 names the class it stands for
+        field = build_field(p, r)
+        q1 = field.q - 1
+        bincount, classes = np.bincount, []
+
+        def spy(x, *args, **kwargs):
+            classes.append(math.gcd(q1, *x.tolist()))
+            return bincount(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", spy)
+        assert check_orthogonality(field)
+        assert classes == [q1] + [d for d in range(1, q1) if q1 % d == 0]

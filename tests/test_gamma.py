@@ -34,6 +34,8 @@ from padichyper.verify import (
     verify_lemma5_record,
 )
 
+from padic_oracle import gamma_horner, zq_neg
+
 
 def gamma_brute(n: int, p: int, K: int) -> int:
     """Literal product definition, the independent oracle."""
@@ -303,12 +305,14 @@ class TestOracles:
 
     @pytest.mark.parametrize("p,K", [(3, 7), (5, 6), (7, 5), (11, 4), (13, 4)])
     def test_running_product_exhaustive(self, p, K):
+        # every n < p^K in one call of the evaluator that ``gamma`` reads at
+        # one point
         m = p**K
-        cache = GammaCache(p, K)
+        values = GammaCache(p, K).values(np.arange(m), 1).tolist()
         acc = 1
         for n in range(m):
             expected = acc if n % 2 == 0 else -acc % m
-            assert cache.gamma(Fraction(n)) == expected, (p, K, n)
+            assert values[n] == expected, (p, K, n)
             if n % p:
                 acc = acc * n % m
 
@@ -430,7 +434,7 @@ class TestTeichmuellerIntegerForm:
         for l, rec in enumerate(records, start=1):
             expected = zq_pow(bar, l)
             if r % 2:
-                expected = -expected
+                expected = zq_neg(expected)
             assert rec.rhs == ".".join(map(str, expected.coeffs)), (p, r, l)
 
 
@@ -631,3 +635,32 @@ class TestArrayEvaluator:
     def test_rejects_denominator_divisible_by_p(self):
         with pytest.raises(DenominatorDivisibleByP):
             GammaCache(7, 3).values(np.arange(3), 21)
+
+
+class TestSingleEvaluator:
+    """``GammaCache.gamma``, ``values`` at one residue, against the scalar
+    Horner evaluator it replaced: int64 residues, Python-int residues, and
+    p^K > 2^63 at p = 99,991."""
+
+    @pytest.mark.parametrize("p,K", [(3, 1), (5, 5), (13, 5), (89, 5), (99991, 5)])
+    def test_every_point_matches_the_horner_oracle(self, p, K):
+        cache = gamma_cache(p, K)
+        for D in (1, 2, 4, 7, 12, 60, 210):
+            if D % p == 0:
+                continue
+            for c in range(D):
+                x = Fraction(c, D)
+                assert cache.gamma(x) == gamma_horner(cache, x), (p, K, x)
+        for x in (Fraction(-3, 4), Fraction(p**K - 1), Fraction(-1, p**K + 1)):
+            assert cache.gamma(x) == gamma_horner(cache, x), (p, K, x)
+
+    def test_residues_above_int64(self):
+        cache = gamma_cache(99991, 5)
+        n = np.array([99991**5 - 1, 2**63 + 5, 3], dtype=object)
+        assert cache.values(n, 1).tolist() == [gamma_horner(cache, Fraction(int(x))) for x in n]
+
+    def test_table_memoizes_by_residue(self):
+        cache = GammaCache(7, 4)
+        value = cache.gamma(Fraction(1, 2))
+        assert cache.table == {0: 1, 1201: value}
+        assert cache.gamma(Fraction(1201)) == value and len(cache.table) == 2
