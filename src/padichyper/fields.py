@@ -3,12 +3,12 @@ full discrete-log table, multiplicative characters (notably the quadratic
 character), and the trace map.
 
 Elements are encoded as integers in [0, q): the little-endian base-p packing
-of the power-basis coefficient vector.  The FqElement operators do all
-scalar arithmetic on the tables: products through exp/dlog, and for r >= 2
-sums through the Zech table zech[n] = dlog(1 + g^n), since g^a + g^b =
-g^(a + zech[b - a]); the field's ``np_*`` methods do the same on index
-arrays, which broadcast as numpy's do.  Every operation is O(1) after the
-O(q r^2) build.
+of the power-basis coefficient vector.  Each table is one read-only array:
+exp/dlog, phi and, for r >= 2, Zech's zech[n] = dlog(1 + g^n), since g^a +
+g^b = g^(a + zech[b - a]).  The FqElement operators read single entries of
+them as ints, and the ``np_*`` methods gather from them on index arrays,
+which broadcast as numpy's do.  Every operation is O(1) after the O(q r^2)
+build, by ``power_rows``, which also builds the Teichmueller powers.
 
 A field is its model (p, r, variant): two FqField objects of one model are
 equal, hash alike and combine each other's elements, and nothing is attached
@@ -68,6 +68,20 @@ def poly_mul_rows(a: np.ndarray, b: np.ndarray, poly: Sequence[int], m: int) -> 
     return poly_reduce_rows(prod, poly, m)
 
 
+def power_rows(base: Sequence[int], n: int, poly: Sequence[int], m: int) -> np.ndarray:
+    """base^0, ..., base^(n-1) in (Z/m)[x]/(x^r + poly), an (n, r) array of
+    ``residue_dtype``, by doubling: rows [k, 2k) are rows [0, k) times base^k,
+    with base^k squared on its coefficient list."""
+    rows = np.zeros((n, len(poly)), dtype=residue_dtype(m))
+    rows[0, 0] = 1
+    bk, k = list(base), 1
+    while k < n:
+        c = min(k, n - k)
+        rows[k : k + c] = poly_mul_rows(rows[:c], np.array(bk, dtype=rows.dtype), poly, m)
+        bk, k = _poly_mulmod(bk, bk, poly, m), k + c
+    return rows
+
+
 class FqField:
     """Finite field with precomputed exp/dlog tables; immutable after build.
     Equal, and hashed, by model (p, r, variant)."""
@@ -88,15 +102,8 @@ class FqField:
         self.model = (p, r, variant)
         gen_idx = (-self.poly[0]) % p if r == 1 else p
         self.generator_idx = gen_idx
-        # power-basis coordinates of g^s for s in [0, q-1], by doubling:
-        # the powers g^n..g^(2n-1) are g^0..g^(n-1) times g^n
-        powers = np.zeros((q, r), dtype=np.int64)
-        powers[0, 0] = 1
-        gn, n = self._unpack(gen_idx), 1
-        while n < q:
-            k = min(n, q - n)
-            powers[n : n + k] = poly_mul_rows(powers[:k], np.array(gn), self.poly, p)
-            gn, n = _poly_mulmod(gn, gn, self.poly, p), n + k
+        # power-basis coordinates of g^s for s in [0, q-1], packed to indices
+        powers = power_rows(self._unpack(gen_idx), q, self.poly, p)
         exp = powers @ p ** np.arange(r, dtype=np.int64)
         if np.bincount(exp[: q - 1], minlength=q).max() > 1:
             raise AssertionError("generator order below q-1")
@@ -105,8 +112,6 @@ class FqField:
         exp = exp[: q - 1]
         dlog = np.full(q, -1, dtype=np.int64)
         dlog[exp] = np.arange(q - 1)
-        self.exp = exp.tolist()
-        self.dlog = dlog.tolist()
         self.exp_np = np.concatenate([exp, exp])
         self.dlog_np = dlog
         # the quadratic character by index (g^s is a square iff s is even), as
@@ -114,12 +119,12 @@ class FqField:
         self.phi_np = np.ones(q, dtype=np.int8)
         self.phi_np[exp[1::2]] = -1
         self.phi_np[0] = 0
+        self.exp_np.flags.writeable = self.dlog_np.flags.writeable = self.phi_np.flags.writeable = False
+        if r > 1:  # 1 + x bumps only the low base-p digit of x; -1 marks 1 + g^n = 0
+            self.zech_np = self.dlog_np[exp - exp % p + (exp % p + 1) % p]
+            self.zech_np.flags.writeable = False
         self.zero, self.one = FqElement(self, 0), FqElement(self, 1)
         self.generator = FqElement(self, gen_idx)
-        if r > 1:  # 1 + x bumps only the low base-p digit of x; -1 marks 1 + g^n = 0
-            e = self.exp_np[: q - 1]
-            self.zech_np = self.dlog_np[e - e % p + (e % p + 1) % p]
-            self.zech = self.zech_np.tolist()
 
     def __eq__(self, other):
         return self is other or (other.__class__ is FqField and self.model == other.model)
@@ -193,12 +198,6 @@ class FqField:
             raise ValueError("index out of range")
         return FqElement(self, idx)
 
-    def elements(self):
-        return (FqElement(self, i) for i in range(self.q))
-
-    def units(self):
-        return (FqElement(self, i) for i in range(1, self.q))
-
     def __repr__(self):
         variant = f", variant={self.variant}" if self.variant else ""
         return f"FqField(p={self.p}, r={self.r}{variant})"
@@ -248,9 +247,9 @@ class FqElement:
             return FqElement(f, (i + j) % f.p)
         if i == 0 or j == 0:
             return FqElement(f, i or j)
-        a = f.dlog[i]
-        z = f.zech[(f.dlog[j] - a) % (f.q - 1)]
-        return FqElement(f, 0 if z < 0 else f.exp[(a + z) % (f.q - 1)])
+        a = f.dlog_np.item(i)
+        z = f.zech_np.item((f.dlog_np.item(j) - a) % (f.q - 1))
+        return FqElement(f, 0 if z < 0 else f.exp_np.item((a + z) % (f.q - 1)))
 
     __radd__ = __add__
 
@@ -264,14 +263,14 @@ class FqElement:
         f, i = self.field, self.idx
         if f.r == 1:
             return FqElement(f, -i % f.p)
-        return FqElement(f, f.exp[(f.dlog[i] + (f.q - 1) // 2) % (f.q - 1)] if i else 0)
+        return FqElement(f, f.exp_np.item((f.dlog_np.item(i) + (f.q - 1) // 2) % (f.q - 1)) if i else 0)
 
     def __mul__(self, other):
         o = self._co(other)
         f = self.field
         if self.idx == 0 or o.idx == 0:
             return FqElement(f, 0)
-        return FqElement(f, f.exp[(f.dlog[self.idx] + f.dlog[o.idx]) % (f.q - 1)])
+        return FqElement(f, f.exp_np.item((f.dlog_np.item(self.idx) + f.dlog_np.item(o.idx)) % (f.q - 1)))
 
     __rmul__ = __mul__
 
@@ -282,7 +281,7 @@ class FqElement:
             raise ZeroArgument("0 has no inverse")
         if self.idx == 0:
             return FqElement(f, 0)
-        return FqElement(f, f.exp[(f.dlog[self.idx] - f.dlog[o.idx]) % (f.q - 1)])
+        return FqElement(f, f.exp_np.item((f.dlog_np.item(self.idx) - f.dlog_np.item(o.idx)) % (f.q - 1)))
 
     def __rtruediv__(self, other):
         return self._co(other) / self
@@ -293,12 +292,12 @@ class FqElement:
             if e < 0:
                 raise ZeroArgument("0 has no inverse")
             return FqElement(f, 0 if e else 1)
-        return FqElement(f, f.exp[e * f.dlog[self.idx] % (f.q - 1)])
+        return FqElement(f, f.exp_np.item(e * f.dlog_np.item(self.idx) % (f.q - 1)))
 
     def dlog(self) -> int:
         if self.idx == 0:
             raise ZeroArgument("0 has no discrete log")
-        return self.field.dlog[self.idx]
+        return self.field.dlog_np.item(self.idx)
 
     def __repr__(self):
         if self.field.r == 1:
@@ -329,9 +328,7 @@ def uctx_for(field: FqField, K: int) -> UnramifiedContext:
 
 def phi(x: FqElement) -> int:
     """Quadratic character: 0 at 0, else parity of the discrete log."""
-    if x.idx == 0:
-        return 0
-    return -1 if x.field.dlog[x.idx] % 2 else 1
+    return x.field.phi_np.item(x.idx)
 
 
 def trace(x: FqElement) -> int:
@@ -361,25 +358,18 @@ class TeichmuellerPowers:
     of the field of ``model``; then omega^m(x) = T[m * dlog(x) mod (q-1)].
 
     One Teichmueller lift and about log2(q) row-wise products build it, by
-    doubling: T[n:2n] = T[:n] * omega^n, with omega^n squared on its
-    coefficient list.  ``array`` holds the coordinates as
-    a (q-1, r) array of ``residue_dtype`` for gathers; ``table[s]`` reads one
-    row back as a Z_q element.
+    ``power_rows``'s doubling.  ``array`` holds the coordinates as a
+    read-only (q-1, r) array of ``residue_dtype`` for gathers; ``table[s]``
+    reads one row back as a Z_q element.
     """
 
     def __init__(self, model: tuple[int, int, int], uctx: UnramifiedContext):
         field = field_for(model)
         check_context(field, uctx)
         self.uctx = uctx
-        m, n, q1 = uctx.modulus, 1, field.q - 1
-        array = np.zeros((q1, uctx.r), dtype=residue_dtype(m))
-        array[0, 0] = 1
-        wn = list(teichmueller(field.generator, uctx).coeffs)
-        while n < q1:
-            k = min(n, q1 - n)
-            array[n : n + k] = poly_mul_rows(array[:k], np.array(wn, dtype=array.dtype), uctx.poly, m)
-            wn, n = _poly_mulmod(wn, wn, uctx.poly, m), n + k
-        self.array = array
+        omega = teichmueller(field.generator, uctx).coeffs
+        self.array = power_rows(omega, field.q - 1, uctx.poly, uctx.modulus)
+        self.array.flags.writeable = False
 
     def __getitem__(self, s: int) -> ZqElement:
         return ZqElement(tuple(int(c) for c in self.array[s]), self.uctx)
@@ -394,18 +384,19 @@ def check_orthogonality(field: FqField) -> bool:
     """Both orthogonality relations, verified exactly.
 
     Sums of (q-1)-th roots of unity are checked combinatorially, not in
-    floats: the exponent multiset {m*s mod q-1} either is all zeros (sum is
-    q-1) or covers each multiple of gcd(m, q-1) exactly gcd times, a full
-    orbit of nontrivial roots of unity whose sum vanishes by the geometric
-    series.  The chi(0) = 0 convention makes the x = 0 term drop from the
-    first relation.  Both relations reduce to the same exponent pattern with
-    the roles of character index and discrete log swapped, which the m-loop
+    floats: the exponent multiset {m*dlog(x) mod q-1} over the units x, read
+    from the field's dlog table, either is all zeros (sum is q-1) or covers
+    each multiple of gcd(m, q-1) exactly gcd times, a full orbit of
+    nontrivial roots of unity whose sum vanishes by the geometric series.
+    The chi(0) = 0 convention makes the x = 0 term drop from the first
+    relation.  Both relations reduce to the same exponent pattern with the
+    roles of character index and discrete log swapped, which the m-loop
     covers symmetrically.  The multiset depends on m only through
     gcd(m, q-1), so one m per class is counted: m = 0, then each divisor
     d < q-1 of q-1 stands for every m with gcd(m, q-1) = d.
     """
     q1 = field.q - 1
-    s = np.arange(q1, dtype=np.int64)
+    s = field.dlog_np[1:]
 
     def exponent_sum_is(m: int, expect_full: bool) -> bool:
         counts = np.bincount((m * s) % q1, minlength=q1)

@@ -20,8 +20,8 @@ K = 5), every later one being 0 mod p^K, and the blocks of one (p, K) cost
 about sum_L ceil(K/(L+1))^2 p multiplications mod p^K.  Splitting [0, n) by
 the base-p digits d_L of n gives f(n) = prod_L C_{L,d_L}(n // p^(L+1)): one
 short Horner evaluation per level.  ``GammaCache.values`` runs them for an
-array of points c/D at once, as numpy arrays; ``rational_table`` is its table
-of every c < D, and ``gamma`` is ``values`` at one point.
+array of points c/D at once, as numpy arrays; ``rational_table`` is its
+read-only table of every c < D, and ``gamma`` is ``values`` at one point.
 """
 
 from __future__ import annotations
@@ -135,9 +135,12 @@ class GammaCache:
         return np.where(n % 2 == 1, -f % m, f)
 
     @lru_cache(maxsize=64)
-    def rational_table(self, denominator: int) -> list[int]:
-        """Gamma_p(c/denominator) for every c in [0, denominator), as a list."""
-        return self.values(np.arange(denominator), denominator).tolist()
+    def rational_table(self, denominator: int) -> np.ndarray:
+        """Gamma_p(c/denominator) for every c in [0, denominator), as a
+        read-only array of ``residue_dtype``: the cache shares it."""
+        table = self.values(np.arange(denominator), denominator)
+        table.flags.writeable = False
+        return table
 
 
 gamma_cache = lru_cache(maxsize=64)(GammaCache)

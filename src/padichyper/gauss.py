@@ -33,7 +33,7 @@ def default_tolerance(field: FqField, rhs=0):
 
 class GaussTables:
     """Root-of-unity tables, the traces Tr(g^s) and all q-1 Gauss sums of
-    the field of ``model``; they hold no field."""
+    the field of ``model``, as read-only arrays; they hold no field."""
 
     def __init__(self, model: tuple[int, int, int]):
         field = field_for(model)
@@ -50,6 +50,8 @@ class GaussTables:
         self.G = q1 * np.fft.ifft(self.zeta_p[self.trace])
         if not np.all(np.isfinite(self.G)):
             raise ArithmeticError("non-finite Gauss sum")
+        for table in (self.zeta_q1, self.zeta_p, self.trace, self.G):
+            table.flags.writeable = False
 
 
 gauss_tables = lru_cache(maxsize=64)(GaussTables)

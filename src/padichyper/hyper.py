@@ -10,10 +10,12 @@ denominator, so term valuations are exact and the unit parts carry provable
 absolute precision.
 
 The twist omega-bar(t)^j is omega(g)^(-j dlog t) for the field's generator g,
-read from the per-field Teichmueller power table.  ``GProfile._sum`` is the
-one point sum: it takes an array of points, gathers their twists in chunks
-and takes one modular dot product per point, with no ring multiplies;
-``eval_qg`` and ``g_eval`` call it with one point.
+read from the per-field Teichmueller power table.  A ``GProfile`` gathers its
+gamma quotients from the read-only ``rational_table`` array, and its ``vals``
+and ``units`` are read-only arrays too.  ``GProfile._sum`` is the one point
+sum: it takes an array of points, gathers their twists in chunks and takes
+one modular dot product per point, with no ring multiplies; ``eval_qg`` and
+``g_eval`` call it with one point.
 
 ``qg_table`` gives q*G at every t of a field at once: a chirp-z transform
 with triangular exponents, whose one correlation is a single big-int product
@@ -200,24 +202,22 @@ class GProfile:
         q = self.q = p**r
         m = uctx.modulus
         D, vals, args = term_exponents(params, p, r)
-        dtype = residue_dtype(m)
-        gtab = np.array(gamma_cache(p, uctx.K).rational_table(D), dtype=dtype)
-        num = np.ones(q - 1, dtype=dtype)
+        gtab = gamma_cache(p, uctx.K).rational_table(D)
+        num = np.ones(q - 1, dtype=gtab.dtype)
         for row in args:
             num = num * gtab[row] % m
         units = num * pow(int(num[0]), -1, m) % m
         # (-1)^(jn) times the sign of (-p)^(v_j)
         odd = (np.arange(q - 1) * params.n + vals) % 2 == 1
         units[odd] = -units[odd] % m
-        self.vals = vals.tolist()
-        self.units = units.tolist()
-        self.vmin = min(self.vals)
-        self.vmax = max(self.vals)
+        self.vals, self.units = vals, units
+        self.vmin, self.vmax = term_range(params, p, r)
         self._minus_j = -np.arange(q - 1, dtype=np.int64)
         # c_j p^(v_j - vmin) (-1/(q-1)) mod p^K; p^e vanishes mod p^K from e = K on
-        p_pow = np.array([p**e for e in range(uctx.K)] + [0], dtype=dtype)
+        p_pow = np.array([p**e for e in range(uctx.K)] + [0], dtype=gtab.dtype)
         column = units * p_pow[np.minimum(vals - self.vmin, uctx.K)] % m
         self.column = (column * (-pow(q - 1, -1, m) % m) % m)[:, None]
+        self.units.flags.writeable = self.column.flags.writeable = self._minus_j.flags.writeable = False
 
     def _twist_index(self, t: FqElement) -> int:
         """dlog t, for a point of the field the profile's tables index."""
@@ -270,8 +270,8 @@ class GProfile:
         if not 0 <= j <= q - 2:
             raise ValueError("j out of range")
         powers = teichmueller_powers(self.model, self.uctx)
-        unit = powers[-j * self._twist_index(t) % (q - 1)].scale(self.units[j])
-        return PadicNumber(self.vals[j], unit, self.vals[j] + self.uctx.K)
+        unit = powers[-j * self._twist_index(t) % (q - 1)].scale(self.units.item(j))
+        return PadicNumber(self.vals.item(j), unit, self.vals.item(j) + self.uctx.K)
 
 
 # keyed by params, the field's model and the context (K and the lifted polynomial)

@@ -29,7 +29,7 @@ def direct_gauss_sums(f):
     the generator, each with its own Frobenius-power trace."""
     q1 = f.q - 1
     s = np.arange(q1)
-    tr = np.array([trace(f.from_index(f.exp[k])) for k in range(q1)])
+    tr = np.array([trace(f.from_index(int(f.exp_np[k]))) for k in range(q1)])
     return np.exp(2j * np.pi * (np.outer(s, s) % q1 / q1 + tr / f.p)).sum(axis=1)
 
 
@@ -140,7 +140,7 @@ class TestGaussSum:
         q1 = f.q - 1
         for m in range(q1):
             direct = sum(
-                cmath.exp(2j * cmath.pi * (m * s / q1 + trace(f.from_index(f.exp[s])) / f.p))
+                cmath.exp(2j * cmath.pi * (m * s / q1 + trace(f.from_index(int(f.exp_np[s]))) / f.p))
                 for s in range(q1)
             )
             assert abs(gauss_sum(m, f) - direct) < 1e-9, m

@@ -94,7 +94,7 @@ def oracle_qg(prof, t):
     w = ctx.one
     acc = ctx.from_int(0)
     for j in range(prof.q - 1):
-        acc = zq_add(acc, w.scale(prof.units[j] * p ** (r + prof.vals[j])))
+        acc = zq_add(acc, w.scale(int(prof.units[j]) * p ** (r + int(prof.vals[j]))))
         w = w * wbar
     return oracle_normal_form(acc.scale(-pow(prof.q - 1, -1, m)), 0, ctx.K)
 
@@ -156,7 +156,7 @@ def oracle_correlation(a, b, m):
 
 
 def oracle_term_unit(prof, t, j):
-    return zq_pow(zq_inv(teichmueller(t, prof.uctx)), j).scale(prof.units[j])
+    return zq_pow(zq_inv(teichmueller(t, prof.uctx)), j).scale(int(prof.units[j]))
 
 
 def make_instance(p, r, params, t, K=None, variant=0):
@@ -426,7 +426,7 @@ class TestEval:
         # the dot product at K + guard against the summed PadicNumber terms
         field = build_field(p, r)
         K = default_precision(p, r)
-        for t in field.units():
+        for t in map(field.from_index, range(1, field.q)):
             inst = GInstance(params, field, uctx_for(field, K), t)
             got, want = g_eval(inst), oracle_g_eval(inst)
             assert (got.digits(), got.valuation, got.abs_prec) == (want.digits(), want.valuation, want.abs_prec)
@@ -437,7 +437,7 @@ class TestEval:
         field, K = build_field(5, 2), 6
         u1 = unramified_context(5, K, 2, tuple(c + 5 for c in uctx_for(field, K).poly))
         params = gparams("1/3;1/2")
-        for t in field.units():
+        for t in map(field.from_index, range(1, field.q)):
             inst = GInstance(params, field, u1, t)
             vals = [g_term(inst, j).valuation for j in range(field.q - 1)]
             vmin = min(vals)
@@ -513,7 +513,7 @@ class TestTwistTable:
     def test_eval_qg_matches_per_point_loop(self, p, r, params, K):
         field = build_field(p, r)
         prof = profile_for(params, field.model, uctx_for(field, K))
-        for t in field.units():
+        for t in map(field.from_index, range(1, field.q)):
             assert prof.eval_qg(t) == oracle_qg(prof, t)
 
     @pytest.mark.parametrize("p,r,params,K", [(7, 1, QT, 5), (5, 2, QT, 6), (11, 1, HS2, 9)])
@@ -690,6 +690,38 @@ class TestCacheEviction:
         assert ref() is None
 
 
+class TestSharedTablesAreReadOnly:
+    """Every array that an lru_cache shares refuses an in-place write: one
+    caller's write would otherwise change every later record that reads it."""
+
+    @pytest.mark.parametrize("p,r", [(13, 1), (5, 2), (89, 1)])
+    def test_writes_raise(self, p, r):
+        field = build_field(p, r)
+        uctx = uctx_for(field, default_precision(p, r))
+        prof = profile_for(QT, field.model, uctx)
+        gauss = gauss_tables(field.model)
+        tables = {
+            "exp_np": field.exp_np,
+            "dlog_np": field.dlog_np,
+            "phi_np": field.phi_np,
+            "teichmueller": teichmueller_powers(field.model, uctx).array,
+            "zeta_q1": gauss.zeta_q1,
+            "zeta_p": gauss.zeta_p,
+            "trace": gauss.trace,
+            "G": gauss.G,
+            "rational_table": gamma_cache(p, uctx.K).rational_table(term_exponents(QT, p, r)[0]),
+            "units": prof.units,
+            "column": prof.column,
+        }
+        if r > 1:
+            tables["zech_np"] = field.zech_np
+        for name, table in tables.items():
+            before = table.copy()
+            with pytest.raises(ValueError, match="read-only"):
+                table[1] = table[0]
+            assert np.array_equal(table, before), name
+
+
 class TestBatchedSum:
     """``GProfile._sum`` over arrays of points, the one point sum, against
     the per-point loop ``oracle_qg`` and against ``qg_table`` at every t."""
@@ -711,7 +743,7 @@ class TestBatchedSum:
         assert np.array_equal(rows, qg_table(params, field.model, uctx))
         for s in random.Random(f"{p}:{r}:{K}").sample(range(field.q - 1), min(field.q - 1, 6)):
             got = renormalize(rows[s].tolist(), uctx, 0, uctx.K)
-            assert got == oracle_qg(prof, field.from_index(field.exp[s]))
+            assert got == oracle_qg(prof, field.from_index(int(field.exp_np[s])))
 
     # 1,100 points at q = 1,009 take two int64 chunks of 2^20 // 1,008 =
     # 1,040; at K = 5 the Python-int chunks are an eighth as long

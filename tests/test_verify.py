@@ -113,9 +113,9 @@ class TestCOR2:
             if m.is_zero or n.is_zero or -27 * n * n / (4 * m**3) == field.one:
                 continue
             target = -m / 3
-            s = field.dlog[target.idx]
+            s = int(field.dlog_np[target.idx])
             if s % 2 == 0:
-                k = field.from_index(field.exp[s // 2])
+                k = field.from_index(int(field.exp_np[s // 2]))
                 return d, k
         return None
 
