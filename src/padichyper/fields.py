@@ -8,7 +8,9 @@ exp/dlog, phi and, for r >= 2, Zech's zech[n] = dlog(1 + g^n), since g^a +
 g^b = g^(a + zech[b - a]).  The FqElement operators read single entries of
 them as ints, and the ``np_*`` methods gather from them on index arrays,
 which broadcast as numpy's do.  Every operation is O(1) after the O(q r^2)
-build, by ``power_rows``, which also builds the Teichmueller powers.
+build, by ``power_rows``.  ``power_rows`` also builds the Teichmueller
+powers of the generator: ``teichmueller_powers`` caches them, per model and
+Z_q context, as one read-only (q-1, r) array that the series gathers from.
 
 A field is its model (p, r, variant): two FqField objects of one model are
 equal, hash alike and combine each other's elements, and nothing is attached
@@ -29,7 +31,6 @@ import numpy as np
 from .errors import CompositeP, FieldTooLarge, ZeroArgument
 from .padic import (
     UnramifiedContext,
-    ZqElement,
     _poly_mulmod,
     find_defining_poly,
     is_prime,
@@ -353,31 +354,23 @@ def residue_dtype(modulus: int):
     return np.int64 if modulus < 2**31 else object
 
 
-class TeichmuellerPowers:
+# keyed by the field's model and the context, which carries K and the lifted
+# polynomial fixing the coordinates; the array holds no field
+@lru_cache(maxsize=64)
+def teichmueller_powers(model: tuple[int, int, int], uctx: UnramifiedContext) -> np.ndarray:
     """T[s] = omega(g)^s in Z_q mod p^K for s in [0, q-1), g the generator
     of the field of ``model``; then omega^m(x) = T[m * dlog(x) mod (q-1)].
 
     One Teichmueller lift and about log2(q) row-wise products build it, by
-    ``power_rows``'s doubling.  ``array`` holds the coordinates as a
-    read-only (q-1, r) array of ``residue_dtype`` for gathers; ``table[s]``
-    reads one row back as a Z_q element.
+    ``power_rows``'s doubling: a read-only (q-1, r) array of
+    ``residue_dtype``, row s the coordinates of T[s].
     """
-
-    def __init__(self, model: tuple[int, int, int], uctx: UnramifiedContext):
-        field = field_for(model)
-        check_context(field, uctx)
-        self.uctx = uctx
-        omega = teichmueller(field.generator, uctx).coeffs
-        self.array = power_rows(omega, field.q - 1, uctx.poly, uctx.modulus)
-        self.array.flags.writeable = False
-
-    def __getitem__(self, s: int) -> ZqElement:
-        return ZqElement(tuple(int(c) for c in self.array[s]), self.uctx)
-
-
-# keyed by the field's model and the context, which carries K and the lifted
-# polynomial fixing the coordinates; the table holds no field
-teichmueller_powers = lru_cache(maxsize=64)(TeichmuellerPowers)
+    field = field_for(model)
+    check_context(field, uctx)
+    omega = teichmueller(field.generator, uctx).coeffs
+    powers = power_rows(omega, field.q - 1, uctx.poly, uctx.modulus)
+    powers.flags.writeable = False
+    return powers
 
 
 def check_orthogonality(field: FqField) -> bool:

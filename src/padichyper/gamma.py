@@ -19,15 +19,18 @@ therefore keeps only its first ceil(K/(L+1)) coefficients (5, 3, 2, 2, 1 for
 K = 5), every later one being 0 mod p^K, and the blocks of one (p, K) cost
 about sum_L ceil(K/(L+1))^2 p multiplications mod p^K.  Splitting [0, n) by
 the base-p digits d_L of n gives f(n) = prod_L C_{L,d_L}(n // p^(L+1)): one
-short Horner evaluation per level.  ``GammaCache.values`` runs them for an
-array of points c/D at once, as numpy arrays; ``rational_table`` is its
-read-only table of every c < D, and ``gamma`` is ``values`` at one point.
+short Horner evaluation per level.  ``digit_blocks`` caches the blocks of
+each (p, K) as read-only arrays, held by no ``GammaCache``, so a cache that
+``gamma_cache`` drops frees no blocks and a rebuilt one builds none.
+``GammaCache.values`` runs the Horner passes for an array of points c/D at
+once, as numpy arrays; ``rational_table`` is its read-only table of every
+c < D, and ``gamma`` is ``values`` at one point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,14 +79,24 @@ def _digit_blocks(p: int, K: int) -> list[list[list[int]]]:
     return blocks
 
 
+@lru_cache(maxsize=64)  # sized with gamma_cache
+def digit_blocks(p: int, K: int) -> tuple[np.ndarray, ...]:
+    """``_digit_blocks`` as arrays: level L is a read-only (p + 1,
+    ceil(K/(L+1))) array of ``residue_dtype``, row d the coefficients of
+    C_{L,d}.  Cached by (p, K) alone, so no ``GammaCache`` holds them."""
+    dtype = residue_dtype(p**K)
+    levels = tuple(np.array(level, dtype=dtype) for level in _digit_blocks(p, K))
+    for level in levels:
+        level.flags.writeable = False
+    return levels
+
+
 class GammaCache:
     """Gamma_p mod p^K for one odd prime p and K >= 1.
 
-    ``blocks[L]`` holds the digit-block polynomials of level L as a
-    (p + 1, ceil(K/(L+1))) array of ``residue_dtype``, row d the
-    coefficients of C_{L,d}; ``values`` gathers from them for all its points
-    at once, and ``table[n]`` memoizes Gamma_p(n) = (-1)^n f(n) at every
-    residue n that ``gamma`` evaluated so far.
+    ``values`` gathers from the shared ``digit_blocks(p, K)`` for all its
+    points at once, and ``table[n]`` memoizes Gamma_p(n) = (-1)^n f(n) at
+    every residue n that ``gamma`` evaluated so far.
     """
 
     def __init__(self, p: int, K: int):
@@ -91,11 +104,6 @@ class GammaCache:
         self.p = p
         self.K = K
         self.table: dict[int, int] = {0: 1}
-
-    @cached_property
-    def blocks(self) -> list[np.ndarray]:
-        dtype = residue_dtype(self.modulus)
-        return [np.array(level, dtype=dtype) for level in _digit_blocks(self.p, self.K)]
 
     # -- gamma values ---------------------------------------------------------
 
@@ -125,7 +133,7 @@ class GammaCache:
         p, m = self.p, self.modulus
         n = np.asarray(c, dtype=residue_dtype(m)) * inv % m
         f, y = 1, n
-        for level in self.blocks:
+        for level in digit_blocks(p, self.K):
             coeffs = level[(y % p).astype(np.int64)]
             y = y // p
             acc = coeffs[:, -1]

@@ -10,18 +10,19 @@ denominator, so term valuations are exact and the unit parts carry provable
 absolute precision.
 
 The twist omega-bar(t)^j is omega(g)^(-j dlog t) for the field's generator g,
-read from the per-field Teichmueller power table.  A ``GProfile`` gathers its
-gamma quotients from the read-only ``rational_table`` array, and its ``vals``
-and ``units`` are read-only arrays too.  ``GProfile._sum`` is the one point
-sum: it takes an array of points, gathers their twists in chunks and takes
-one modular dot product per point, with no ring multiplies; ``eval_qg`` and
-``g_eval`` call it with one point.
+a row of the read-only ``teichmueller_powers`` array.  A ``GProfile`` gathers
+its gamma quotients from the read-only ``rational_table`` array, and its
+``vals`` and ``units`` are read-only arrays too.  ``GProfile._sum`` is the one
+point sum: it takes an array of points, gathers their twists in chunks and
+takes one modular dot product per point, with no ring multiplies; ``eval_qg``
+and ``g_eval`` call it with one point.
 
-``qg_table`` gives q*G at every t of a field at once: a chirp-z transform
-with triangular exponents, whose one correlation is a single big-int product
-by Kronecker substitution.  The verification suite reads it only in a row
-that visits every point of its field, and sums the points of any other row
-in one batch (``verify._SuiteRun.sampled`` states the rule).
+``GProfile.qg_table``, kept with its profile, gives q*G at every t of a field
+at once: a chirp-z transform with triangular exponents, whose one correlation
+is one big-int product by Kronecker substitution.  The verification suite
+reads it only in a row that visits every point of its field, and sums the
+points of any other row in one batch (``verify._SuiteRun.sampled`` states
+the rule).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -140,47 +141,37 @@ def _valuation_bounds(n: int, p: int, r: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=256)  # sized with profile_for: at most one entry per profile
-def term_exponents(params: GParams, p: int, r: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """The gamma-free part of every summand, exactly: (D, vals, args).
+def term_exponents(params: GParams, p: int, r: int) -> tuple[int, np.ndarray, np.ndarray, int, int]:
+    """The gamma-free part of every summand, exactly: (D, vals, args, vmin, vmax).
 
     D = lcm(param denominators, q-1) is the common denominator; vals[j] is
-    the (-p)-exponent total v_j of summand j; args[:, j] holds the numerators
-    over D of the fractional parts <a_i p^k - j p^k/(q-1)> and
-    <-b_i p^k + j p^k/(q-1)>, whose gamma values make up summand j.  At j = 0
-    they are the j-independent gamma denominators, and v_0 = 0.
+    the (-p)-exponent total v_j of summand j, in [vmin, vmax]; args[:, j]
+    holds the numerators over D of the fractional parts <a_i p^k - j p^k/(q-1)>
+    and <-b_i p^k + j p^k/(q-1)>, whose gamma values make up summand j, all
+    from one ``np.divmod``.  At j = 0 they are the j-independent gamma
+    denominators, and v_0 = 0.
     """
     q = p**r
     D = q - 1
     for x in params.a + params.b:
         D = D * x.denominator // math.gcd(D, x.denominator)
-    j = np.arange(q - 1, dtype=np.int64)
-    vals = np.zeros(q - 1, dtype=np.int64)
-    args = []
+    starts, slopes = [], []
     for i in range(params.n):
         for k in range(r):
             pk = p**k
-            fa = frac_floor(params.a[i] * pk)[0]
-            fb = frac_floor(-params.b[i] * pk)[0]
-            ca = fa.numerator * (D // fa.denominator)
-            cb = fb.numerator * (D // fb.denominator)
-            step = j * (pk * (D // (q - 1)))
-            for num in (ca - step, cb + step):
-                floor, arg = np.divmod(num, D)
-                vals -= floor
-                args.append(arg)
+            for x, slope in ((params.a[i] * pk, -pk), (-params.b[i] * pk, pk)):
+                f = frac_floor(x)[0]
+                starts.append(f.numerator * (D // f.denominator))
+                slopes.append(slope * (D // (q - 1)))
+    j = np.arange(q - 1, dtype=np.int64)
+    floor, args = np.divmod(np.array(starts, dtype=np.int64)[:, None] + np.outer(slopes, j), D)
+    vals = -floor.sum(axis=0)
+    vmin, vmax = int(vals.min()), int(vals.max())
     lo, hi = _valuation_bounds(params.n, p, r)
-    if vals.min() < lo or vals.max() > hi:
-        raise AssertionError(f"term valuations [{vals.min()}, {vals.max()}] escape [{lo}, {hi}]")
-    args = np.array(args)
+    if vmin < lo or vmax > hi:
+        raise AssertionError(f"term valuations [{vmin}, {vmax}] escape [{lo}, {hi}]")
     vals.flags.writeable = args.flags.writeable = False
-    return D, vals, args
-
-
-@lru_cache(maxsize=256)  # keyed as term_exponents
-def term_range(params: GParams, p: int, r: int) -> tuple[int, int]:
-    """(v_min, v_max) of the term valuations of ``term_exponents``."""
-    vals = term_exponents(params, p, r)[1]
-    return int(vals.min()), int(vals.max())
+    return D, vals, args, vmin, vmax
 
 
 class GProfile:
@@ -201,7 +192,7 @@ class GProfile:
         self.uctx = uctx
         q = self.q = p**r
         m = uctx.modulus
-        D, vals, args = term_exponents(params, p, r)
+        D, vals, args, self.vmin, self.vmax = term_exponents(params, p, r)
         gtab = gamma_cache(p, uctx.K).rational_table(D)
         num = np.ones(q - 1, dtype=gtab.dtype)
         for row in args:
@@ -211,7 +202,6 @@ class GProfile:
         odd = (np.arange(q - 1) * params.n + vals) % 2 == 1
         units[odd] = -units[odd] % m
         self.vals, self.units = vals, units
-        self.vmin, self.vmax = term_range(params, p, r)
         self._minus_j = -np.arange(q - 1, dtype=np.int64)
         # c_j p^(v_j - vmin) (-1/(q-1)) mod p^K; p^e vanishes mod p^K from e = K on
         p_pow = np.array([p**e for e in range(uctx.K)] + [0], dtype=gtab.dtype)
@@ -235,7 +225,7 @@ class GProfile:
         p^(-vmin) * G, scaled by p^(shift + vmin) when that is nonzero.
         """
         ctx, q1 = self.uctx, self.q - 1
-        m, powers = ctx.modulus, teichmueller_powers(self.model, ctx).array
+        m, powers = ctx.modulus, teichmueller_powers(self.model, ctx)
         step = max(1, GATHER_ELEMENTS // q1 // (8 if powers.dtype == object else 1))
         sums = [(self.column * powers[s[lo : lo + step, None] * self._minus_j % q1] % m).sum(axis=1) % m
                 for lo in range(0, max(len(s), 1), step)]
@@ -243,6 +233,34 @@ class GProfile:
         if shift + self.vmin:
             out = out * pow(ctx.p, shift + self.vmin, m) % m
         return out
+
+    @cached_property
+    def qg_table(self) -> np.ndarray:
+        """q * G at every t of the field: row s holds the residues mod p^K of
+        q * G(g^s), the vector ``eval_qg`` renormalises, as a read-only
+        (q-1, r) array of ``residue_dtype``, built on first read.
+
+        With Tri(n) = n(n-1)/2, js = Tri(j + s) - Tri(j) - Tri(s), so
+        sum_j col_j omega^(-js) = omega^Tri(s) sum_j (col_j omega^Tri(j)) omega^(-Tri(j+s)):
+        a chirp-z transform with triangular exponents, which needs no root of
+        unity of order 2(q-1), and one correlation of q-1 against 2q-3 Z_q
+        elements (``kronecker_correlation``).  Each output is reduced by the
+        lifted polynomial, twisted by omega^Tri(s) and scaled by p^(r + vmin)
+        as in ``_sum``.
+        """
+        uctx = self.uctx
+        shift, m = self._qg_shift() + self.vmin, uctx.modulus
+        q1 = self.q - 1
+        powers = teichmueller_powers(self.model, uctx)
+        n = np.arange(2 * q1 - 1, dtype=np.int64)
+        tri = n * (n - 1) // 2 % q1
+        chirp = powers[tri[:q1]]
+        corr = kronecker_correlation(self.column * chirp % m, powers[-tri % q1], m)
+        table = poly_mul_rows(poly_reduce_rows(corr, uctx.poly, m), chirp, uctx.poly, m)
+        if shift:
+            table = table * pow(uctx.p, shift, m) % m
+        table.flags.writeable = False
+        return table
 
     def qg_rows(self, s: np.ndarray) -> np.ndarray:
         """q * G mod p^K at each point g^s, as ``_sum``'s residue rows."""
@@ -269,8 +287,8 @@ class GProfile:
         q = self.q
         if not 0 <= j <= q - 2:
             raise ValueError("j out of range")
-        powers = teichmueller_powers(self.model, self.uctx)
-        unit = powers[-j * self._twist_index(t) % (q - 1)].scale(self.units.item(j))
+        row = teichmueller_powers(self.model, self.uctx)[-j * self._twist_index(t) % (q - 1)]
+        unit = self.uctx.element(row.tolist()).scale(self.units.item(j))
         return PadicNumber(self.vals.item(j), unit, self.vals.item(j) + self.uctx.K)
 
 
@@ -313,35 +331,6 @@ def kronecker_correlation(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     return sum(words[..., k] << 64 * k for k in range(w)) % m
 
 
-@lru_cache(maxsize=256)  # keyed as profile_for
-def qg_table(params: GParams, model: tuple[int, int, int], uctx: UnramifiedContext) -> np.ndarray:
-    """q * G at every t of the field: row s holds the residues mod p^K of
-    q * G(g^s), the vector ``eval_qg`` renormalises, as a read-only (q-1, r)
-    array of ``residue_dtype``.
-
-    With Tri(n) = n(n-1)/2, js = Tri(j + s) - Tri(j) - Tri(s), so
-    sum_j col_j omega^(-js) = omega^Tri(s) sum_j (col_j omega^Tri(j)) omega^(-Tri(j+s)):
-    a chirp-z transform with triangular exponents, which needs no root of
-    unity of order 2(q-1), and one correlation of q-1 against 2q-3 Z_q
-    elements (``kronecker_correlation``).  Each output is reduced by the
-    lifted polynomial, twisted by omega^Tri(s) and scaled by p^(r + vmin)
-    as in ``GProfile._sum``.
-    """
-    prof = profile_for(params, model, uctx)
-    shift, m = prof._qg_shift() + prof.vmin, uctx.modulus
-    q1 = prof.q - 1
-    powers = teichmueller_powers(model, uctx).array
-    n = np.arange(2 * q1 - 1, dtype=np.int64)
-    tri = n * (n - 1) // 2 % q1
-    chirp = powers[tri[:q1]]
-    corr = kronecker_correlation(prof.column * chirp % m, powers[-tri % q1], m)
-    table = poly_mul_rows(poly_reduce_rows(corr, uctx.poly, m), chirp, uctx.poly, m)
-    if shift:
-        table = table * pow(uctx.p, shift, m) % m
-    table.flags.writeable = False
-    return table
-
-
 def g_term(inst: GInstance, j: int) -> PadicNumber:
     """The j-th summand of the series (prefactor excluded): (-1)^{jn} times
     the inverse-Teichmueller twist times the signed p-power and gamma ratios."""
@@ -352,12 +341,11 @@ def g_eval(inst: GInstance) -> PadicNumber:
     """Full series value as a PadicNumber, at absolute precision K + v_max >= K.
 
     Follows the guard rule.  The term valuations v_j come first: their range
-    is read from ``term_range``, cached with the gamma-free
-    ``term_exponents``; the profile at K + (v_max - v_min) then
-    sums c_j p^(v_j - v_min) omega-bar(t)^j with the -1/(q-1) prefactor, and
-    the result is that sum times p^(v_min).
+    is read from the gamma-free ``term_exponents``; the profile at
+    K + (v_max - v_min) then sums c_j p^(v_j - v_min) omega-bar(t)^j with the
+    -1/(q-1) prefactor, and the result is that sum times p^(v_min).
     """
-    vmin, vmax = term_range(inst.params, inst.field.p, inst.field.r)
+    vmin, vmax = term_exponents(inst.params, inst.field.p, inst.field.r)[3:]
     uctx = inst.uctx
     if vmax > vmin:  # the guard context keeps the instance's lifted polynomial
         uctx = unramified_context(uctx.p, uctx.K + vmax - vmin, uctx.r, uctx.poly)

@@ -56,7 +56,7 @@ from .errors import ModulusMismatch, PreconditionFailed, PadicHyperError, Trivia
 from .fields import DEFAULT_MAX_Q, FqField, build_field, check_orthogonality, phi, residue_dtype, uctx_for
 from .gamma import GammaCache, gamma_cache
 from .gauss import default_tolerance, gauss_tables
-from .hyper import GParams, profile_for, qg_table, recover_integer
+from .hyper import GParams, profile_for, recover_integer
 from .padic import default_precision, is_prime, renormalize
 
 # Not called here; perfbench/tracing.py wraps them under these names.
@@ -158,16 +158,17 @@ def _branch(field: FqField, branch: np.ndarray, a: np.ndarray, b: np.ndarray, ro
 
 def _series(params: GParams, field: FqField, uctx, full: bool, t, twist) -> np.ndarray:
     """phi(twist) q 2G2[params | t] at each (t, twist) of a row, as (n, r)
-    residues mod p^K: rows of the field's ``qg_table`` in a row listed in
+    residues mod p^K: rows of the profile's ``qg_table`` in a row listed in
     full, else one batched sum over the row's distinct points."""
     if not len(t):
         return np.zeros((0, field.r), dtype=residue_dtype(uctx.modulus))
     s = field.dlog_np[t]
+    prof = profile_for(params, field.model, uctx)
     if full:
-        values = qg_table(params, field.model, uctx)[s]
+        values = prof.qg_table[s]
     else:
         points, inverse = np.unique(s, return_inverse=True)
-        values = profile_for(params, field.model, uctx).qg_rows(points)[inverse]
+        values = prof.qg_rows(points)[inverse]
     return values * field.np_phi(twist)[:, None] % uctx.modulus
 
 
@@ -569,7 +570,7 @@ class _SuiteRun:
         """The positions a row draws among its ``size`` arguments: all of
         them in order, or the ``sample`` seeded positions that
         ``random.sample`` of the argument list itself would pick.  A row
-        drawing every position reads ``hyper.qg_table``; any other row, and
+        drawing every position reads ``GProfile.qg_table``; any other row, and
         MC's draw, makes one batched sum over its distinct points.  That is
         the break-even, not a setting: a table costs about 145 batched points
         at q = 121 and 270 at q = 9,973 (1.1 s), and took 39.5 s in-process at

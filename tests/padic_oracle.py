@@ -18,7 +18,7 @@ import numpy as np
 
 from padichyper.errors import ContextMismatch, PrecisionExhausted
 from padichyper.fields import FqElement, teichmueller_powers
-from padichyper.gamma import GammaCache
+from padichyper.gamma import GammaCache, digit_blocks
 from padichyper.padic import (
     PadicNumber,
     RationalLike,
@@ -136,7 +136,7 @@ def agrees_to(self: PadicNumber, other: PadicNumber, prec: int) -> bool:
 
 def char_eval_padic(m: int, x: FqElement, uctx: UnramifiedContext) -> ZqElement:
     """omega^m(x) in Z_q mod p^K via the Teichmueller lift."""
-    return teichmueller_powers(x.field.model, uctx)[m * x.dlog() % (x.field.q - 1)]
+    return uctx.element(teichmueller_powers(x.field.model, uctx)[m * x.dlog() % (x.field.q - 1)].tolist())
 
 
 def check_orthogonality_per_character(field) -> bool:
@@ -171,14 +171,14 @@ def check_orthogonality_per_character(field) -> bool:
 def gamma_horner(self: GammaCache, x) -> int:
     """Gamma_p(x) by the scalar digit-block evaluation: f(n) at the one
     residue n = x mod p^K, one short Horner loop per base-p digit of n.
-    It reads the cache's blocks but keeps no memo, so it may share a cache
-    with ``GammaCache.gamma``."""
+    It reads the shared digit blocks but keeps no memo, so it may share a
+    cache with ``GammaCache.gamma``."""
 
     def _f(n: int) -> int:
         """f(n) for 0 <= n < p^K, one block per base-p digit of n."""
         p, m = self.p, self.modulus
         f, y = 1, n
-        for level in self.blocks:
+        for level in digit_blocks(p, self.K):
             y, d = divmod(y, p)
             if d:
                 acc = 0

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from fractions import Fraction
@@ -7,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import padichyper.gamma as gamma_module
 from padichyper.errors import CompositeP, DenominatorDivisibleByP, PreconditionFailed
 from padichyper.fields import build_field, residue_dtype
 from padichyper.gamma import (
     GammaCache,
+    digit_blocks,
     gamma_cache,
     verify_reflection,
 )
@@ -381,11 +384,12 @@ class TestOracles:
         # level L keeps ceil(K/(L+1)) coefficients; the untrimmed builder's
         # later ones are all 0 mod p^K
         full = digit_blocks_untrimmed(p, K)
-        blocks = GammaCache(p, K).blocks
+        blocks = digit_blocks(p, K)
         assert len(blocks) == K
         for L, level in enumerate(blocks):
             n = -(-K // (L + 1))
-            assert level.shape == (p + 1, n), (p, K, L)
+            assert level.shape == (p + 1, n) and level.dtype == residue_dtype(p**K), (p, K, L)
+            assert not level.flags.writeable
             padded = [row + [0] * (K - n) for row in level.tolist()]
             assert padded == full[L], (p, K, L)
 
@@ -635,6 +639,34 @@ class TestArrayEvaluator:
     def test_rejects_denominator_divisible_by_p(self):
         with pytest.raises(DenominatorDivisibleByP):
             GammaCache(7, 3).values(np.arange(3), 21)
+
+
+class TestDigitBlockCache:
+    """The digit blocks are cached by (p, K) alone: no ``GammaCache`` holds
+    them, so one that ``gamma_cache`` drops while ``rational_table``'s cache
+    still keeps it alive holds no blocks, and a rebuilt cache builds none."""
+
+    def test_dropped_caches_hold_no_blocks_and_rebuilt_ones_build_none(self, monkeypatch):
+        spec = RangeSpec(theorems=("mc",), pmin=7, pmax=13, r_values=(1,))
+        report = run_suite(spec)
+        assert report.summary["total"] > 0 and report.all_passed
+        gamma_cache.cache_clear()
+        gc.collect()
+        survivors = [o for o in gc.get_objects() if isinstance(o, GammaCache)]
+        assert survivors and all(set(vars(cache)) == {"modulus", "p", "K", "table"} for cache in survivors)
+        build, calls = gamma_module._digit_blocks, []
+
+        def counting(p, K):
+            calls.append((p, K))
+            return build(p, K)
+
+        monkeypatch.setattr(gamma_module, "_digit_blocks", counting)
+        rerun = run_suite(spec)
+        assert rerun.records == report.records and calls == []
+        # once the blocks are dropped, two fresh caches of one (p, K) build them once
+        digit_blocks.cache_clear()
+        assert GammaCache(7, 5).gamma(Fraction(1, 3)) == GammaCache(7, 5).gamma(Fraction(1, 3))
+        assert calls == [(7, 5)]
 
 
 class TestSingleEvaluator:

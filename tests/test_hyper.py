@@ -28,7 +28,7 @@ from padichyper.fields import (
     teichmueller_powers,
     uctx_for,
 )
-from padichyper.gamma import gamma_cache
+from padichyper.gamma import digit_blocks, gamma_cache
 from padichyper.gauss import gauss_sum, gauss_tables
 from padichyper.hyper import (
     GATHER_ELEMENTS,
@@ -40,10 +40,8 @@ from padichyper.hyper import (
     gparams,
     kronecker_correlation,
     profile_for,
-    qg_table,
     recover_integer,
     term_exponents,
-    term_range,
 )
 from padichyper.padic import (
     PadicNumber,
@@ -113,6 +111,29 @@ def oracle_g_eval(inst):
         term = g_term(deep, j)
         acc = zq_add(acc, term.unit.scale(work.p ** (term.valuation - vmin)))
     return oracle_normal_form(acc.scale(-pow(q - 1, -1, work.modulus)), vmin, vmin + work.K)
+
+
+def oracle_term_exponents(params, p, r):
+    """(D, vals, args) of ``term_exponents`` one Fraction at a time: row by
+    row, each start <a_i p^k> or <-b_i p^k> plus j times -p^k/(q-1) or
+    p^k/(q-1) is split into its floor, which v_j subtracts, and its
+    fractional part, kept as a numerator over D."""
+    q = p**r
+    D = math.lcm(q - 1, *(x.denominator for x in params.a + params.b))
+    vals, args = [0] * (q - 1), []
+    for i in range(params.n):
+        for k in range(r):
+            step = Fraction(p**k, q - 1)
+            for x, slope in ((params.a[i] * p**k, -step), (-params.b[i] * p**k, step)):
+                start, row = x - math.floor(x), []
+                for j in range(q - 1):
+                    y = start + j * slope
+                    vals[j] -= math.floor(y)
+                    num = (y - math.floor(y)) * D
+                    assert num.denominator == 1
+                    row.append(int(num))
+                args.append(row)
+    return D, vals, args
 
 
 def oracle_teichmueller_powers(field, uctx):
@@ -255,10 +276,14 @@ class TestGParams:
     @pytest.mark.parametrize("p,r", [(5, 1), (7, 1), (11, 1), (13, 1), (5, 2), (7, 2), (11, 2), (5, 3), (7, 3)])
     def test_cached_term_range_is_the_valuation_range(self, p, r):
         for params in FAMILIES + _GUARD_FAMILIES:
-            vals = term_exponents(params, p, r)[1]
-            assert term_range(params, p, r) == (int(vals.min()), int(vals.max())), (params, p, r)
+            D, vals, args, vmin, vmax = term_exponents(params, p, r)
+            assert (vmin, vmax) == (int(vals.min()), int(vals.max())), (params, p, r)
+            assert type(vmin) is int and type(vmax) is int
+            want_D, want_vals, want_args = oracle_term_exponents(params, p, r)
+            assert D == want_D and vals.tolist() == want_vals and args.tolist() == want_args, (params, p, r)
+            assert not vals.flags.writeable and not args.flags.writeable
         # the guard families have spread valuations, so the range is a real one
-        assert all(term_range(params, p, r)[0] < term_range(params, p, r)[1] for params in _GUARD_FAMILIES)
+        assert all(term_exponents(params, p, r)[3] < term_exponents(params, p, r)[4] for params in _GUARD_FAMILIES)
 
     def test_equal_spellings_hash_alike_and_share_a_profile(self):
         parsed = gparams("1/2,1/2;1/6,5/6")
@@ -470,12 +495,14 @@ class TestTwistTable:
     def test_table_is_teichmueller_of_generator_powers(self, p, r, K):
         # (13, 1, 9) and (5, 2, 14) have p^K >= 2^31: the Python-int array
         field = build_field(p, r)
-        table = teichmueller_powers(field.model, uctx_for(field, K))
+        uctx = uctx_for(field, K)
+        table = teichmueller_powers(field.model, uctx)
+        assert table.shape == (field.q - 1, r) and table.dtype == residue_dtype(uctx.modulus)
         g = field.generator
         for s in range(field.q - 1):
-            want = teichmueller(g**s, table.uctx).coeffs
-            assert table[s].coeffs == want
-            assert tuple(int(c) for c in table.array[s]) == want
+            want = teichmueller(g**s, uctx).coeffs
+            assert uctx.element(table[s].tolist()).coeffs == want
+            assert tuple(int(c) for c in table[s]) == want
 
     @pytest.mark.parametrize("p,r,K", [(7, 1, 4), (5, 2, 3), (3, 3, 4), (13, 1, 9), (5, 2, 14), (11, 2, 6)])
     def test_table_matches_the_zq_chain_build(self, p, r, K):
@@ -483,7 +510,7 @@ class TestTwistTable:
         field = build_field(p, r)
         own = uctx_for(field, K)
         for uctx in (own, unramified_context(p, K, r, tuple(c + p for c in own.poly))):
-            table = teichmueller_powers(field.model, uctx).array
+            table = teichmueller_powers(field.model, uctx)
             want = oracle_zq_power_table(field, uctx)
             assert table.dtype == want.dtype and np.array_equal(table, want), uctx.poly
 
@@ -531,21 +558,21 @@ class TestTwistTable:
         field = build_field(p, r)
         uctx = uctx_for(field, K)
         table = teichmueller_powers(field.model, uctx)
-        assert [tuple(int(c) for c in row) for row in table.array] == oracle_teichmueller_powers(field, uctx)
+        assert [tuple(int(c) for c in row) for row in table] == oracle_teichmueller_powers(field, uctx)
 
 
 FAMILIES = [PARAMS_QUARTER_THIRD, PARAMS_HALF_SIXTH, PARAMS_HALF_THIRD, PARAMS_HALF_QUARTER]
 
 
 class TestWholeFieldTable:
-    """``qg_table``, the chirp transform of every t at once, against the
-    batched point sum ``GProfile._sum`` for the four families of the
+    """``GProfile.qg_table``, the chirp transform of every t at once, against
+    the batched point sum ``GProfile._sum`` for the four families of the
     identity suite."""
 
     @staticmethod
     def assert_rows_match(params, field, uctx, dlogs):
         prof = profile_for(params, field.model, uctx)
-        table = qg_table(params, field.model, uctx)
+        table = prof.qg_table
         assert table.shape == (field.q - 1, field.r) and not table.flags.writeable
         sums = prof._sum(np.array(dlogs, dtype=np.int64), uctx.r)
         for s, row in zip(dlogs, sums):
@@ -578,13 +605,40 @@ class TestWholeFieldTable:
         field, K = build_field(5, 2), 6
         u0 = uctx_for(field, K)
         u1 = unramified_context(5, K, 2, tuple(c + 5 for c in u0.poly))
-        assert qg_table(HS, field.model, u0) is not qg_table(HS, field.model, u1)
+        assert profile_for(HS, field.model, u0).qg_table is not profile_for(HS, field.model, u1).qg_table
         self.assert_rows_match(HS, field, u1, range(field.q - 1))
+
+    def test_a_profile_builds_its_table_once(self, qg_tables):
+        reads, builds = qg_tables
+        field = build_field(7, 2)
+        prof = GProfile(QT, field.model, uctx_for(field, 5))
+        table = prof.qg_table
+        assert all(prof.qg_table is table for _ in range(3))
+        assert reads[QT, field.model] == 4 and builds[QT, field.model] == 1
+
+    def test_a_rebuilt_profile_builds_a_new_equal_table(self, qg_tables):
+        # the table lives and dies with its profile
+        _, builds = qg_tables
+        field = build_field(7, 2)
+        uctx = uctx_for(field, 5)
+        profile_for.cache_clear()
+        prof = profile_for(QT, field.model, uctx)
+        table = prof.qg_table
+        profile_for.cache_clear()
+        rebuilt = profile_for(QT, field.model, uctx)
+        assert rebuilt is not prof and rebuilt.qg_table is not table
+        assert np.array_equal(rebuilt.qg_table, table) and builds[QT, field.model] == 2
+        ref = weakref.ref(table)
+        del prof, table
+        gc.collect()
+        assert ref() is None
 
     def test_rejects_non_integral_qg(self):
         field = build_field(11, 1)
-        with pytest.raises(PrecisionExhausted):
-            qg_table(HS2, field.model, uctx_for(field, 5))
+        prof = profile_for(HS2, field.model, uctx_for(field, 5))
+        for _ in range(2):  # a failed build stores nothing, so it fails again
+            with pytest.raises(PrecisionExhausted):
+                prof.qg_table
 
     # (m, r, len(a)): one-word slots; two words for int64 residues; two words
     # for residues below 2^64; three words for two-word residues
@@ -663,7 +717,7 @@ class TestCacheEviction:
         t, s = field.element([2, 3]), field.element([1, 1])
         inst = GInstance(HS2, field, uctx_for(field, 5), t)
         g_before, qg_before = read(g_eval(inst)), read(profile_for(QT, field.model, inst.uctx).eval_qg(t))
-        for cached in (field_for, profile_for, teichmueller_powers, gauss_tables, gamma_cache):
+        for cached in (field_for, profile_for, teichmueller_powers, gauss_tables, gamma_cache, digit_blocks):
             cached.cache_clear()
         rebuilt = build_field(7, 2)
         assert rebuilt is not field and rebuilt == field
@@ -704,12 +758,16 @@ class TestSharedTablesAreReadOnly:
             "exp_np": field.exp_np,
             "dlog_np": field.dlog_np,
             "phi_np": field.phi_np,
-            "teichmueller": teichmueller_powers(field.model, uctx).array,
+            "teichmueller": teichmueller_powers(field.model, uctx),
             "zeta_q1": gauss.zeta_q1,
             "zeta_p": gauss.zeta_p,
             "trace": gauss.trace,
             "G": gauss.G,
             "rational_table": gamma_cache(p, uctx.K).rational_table(term_exponents(QT, p, r)[0]),
+            "digit_blocks": digit_blocks(p, uctx.K)[0],
+            "vals": term_exponents(QT, p, r)[1],
+            "args": term_exponents(QT, p, r)[2],
+            "qg_table": prof.qg_table,
             "units": prof.units,
             "column": prof.column,
         }
@@ -724,7 +782,8 @@ class TestSharedTablesAreReadOnly:
 
 class TestBatchedSum:
     """``GProfile._sum`` over arrays of points, the one point sum, against
-    the per-point loop ``oracle_qg`` and against ``qg_table`` at every t."""
+    the per-point loop ``oracle_qg`` and against ``GProfile.qg_table`` at
+    every t."""
 
     # r = 1, 2 and 3 up to q = 343 at the default K; F_25 at K = 14 and
     # F_89 at K = 5 have p^K >= 2^31, the Python-int residues
@@ -739,8 +798,8 @@ class TestBatchedSum:
         prof = profile_for(params, field.model, uctx)
         dlogs = np.arange(field.q - 1)
         rows = prof.qg_rows(dlogs)
-        assert rows.shape == (field.q - 1, r) and rows.dtype == qg_table(params, field.model, uctx).dtype
-        assert np.array_equal(rows, qg_table(params, field.model, uctx))
+        assert rows.shape == (field.q - 1, r) and rows.dtype == prof.qg_table.dtype
+        assert np.array_equal(rows, prof.qg_table)
         for s in random.Random(f"{p}:{r}:{K}").sample(range(field.q - 1), min(field.q - 1, 6)):
             got = renormalize(rows[s].tolist(), uctx, 0, uctx.K)
             assert got == oracle_qg(prof, field.from_index(int(field.exp_np[s])))
@@ -754,8 +813,8 @@ class TestBatchedSum:
         assert GATHER_ELEMENTS // 1008 // (8 if uctx.modulus >= 2**31 else 1) < n
         dlogs = np.random.default_rng(K).integers(0, 1008, n)  # repeated points, in no order
         for params in FAMILIES if K == 3 else FAMILIES[:1]:
-            rows = profile_for(params, field.model, uctx).qg_rows(dlogs)
-            assert np.array_equal(rows, qg_table(params, field.model, uctx)[dlogs])
+            prof = profile_for(params, field.model, uctx)
+            assert np.array_equal(prof.qg_rows(dlogs), prof.qg_table[dlogs])
 
     def test_an_empty_row(self):
         field = build_field(7, 2)

@@ -12,7 +12,7 @@ import pytest
 import padichyper.verify as verify_module
 from padichyper.errors import PreconditionFailed
 from padichyper.fields import DEFAULT_MAX_Q, build_field, phi, residue_dtype, uctx_for
-from padichyper.hyper import GATHER_ELEMENTS, GProfile
+from padichyper.hyper import GATHER_ELEMENTS, GProfile, profile_for
 from padichyper.padic import is_prime, renormalize
 from padichyper.verify import (
     PARAMS_HALF_QUARTER,
@@ -414,42 +414,39 @@ class TestSuite:
         assert names == {"COR2_1", "COR2_2"}
         assert report.all_passed
 
-    def test_cor2_evaluates_the_hessian_side_once_per_d(self, monkeypatch):
+    def test_cor2_evaluates_the_hessian_side_once_per_d(self, monkeypatch, qg_tables):
         # unsampled, every row is full: each series side is read from one
         # table per (family, field), and no point is summed
-        point_sum, table = GProfile._sum, verify_module.qg_table
-        points, lookups = Counter(), Counter()
+        point_sum = GProfile._sum
+        points = Counter()
+        lookups, builds = qg_tables
 
         def counting(prof, s, shift):
             points[prof.params] += len(s)
             return point_sum(prof, s, shift)
 
-        def counting_table(params, model, uctx):
-            lookups[params, model] += 1
-            return table(params, model, uctx)
-
         monkeypatch.setattr(GProfile, "_sum", counting)
-        monkeypatch.setattr(verify_module, "qg_table", counting_table)
         spec = RangeSpec(theorems=("cor2",), pmin=5, pmax=11, r_values=(1, 2))
-        table.cache_clear()
+        profile_for.cache_clear()
         report = run_suite(spec)
         per_d = {(rec.p, rec.r, json.dumps(rec.params["d"])) for rec in report.records}
         assert (len(report.records), len(per_d)) == (282, 136)
         assert not points
-        assert table.cache_info().misses == len(lookups) and set(lookups.values()) == {1}
+        assert builds == lookups and set(lookups.values()) == {1}
         assert {params for params, _ in lookups} == {PARAMS_HALF_SIXTH, PARAMS_HALF_THIRD, PARAMS_HALF_QUARTER}
         assert {model for _, model in lookups} == {(rec.p, rec.r, 0) for rec in report.records}
         # sampled, a row sums its points in one batch, the Hessian side once
         # per distinct argument 1/d^3 of its admissible d and the branch side
         # at most once per record
         lookups.clear()
+        builds.clear()
         sampled = RangeSpec(theorems=("cor2",), pmin=5, pmax=11, r_values=(1, 2), sample=3)
         report = run_suite(sampled)
         hessian_args = set()
         for rec in report.records:
             field = build_field(rec.p, rec.r)
             hessian_args.add((rec.p, rec.r, (1 / field.element(rec.params["d"]) ** 3).idx))
-        assert not lookups and points[PARAMS_HALF_SIXTH] == len(hessian_args) > 0
+        assert not lookups and not builds and points[PARAMS_HALF_SIXTH] == len(hessian_args) > 0
         assert points[PARAMS_HALF_THIRD] + points[PARAMS_HALF_QUARTER] <= len(report.records)
 
 
@@ -480,8 +477,8 @@ class TestTableRule:
 
         if name == "point sum":
             monkeypatch.setattr(GProfile, "_sum", fail)
-        else:
-            monkeypatch.setattr(verify_module, name, fail)
+        else:  # a property, unlike the cached one, also sees a table its profile holds
+            monkeypatch.setattr(GProfile, "qg_table", property(fail))
 
     @pytest.mark.parametrize("theorem", ["mt1", "cor2", "hessian", "bs1"])
     def test_full_rows_sum_no_point(self, monkeypatch, theorem):
@@ -596,6 +593,12 @@ class TestGoldenReports:
         report = run_suite(RangeSpec(pmin=5, pmax=13, r_values=(3,), sample=3))
         assert report.summary == {"total": 151, "passed": 151, "failed": 0, "skipped": 5}
         assert _report_digest(report) == "be48d7b853f0c91a84dbc536034eaee4c0dbc69aa226d136d5f0596063801a3d"
+
+    def test_standard_sweep(self):
+        # verify all --pmin 5 --pmax 23 --r 1,2, the sweep every change keeps byte-identical
+        report = run_suite(RangeSpec(pmin=5, pmax=23, r_values=(1, 2)))
+        assert report.summary == {"total": 33626, "passed": 33626, "failed": 0, "skipped": 316}
+        assert _report_digest(report) == "4d3ff448e7fcee99818a579ed3c772b81b753edb76b0237db2c1ed0a157664e0"
 
 
 class TestPlanCallsByName:
