@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularCurve, SingularHessian
-from .fields import FqElement, FqField, phi
+from .fields import FqElement, FqField, field_cubes, phi
 
 
 @dataclass(frozen=True)
@@ -82,8 +82,7 @@ def weierstrass_traces(f: FqField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     so the trace is q - affine = -sum_x phi(x^3 + ax + b).  Raises
     AssertionError if a trace breaks the Hasse bound tr^2 <= 4q."""
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-    xs = np.arange(f.q, dtype=np.int64)
-    cubes = f.np_pow(xs, 3)
+    xs, cubes = field_cubes(f.model)
 
     def chunk_sum(lo, hi):
         values = f.np_add(f.np_add(cubes, f.np_mul(xs, a[lo:hi, None])), b[lo:hi, None])
@@ -112,9 +111,8 @@ def hessian_counts(f: FqField, d: np.ndarray) -> np.ndarray:
     q = f.q
     if f.p == 3:
         return np.full(len(d), q, dtype=np.int64)
-    ws = np.arange(q, dtype=np.int64)
+    ws, cubes = field_cubes(f.model)
     chi, minus_third = f.np_phi(ws), (f.element(-1) / f.element(3)).idx
-    cubes = f.np_pow(ws, 3)
     c = f.np_mul(4, minus_third)
     at_zero = (chi * chi[f.np_mul(f.np_add(cubes, 4), minus_third)]).sum()
     B = f.np_add(f.np_pow(ws, 2), f.np_mul(cubes, minus_third))

@@ -8,9 +8,10 @@ exp/dlog, phi and, for r >= 2, Zech's zech[n] = dlog(1 + g^n), since g^a +
 g^b = g^(a + zech[b - a]).  The FqElement operators read single entries of
 them as ints, and the ``np_*`` methods gather from them on index arrays,
 which broadcast as numpy's do.  Every operation is O(1) after the O(q r^2)
-build, by ``power_rows``.  ``power_rows`` also builds the Teichmueller
-powers of the generator: ``teichmueller_powers`` caches them, per model and
-Z_q context, as one read-only (q-1, r) array that the series gathers from.
+build by ``power_rows``, whose doubling steps are r passes over whole arrays.
+It also builds the Teichmueller powers of the generator, which
+``teichmueller_powers`` caches per model and Z_q context as one read-only
+(q-1, r) array, and ``field_cubes`` keeps x^3 for the point counts.
 
 A field is its model (p, r, variant): two FqField objects of one model are
 equal, hash alike and combine each other's elements, and nothing is attached
@@ -71,14 +72,18 @@ def poly_mul_rows(a: np.ndarray, b: np.ndarray, poly: Sequence[int], m: int) -> 
 
 def power_rows(base: Sequence[int], n: int, poly: Sequence[int], m: int) -> np.ndarray:
     """base^0, ..., base^(n-1) in (Z/m)[x]/(x^r + poly), an (n, r) array of
-    ``residue_dtype``, by doubling: rows [k, 2k) are rows [0, k) times base^k,
-    with base^k squared on its coefficient list."""
+    ``residue_dtype``, by doubling: rows [k, 2k) are rows [0, k) times the r x r
+    matrix of base^k, whose row i is x^i base^k, in r passes over (k, r) arrays
+    with each product reduced before it is added: exact in int64 while m < 2^31."""
     rows = np.zeros((n, len(poly)), dtype=residue_dtype(m))
     rows[0, 0] = 1
     bk, k = list(base), 1
     while k < n:
         c = min(k, n - k)
-        rows[k : k + c] = poly_mul_rows(rows[:c], np.array(bk, dtype=rows.dtype), poly, m)
+        out = rows[k : k + c]
+        for i in range(len(poly)):
+            out += rows[:c, i, None] * np.array(_poly_mulmod([0] * i + [1], bk, poly, m), dtype=rows.dtype) % m
+        out %= m
         bk, k = _poly_mulmod(bk, bk, poly, m), k + c
     return rows
 
@@ -136,18 +141,10 @@ class FqField:
     # -- packing ----------------------------------------------------------------
 
     def _unpack(self, idx: int) -> list[int]:
-        p = self.p
-        out = []
-        for _ in range(self.r):
-            idx, d = divmod(idx, p)
-            out.append(d)
-        return out
+        return [idx // self.p**i % self.p for i in range(self.r)]
 
     def _pack(self, coeffs: Sequence[int]) -> int:
-        idx = 0
-        for c in reversed(list(coeffs)):
-            idx = idx * self.p + c % self.p
-        return idx
+        return sum(c % self.p * self.p**i for i, c in enumerate(coeffs))
 
     # -- vectorized index arithmetic (numpy arrays of element indices) --------
 
@@ -269,6 +266,8 @@ class FqElement:
     def __mul__(self, other):
         o = self._co(other)
         f = self.field
+        if f.r == 1:
+            return FqElement(f, self.idx * o.idx % f.p)
         if self.idx == 0 or o.idx == 0:
             return FqElement(f, 0)
         return FqElement(f, f.exp_np.item((f.dlog_np.item(self.idx) + f.dlog_np.item(o.idx)) % (f.q - 1)))
@@ -276,13 +275,7 @@ class FqElement:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._co(other)
-        f = self.field
-        if o.idx == 0:
-            raise ZeroArgument("0 has no inverse")
-        if self.idx == 0:
-            return FqElement(f, 0)
-        return FqElement(f, f.exp_np.item((f.dlog_np.item(self.idx) - f.dlog_np.item(o.idx)) % (f.q - 1)))
+        return self * self._co(other) ** -1
 
     def __rtruediv__(self, other):
         return self._co(other) / self
@@ -293,6 +286,8 @@ class FqElement:
             if e < 0:
                 raise ZeroArgument("0 has no inverse")
             return FqElement(f, 0 if e else 1)
+        if f.r == 1:
+            return FqElement(f, pow(self.idx, e, f.p))
         return FqElement(f, f.exp_np.item(e * f.dlog_np.item(self.idx) % (f.q - 1)))
 
     def dlog(self) -> int:
@@ -352,6 +347,15 @@ def residue_dtype(modulus: int):
     int64 while p^K < 2^31, so a product of two stays below 2^62, else
     Python ints."""
     return np.int64 if modulus < 2**31 else object
+
+
+@lru_cache(maxsize=64)
+def field_cubes(model: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Every index x of the field of ``model`` and that of x^3, two read-only arrays."""
+    xs = np.arange(model[0] ** model[1], dtype=np.int64)
+    cubes = field_for(model).np_pow(xs, 3)
+    xs.flags.writeable = cubes.flags.writeable = False
+    return xs, cubes
 
 
 # keyed by the field's model and the context, which carries K and the lifted

@@ -16,19 +16,21 @@ j in [y p^(L+1), y p^(L+1) + d p^L), as a polynomial in y:
 Its y^k coefficient is divisible by p^(k(L+1)): so it is at level 0, the
 substitution p y + c adds k more factors of p, and products keep it.  Level L
 therefore keeps only its first ceil(K/(L+1)) coefficients (5, 3, 2, 2, 1 for
-K = 5), every later one being 0 mod p^K, and the blocks of one (p, K) cost
-about sum_L ceil(K/(L+1))^2 p multiplications mod p^K.  Splitting [0, n) by
-the base-p digits d_L of n gives f(n) = prod_L C_{L,d_L}(n // p^(L+1)): one
-short Horner evaluation per level.  ``digit_blocks`` caches the blocks of
-each (p, K) as read-only arrays, held by no ``GammaCache``, so a cache that
-``gamma_cache`` drops frees no blocks and a rebuilt one builds none.
-``GammaCache.values`` runs the Horner passes for an array of points c/D at
-once, as numpy arrays; ``rational_table`` is its read-only table of every
-c < D, and ``gamma`` is ``values`` at one point.
+K = 5), every later one being 0 mod p^K.  Its factors C_{L-1,p}(p y + c) for
+every c < p are one Vandermonde product on residue arrays, and the blocks of
+one (p, K) cost about sum_L ceil(K/(L+1))^2 p multiplications mod p^K.
+Splitting [0, n) by the base-p digits d_L of n gives
+f(n) = prod_L C_{L,d_L}(n // p^(L+1)): one short Horner evaluation per level.
+``digit_blocks`` caches the blocks of each (p, K) as read-only arrays, held by
+no ``GammaCache``, so a cache that ``gamma_cache`` drops frees no blocks and a
+rebuilt one builds none.  ``GammaCache.values`` runs the Horner passes for an
+array of points c/D at once, as numpy arrays; ``rational_table`` is its
+read-only table of every c < D, and ``gamma`` is ``values`` at one point.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -51,13 +53,17 @@ def _mul(a: list[int], b: list[int], m: int) -> list[int]:
 
 
 def _shifts(a: list[int], p: int, m: int, n: int) -> list[list[int]]:
-    """Row c: the first n coefficients of a(p y + c) mod m, for every c < p,
-    by one Horner pass over the array of c."""
-    c = np.arange(p, dtype=object)
-    out = [0] * n
-    for coeff in reversed(a):
-        out = [(out[0] * c + coeff) % m] + [(out[k] * c + out[k - 1] * p) % m for k in range(1, n)]
-    return np.stack(out, axis=1).tolist()
+    """Row c: the first n coefficients of a(p y + c) mod m, for every c < p.
+    The y^k one is p^k sum_i binom(i, k) a_i c^(i-k), so the rows are the
+    Vandermonde product (c^j) B, B[j, k] = p^k binom(j+k, k) a_(j+k), taken in
+    ``residue_dtype`` by Horner's rule in c, each step reduced mod m."""
+    dtype = residue_dtype(m)
+    B = np.array([[p**k * math.comb(j + k, k) * a[j + k] % m if j + k < len(a) else 0 for k in range(n)]
+                  for j in range(len(a))], dtype=dtype)
+    out, c = B[-1], np.arange(p, dtype=dtype)[:, None]
+    for row in B[-2::-1]:
+        out = (out * c + row) % m
+    return out.tolist()
 
 
 def _digit_blocks(p: int, K: int) -> list[list[list[int]]]:

@@ -52,7 +52,7 @@ from .fields import (
     teichmueller_powers,
 )
 from .gamma import gamma_cache
-from .padic import PadicNumber, UnramifiedContext, frac_floor, renormalize, unramified_context
+from .padic import PadicNumber, UnramifiedContext, renormalize, unramified_context
 
 # Not called here; perfbench/tracing.py wraps them under these names.
 from .padic import padic_sum, teichmueller, zq_inv  # noqa: F401
@@ -147,9 +147,10 @@ def term_exponents(params: GParams, p: int, r: int) -> tuple[int, np.ndarray, np
     D = lcm(param denominators, q-1) is the common denominator; vals[j] is
     the (-p)-exponent total v_j of summand j, in [vmin, vmax]; args[:, j]
     holds the numerators over D of the fractional parts <a_i p^k - j p^k/(q-1)>
-    and <-b_i p^k + j p^k/(q-1)>, whose gamma values make up summand j, all
-    from one ``np.divmod``.  At j = 0 they are the j-independent gamma
-    denominators, and v_0 = 0.
+    and <-b_i p^k + j p^k/(q-1)>, whose gamma values make up summand j: the
+    rows x = start + slope j reduced mod D in place, with the floors
+    (x - x mod D) / D summed by column.  At j = 0 they are the j-independent
+    gamma denominators, and v_0 = 0.
     """
     q = p**r
     D = q - 1
@@ -158,14 +159,13 @@ def term_exponents(params: GParams, p: int, r: int) -> tuple[int, np.ndarray, np
     starts, slopes = [], []
     for i in range(params.n):
         for k in range(r):
-            pk = p**k
-            for x, slope in ((params.a[i] * pk, -pk), (-params.b[i] * pk, pk)):
-                f = frac_floor(x)[0]
-                starts.append(f.numerator * (D // f.denominator))
-                slopes.append(slope * (D // (q - 1)))
-    j = np.arange(q - 1, dtype=np.int64)
-    floor, args = np.divmod(np.array(starts, dtype=np.int64)[:, None] + np.outer(slopes, j), D)
-    vals = -floor.sum(axis=0)
+            for x, sign in ((params.a[i], 1), (params.b[i], -1)):  # <sign x p^k> over D, in integers
+                starts.append(sign * x.numerator * p**k % x.denominator * (D // x.denominator))
+                slopes.append(-sign * p**k * (D // (q - 1)))
+    args = np.multiply.outer(np.array(slopes, dtype=np.int64), np.arange(q - 1, dtype=np.int64))
+    args += np.array(starts, dtype=np.int64)[:, None]
+    total = args.sum(axis=0)
+    vals = (np.remainder(args, D, out=args).sum(axis=0) - total) // D
     vmin, vmax = int(vals.min()), int(vals.max())
     lo, hi = _valuation_bounds(params.n, p, r)
     if vmin < lo or vmax > hi:

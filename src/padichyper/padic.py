@@ -137,15 +137,14 @@ def _poly_mulmod(a: Sequence[int], b: Sequence[int], poly: Sequence[int], m: int
 
 
 def _poly_powmod(a: Sequence[int], e: int, poly: Sequence[int], m: int) -> list[int]:
-    """a^e reduced by x^r + poly, mod m, by binary exponentiation."""
-    r = len(poly)
-    result = [1] + [0] * (r - 1)
-    base = list(a)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, poly, m)
-        base = _poly_mulmod(base, base, poly, m)
-        e >>= 1
+    """a^e reduced by x^r + poly, mod m, by left-to-right binary
+    exponentiation: a is the left factor, whose zero coefficients
+    ``_poly_mulmod`` skips, so a power of x costs about one squaring a bit."""
+    result = [1] + [0] * (len(poly) - 1)
+    for bit in bin(e)[2:]:
+        result = _poly_mulmod(result, result, poly, m)
+        if bit == "1":
+            result = _poly_mulmod(a, result, poly, m)
     return result
 
 
@@ -153,9 +152,10 @@ def _poly_powmod(a: Sequence[int], e: int, poly: Sequence[int], m: int) -> list[
 def _is_admissible(poly: tuple[int, ...], p: int) -> bool:
     """Does x have multiplicative order exactly q - 1 mod (p, x^r + poly)?
 
-    If it does, its norm (-1)^r c_0 = x^((q-1)/(p-1)) generates F_p^*, so a
-    candidate whose norm does not is rejected before any polynomial powering.
-    At r = 1 the root -c_0 is its own norm, and that test is the whole one.
+    Cheapest rejections first.  If it does, its norm (-1)^r c_0 = x^((q-1)/(p-1))
+    generates F_p^*, the whole test at r = 1, where the root -c_0 is its own
+    norm.  Then x^((q-1)/2) must not be 1 while its square x^(q-1) is, and
+    x^((q-1)/ell) must not be 1 for any odd prime ell | q - 1.
     """
     r = len(poly)
     norm = (-1) ** r * poly[0] % p
@@ -166,9 +166,10 @@ def _is_admissible(poly: tuple[int, ...], p: int) -> bool:
     q = p**r
     one = [1] + [0] * (r - 1)
     x = [0, 1] + [0] * (r - 2)
-    if _poly_powmod(x, q - 1, poly, p) != one:
+    half = _poly_powmod(x, (q - 1) // 2, poly, p)
+    if half == one or _poly_mulmod(half, half, poly, p) != one:
         return False
-    return all(_poly_powmod(x, (q - 1) // ell, poly, p) != one for ell in prime_factors(q - 1))
+    return all(_poly_powmod(x, (q - 1) // ell, poly, p) != one for ell in prime_factors(q - 1)[1:])
 
 
 @lru_cache(maxsize=256)

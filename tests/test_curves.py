@@ -18,7 +18,7 @@ from padichyper.curves import (
     weierstrass_traces,
 )
 from padichyper.errors import PreconditionFailed, SingularCurve, SingularHessian
-from padichyper.fields import FqField, build_field, phi
+from padichyper.fields import FqField, build_field, field_cubes, phi
 from padichyper.verify import verify_mc
 
 
@@ -258,6 +258,20 @@ class TestCountKernels:
         counts = hessian_counts(f, np.array([C.d.idx for C in hessians])).tolist()
         assert counts == [count_hessian(C) for C in hessians]
         assert counts[-1] == count_hessian_grid(hessians[-1], f)
+
+    @pytest.mark.parametrize("p,r", [(11, 1), (5, 2)])
+    def test_cubes_are_kept_once_per_model(self, p, r):
+        # both counts read x and x^3 from one read-only pair per field model
+        f = build_field(p, r)
+        xs, cubes = field_cubes(f.model)
+        assert xs.tolist() == list(range(f.q))
+        assert cubes.tolist() == [(x**3).idx for x in map(f.from_index, range(f.q))]
+        assert not xs.flags.writeable and not cubes.flags.writeable
+        misses = field_cubes.cache_info().misses
+        for _ in range(3):
+            count_weierstrass(WeierstrassCurve(f.element(1), f.element(1)))
+            hessian_counts(FqField(p, r), np.array([2]))
+        assert field_cubes.cache_info().misses == misses
 
     def test_hasse_bound_is_checked(self, monkeypatch):
         f = build_field(7, 1)

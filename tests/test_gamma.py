@@ -393,6 +393,15 @@ class TestOracles:
             padded = [row + [0] * (K - n) for row in level.tolist()]
             assert padded == full[L], (p, K, L)
 
+    # 73^5 < 2^31 keeps int64 residues and 79^5 takes Python ints; K = 10 at
+    # p = 7 is one level past the grid above
+    @pytest.mark.parametrize("p,K,dtype", [(73, 5, np.int64), (79, 5, object), (7, 10, np.int64)])
+    def test_blocks_at_the_int64_edge(self, p, K, dtype):
+        full = digit_blocks_untrimmed(p, K)
+        for L, level in enumerate(digit_blocks(p, K)):
+            assert level.dtype == dtype
+            assert [row + [0] * (K - level.shape[1]) for row in level.tolist()] == full[L], (p, K, L)
+
     @pytest.mark.parametrize("p", [89, 199])
     def test_reflection_beyond_2_32(self, p):
         # 89^5 and 199^5 exceed 2^32

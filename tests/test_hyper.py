@@ -21,6 +21,7 @@ from padichyper.errors import (
 from padichyper.fields import (
     FqField,
     build_field,
+    field_cubes,
     field_for,
     phi,
     poly_mul_rows,
@@ -553,11 +554,14 @@ class TestTwistTable:
                 assert g_term(inst, j).unit == oracle_term_unit(prof, t, j)
 
 
-    @pytest.mark.parametrize("p,r,K", [(7, 1, 4), (5, 2, 3), (3, 3, 4), (13, 1, 9), (5, 2, 14), (101, 1, 5)])
+    # the last six sit on both sides of the int64 edge: 3^19 < 2^31 <= 3^20, 7^11 < 2^31 <= 7^12
+    @pytest.mark.parametrize("p,r,K", [(7, 1, 4), (5, 2, 3), (3, 3, 4), (13, 1, 9), (5, 2, 14), (101, 1, 5),
+                                       (3, 4, 1), (3, 4, 11), (3, 4, 19), (3, 4, 20), (7, 2, 11), (7, 2, 12)])
     def test_doubling_matches_the_sequential_product(self, p, r, K):
         field = build_field(p, r)
         uctx = uctx_for(field, K)
         table = teichmueller_powers(field.model, uctx)
+        assert table.dtype == residue_dtype(p**K)
         assert [tuple(int(c) for c in row) for row in table] == oracle_teichmueller_powers(field, uctx)
 
 
@@ -717,7 +721,7 @@ class TestCacheEviction:
         t, s = field.element([2, 3]), field.element([1, 1])
         inst = GInstance(HS2, field, uctx_for(field, 5), t)
         g_before, qg_before = read(g_eval(inst)), read(profile_for(QT, field.model, inst.uctx).eval_qg(t))
-        for cached in (field_for, profile_for, teichmueller_powers, gauss_tables, gamma_cache, digit_blocks):
+        for cached in (field_for, profile_for, teichmueller_powers, field_cubes, gauss_tables, gamma_cache, digit_blocks):
             cached.cache_clear()
         rebuilt = build_field(7, 2)
         assert rebuilt is not field and rebuilt == field
@@ -737,6 +741,7 @@ class TestCacheEviction:
         profile_for(QT, field.model, uctx).eval_qg(t)
         char_eval_padic(1, t, uctx)
         gauss_sum(1, field)
+        count_weierstrass(WeierstrassCurve(field.element(1), field.element(1)))
         ref = weakref.ref(field)
         del field, t
         field_for.cache_clear()
@@ -770,6 +775,8 @@ class TestSharedTablesAreReadOnly:
             "qg_table": prof.qg_table,
             "units": prof.units,
             "column": prof.column,
+            "xs": field_cubes(field.model)[0],
+            "cubes": field_cubes(field.model)[1],
         }
         if r > 1:
             tables["zech_np"] = field.zech_np

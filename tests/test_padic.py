@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -264,12 +266,31 @@ class TestContexts:
             UnramifiedContext(5, 2, 2, (2, 0))
 
     def test_cached_order_test_matches_the_uncached_one(self):
-        # every candidate of every (p, r) with q <= 1000 and r <= 3
-        models = [(p, r) for p in range(3, 1000) if is_prime(p) for r in (1, 2, 3) if p**r <= 1000]
+        # every candidate of every (p, r) with q <= 2500 and r >= 2, and with
+        # q <= 1000 at r = 1, where the test is the norm test alone
+        models = [(p, r) for p in range(3, 2500) if is_prime(p) for r in range(1, 12) if p**r <= (2500 if r > 1 else 1000)]
         for p, r in models:
             for n in range(p**r):
                 poly = tuple(n // p**i % p for i in range(r))
                 assert _is_admissible(poly, p) == _oracle_uncached_admissible(poly, p), (p, poly)
+
+    def test_defining_polys_match_the_pinned_table(self):
+        # every odd p and r >= 2 with p^r <= 100,000: each field's tables and
+        # every report rest on these polynomials, so the search must not move
+        pinned = json.loads((Path(__file__).parent / "defining_polys.json").read_text())
+        assert len(pinned) == 93
+        for p, r, poly in pinned:
+            assert find_defining_poly.__wrapped__(p, r) == tuple(poly), (p, r)
+
+    @pytest.mark.parametrize("p,e", [(3, 0), (3, 1), (5, 2), (7, 48), (13, 168), (3, 3**10 - 2), (101, 10**6 + 7)])
+    def test_powmod_matches_the_oracle(self, p, e):
+        # the left-to-right power against the oracle's own F_p[x] arithmetic,
+        # for x, a dense element and a zero-free one
+        for r in (1, 2, 3):
+            poly = find_defining_poly(p, r)
+            f = list(poly) + [1]
+            for a in ([0, 1] if r > 1 else [2], [(i + 2) % p for i in range(r)], [1] * r):
+                assert _poly_powmod(a, e, poly, p) == _oracle_powmod(a, e, f, p), (p, r, a, e)
 
     @pytest.mark.parametrize("p,r", [(7, 1), (5, 2), (3, 3)])
     def test_inadmissible_poly_rejected_after_an_admissible_one(self, p, r):
