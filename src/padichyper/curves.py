@@ -5,18 +5,22 @@ the transformation checks.
 Both counts are quadratic-character sums over the field, taken for a whole
 row of curves at once (``weierstrass_traces``, ``hessian_counts``) in chunks
 of ``COUNT_ELEMENTS`` (curve, element) pairs; ``count_weierstrass`` and
-``count_hessian`` are rows of one.  Their brute-force oracles live in the
+``count_hessian`` are rows of one.  What does not depend on the curve is
+built once per field model and kept read-only: x and x^3 (``field_cubes``)
+for both, and the Hessian sum's ``hessian_kernel``, so a row only computes
+its own logs and gathers.  The counts' brute-force oracles live in the
 test suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import SingularCurve, SingularHessian
-from .fields import FqElement, FqField, field_cubes, phi
+from .fields import FqElement, FqField, field_cubes, field_for, phi
 
 
 @dataclass(frozen=True)
@@ -95,6 +99,38 @@ def weierstrass_traces(f: FqField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return traces
 
 
+class HessianKernel:
+    """The field-only part of ``hessian_counts`` for the field of ``model``
+    (p != 3), as read-only arrays; it holds no field.  With B(w) = w^2 - w^3/3,
+    c = -4/3 and weight[w] = phi(w + 1), the w with B(w) != 0 and weight != 0
+    give ``log_B`` = dlog B(w) (the smallest unsigned dtype holding q - 2) and
+    ``weight`` (int8); ``table`` is phi(g^s + c) at every s < 2(q - 1) (int8).
+    ``at_zero`` is S(0), and ``on_zero`` the term phi(c) sum phi(w + 1) over
+    the w with B(w) = 0, which every d != 0 adds whatever d is.  S depends on
+    d only through dlog d^3: it is the cyclic correlation of the table with
+    F = bincount(log_B, weight), which a row gathers at its shifts."""
+
+    def __init__(self, model: tuple[int, int, int]):
+        f = field_for(model)
+        ws, cubes = field_cubes(model)
+        chi, minus_third = f.phi_np, (f.element(-1) / f.element(3)).idx
+        c = f.np_mul(4, minus_third)
+        self.at_zero = int((chi * chi[f.np_mul(f.np_add(cubes, 4), minus_third)]).sum())
+        B = f.np_add(f.np_pow(ws, 2), f.np_mul(cubes, minus_third))
+        # phi(w + 1) = 0 masks the w = -1 term, which is u = -d
+        weight = chi[f.np_add(ws, 1)]
+        self.on_zero = int(weight[B == 0].sum()) * int(chi[c])
+        cols = np.flatnonzero((B != 0) & (weight != 0))
+        self.log_B = f.dlog_np[B[cols]].astype(np.min_scalar_type(f.q - 2))
+        self.weight, self.table = weight[cols], chi[f.np_add(f.exp_np, c)]
+        for table in (self.log_B, self.weight, self.table):
+            table.flags.writeable = False
+
+
+# keyed by the field's model, beside field_cubes; the kernel holds no field
+hessian_kernel = lru_cache(maxsize=64)(HessianKernel)
+
+
 def hessian_counts(f: FqField, d: np.ndarray) -> np.ndarray:
     """Number of affine solutions of x^3 + y^3 + 1 = 3 d x y, for an index array
     of smooth d.  With u = x + y, v = xy it reads 3 v (u + d) = u^3 + 1: u = -d
@@ -104,31 +140,21 @@ def hessian_counts(f: FqField, d: np.ndarray) -> np.ndarray:
     plus S(d) = sum_u phi(u + d) phi(d u^2 - (u^3 + 4)/3), whose u = -d term is 0.
     S(0) is summed as it stands.  For d != 0, u = d w gives
     S(d) = phi(d) sum_w phi(w + 1) phi(d^3 B(w) + c), B(w) = w^2 - w^3/3 and
-    c = -4/3: one gather per (d, w) from the table of phi(g^s + c), at
-    s = dlog d^3 + dlog B(w).  In characteristic 3 it is (x + y + 1)^3 = 0,
-    q points."""
+    c = -4/3.  Everything but d^3 is the field's ``hessian_kernel``, built once
+    per model: a row is dlog d^3 and one gather per (d, w) from its table of
+    phi(g^s + c), at s = dlog d^3 + dlog B(w).  In characteristic 3 it is
+    (x + y + 1)^3 = 0, q points."""
     d = np.asarray(d, dtype=np.int64)
-    q = f.q
     if f.p == 3:
-        return np.full(len(d), q, dtype=np.int64)
-    ws, cubes = field_cubes(f.model)
-    chi, minus_third = f.np_phi(ws), (f.element(-1) / f.element(3)).idx
-    c = f.np_mul(4, minus_third)
-    at_zero = (chi * chi[f.np_mul(f.np_add(cubes, 4), minus_third)]).sum()
-    B = f.np_add(f.np_pow(ws, 2), f.np_mul(cubes, minus_third))
-    # phi(w + 1) = 0 masks the w = -1 term, which is u = -d; a w with B(w) = 0
-    # adds phi(w + 1) phi(c) whatever d is
-    weight = chi[f.np_add(ws, 1)]
-    on_zero = weight[B == 0].sum() * chi[c]
-    cols = np.flatnonzero((B != 0) & (weight != 0))
-    log_B, weight, table = f.dlog_np[B[cols]], weight[cols], chi[f.np_add(f.exp_np, c)]
-    log_D = 3 * f.dlog_np[d] % (q - 1)
+        return np.full(len(d), f.q, dtype=np.int64)
+    kern = hessian_kernel(f.model)
+    log_D = 3 * f.dlog_np[d] % (f.q - 1)
 
     def chunk_sum(lo, hi):
-        return (table[log_D[lo:hi, None] + log_B] * weight).sum(axis=1)
+        return (kern.table[log_D[lo:hi, None] + kern.log_B] * kern.weight).sum(axis=1)
 
-    sums = _row_sums(len(d), len(cols), chunk_sum)
-    return q - 1 + np.where(d == 0, at_zero, chi[d] * (sums + on_zero))
+    sums = _row_sums(len(d), len(kern.log_B), chunk_sum)
+    return f.q - 1 + np.where(d == 0, kern.at_zero, f.np_phi(d) * (sums + kern.on_zero))
 
 
 def count_weierstrass(E: WeierstrassCurve) -> CurveCount:

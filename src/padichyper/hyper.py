@@ -1,6 +1,8 @@
 """Evaluator for the p-adic hypergeometric series nGn over F_q,
 with exact rational floor bookkeeping, reusable per-field term profiles, and
-symmetric-lift integer recovery.
+symmetric-lift integer recovery by one rule, ``_lift``: ``recover_rows``
+applies it to a whole array of residue rows at once, ``recover_integer`` to
+one value.
 
 The series is a -1/(q-1)-scaled sum over j in [0, q-2] of signed powers of
 (-p) times ratios of p-adic gamma values at fractional-part arguments,
@@ -354,8 +356,34 @@ def g_eval(inst: GInstance) -> PadicNumber:
     return renormalize(value.tolist(), uctx, vmin, uctx.K + vmin)
 
 
+# the error of each value that ``_lift`` does not recover, by its code
+RECOVERY_ERRORS = (None, BoundTooLargeForPrecision, NotAnInteger, NoRepresentativeInBound)
+
+
+def _lift(n0, not_integral, modulus: int, bound: int):
+    """The one symmetric-lift rule, on Python ints or on arrays of them: the
+    representative of n0 mod ``modulus`` = p^A in [-bound, bound], and the
+    code in ``RECOVERY_ERRORS`` of the first of these that holds:
+    BoundTooLargeForPrecision (p^A <= 2 bound, so no lift is unique),
+    NotAnInteger (``not_integral``: a nonzero coordinate past the first) and
+    NoRepresentativeInBound; 0 where the integer is recovered."""
+    values = (n0 + bound) % modulus - bound
+    errors = np.where(not_integral, 2, 3 * (values > bound))
+    return values, errors if modulus > 2 * bound else np.ones_like(errors)
+
+
+def recover_rows(res: np.ndarray, modulus: int, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_lift`` at every row of an (n, r) array of residues mod ``modulus``,
+    each the coordinates of a value claimed to be an integer in
+    [-bound, bound]: the rows' integers and error codes, in one array step,
+    on int64 and on Python-int (object) residues alike."""
+    return _lift(res[:, 0], (res[:, 1:] != 0).any(axis=1), modulus, bound)
+
+
 def recover_integer(x: PadicNumber, bound: int, p: int | None = None) -> int:
-    """Symmetric lift of a p-adic value claimed to be an integer in [-B, B].
+    """Symmetric lift of a p-adic value claimed to be an integer in [-B, B]:
+    ``_lift`` of its coordinates p^valuation * unit mod p^A, for A the lesser
+    of abs_prec and valuation + K, raising the error it finds.
 
     ``p`` is only consulted when x is an exact_zero (which carries no
     context); it is required there unless the zero is exact to infinite
@@ -368,24 +396,16 @@ def recover_integer(x: PadicNumber, bound: int, p: int | None = None) -> int:
             return 0
         if p is None:
             raise ValueError("p is required to gate a zero known to finite precision")
-        if p**x.abs_prec <= 2 * bound:
-            raise BoundTooLargeForPrecision("zero known to too few digits")
-        return 0
-    ctx = x.unit.context
-    p = ctx.p
-    if x.valuation < 0:
-        raise NotAnInteger(f"valuation {x.valuation} is negative")
-    A = int(min(x.abs_prec, x.valuation + ctx.K))
-    pA = p**A
-    if pA <= 2 * bound:
-        raise BoundTooLargeForPrecision(f"p^{A} <= 2*{bound}")
-    shift = p**x.valuation
-    mod_high = p ** (A - x.valuation)
-    if any(c % mod_high for c in x.unit.coeffs[1:]):
-        raise NotAnInteger("nonzero coordinates outside the prime subring")
-    n0 = x.unit.coeffs[0] * shift % pA
-    if n0 <= bound:
-        return n0
-    if pA - n0 <= bound:
-        return n0 - pA
-    raise NoRepresentativeInBound(f"no representative of size <= {bound}")
+        A, row = int(x.abs_prec), [0]
+    else:
+        if x.valuation < 0:
+            raise NotAnInteger(f"valuation {x.valuation} is negative")
+        p, K = x.unit.context.p, x.unit.context.K
+        A = int(min(x.abs_prec, x.valuation + K))
+        row = [c * p**x.valuation % p**A for c in x.unit.coeffs]
+    value, error = _lift(row[0], any(row[1:]), p**A, bound)
+    if error:
+        messages = (None, f"p^{A} <= 2*{bound}", "nonzero coordinates outside the prime subring",
+                    f"no representative of size <= {bound}")
+        raise RECOVERY_ERRORS[int(error)](messages[int(error)])
+    return value

@@ -19,8 +19,9 @@ Hessian side at d with alpha + phi(-3) plus the trace side at the bridged
 Weierstrass model (m, n), twisted by n; COR2 rewrites that trace side by BS1
 at (m, n), as the branch side times phi(n).  BS1 compares the untwisted
 trace side with the branch side.  MC and HESSIAN recover one side as an
-integer and compare it with a point count, one character sum per row
-(``weierstrass_traces``, ``hessian_counts``).
+integer, one ``recover_rows`` call per row, and compare it with a point
+count, one character sum per row (``weierstrass_traces``,
+``hessian_counts``).
 
 The transformation identities are implemented in the form that the
 enumeration cross-checks force: the Weierstrass model bridged to the Hessian
@@ -52,15 +53,16 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from .curves import hessian_counts, weierstrass_traces
-from .errors import ModulusMismatch, PreconditionFailed, PadicHyperError, TrivialCharacter, ZeroArgument
+from .errors import ModulusMismatch, PreconditionFailed, TrivialCharacter, ZeroArgument
 from .fields import DEFAULT_MAX_Q, FqField, build_field, check_orthogonality, phi, residue_dtype, uctx_for
 from .gamma import GammaCache, gamma_cache
 from .gauss import default_tolerance, gauss_tables
-from .hyper import GParams, profile_for, recover_integer
-from .padic import default_precision, is_prime, renormalize
+from .hyper import RECOVERY_ERRORS, GParams, profile_for, recover_rows
+from .padic import default_precision, is_prime
 
 # Not called here; perfbench/tracing.py wraps them under these names.
 from .curves import count_hessian, count_weierstrass  # noqa: F401
+from .hyper import recover_integer  # noqa: F401
 from .padic import padic_sum  # noqa: F401
 
 PARAMS_QUARTER_THIRD = GParams(2, (Fraction(1, 4), Fraction(3, 4)), (Fraction(1, 3), Fraction(2, 3)))
@@ -220,15 +222,17 @@ def _compared(theorems, field: FqField, K: int, params: list, lhs, rhs, t0: floa
     return _records(theorems, field.p, field.r, K, rows, t0)
 
 
-def _counted(theorem: str, field: FqField, K: int, uctx, params, counts, sides, bound, t0, closed_form):
-    """Records of point counts against series sides recovered as
-    integers in [-bound, bound] and mapped through ``closed_form``."""
+def _counted(theorem: str, field: FqField, K: int, params, counts, sides, bound, t0, closed_form):
+    """Records of point counts against series sides recovered as integers in
+    [-bound, bound] by ``recover_rows``, all at once, and mapped through
+    ``closed_form``; a side that is not recovered reads
+    ``unrecoverable(<its error>)`` and fails."""
+    values, errors = recover_rows(sides, field.p**K, bound)
+    values = closed_form(values).tolist()
     rows = []
-    for pa, count, side in zip(params, counts, sides.tolist()):
-        try:
-            value = closed_form(recover_integer(renormalize(side, uctx, 0, K), bound, p=field.p))
-        except PadicHyperError as exc:
-            rows.append((pa, str(count), f"unrecoverable({exc.__class__.__name__})", False))
+    for pa, count, value, error in zip(params, counts, values, errors.tolist()):
+        if error:
+            rows.append((pa, str(count), f"unrecoverable({RECOVERY_ERRORS[error].__name__})", False))
         else:
             rows.append((pa, str(count), str(value), value == count))
     return _records(theorem, field.p, field.r, K, rows, t0)
@@ -294,7 +298,7 @@ def _mc_row(field: FqField, K: int | None, x: np.ndarray):
     traces = weierstrass_traces(field, a, b).tolist()
     sides = _series(PARAMS_QUARTER_THIRD, field, uctx, False, _trace_arg(field, a, b), b)
     params, bound = _params(field, ("a", "b"), a, b), math.isqrt(4 * field.q)
-    return _counted("MC", field, K, uctx, params, traces, sides, bound, t0, lambda X: X), skipped
+    return _counted("MC", field, K, params, traces, sides, bound, t0, lambda X: X), skipped
 
 
 def _hessian_row(field: FqField, K: int | None, a: np.ndarray, full: bool, allow_small_p: bool):
@@ -308,7 +312,7 @@ def _hessian_row(field: FqField, K: int | None, a: np.ndarray, full: bool, allow
     sides = _series(PARAMS_HALF_SIXTH, field, uctx, full, field.np_pow(a, -3), field.np_mul(a, -3 % p))
     params, bound = _params(field, ("a",), a), q + 6 * math.isqrt(q) + 6
     closed_form = lambda X: alpha - 1 + q - X  # noqa: E731
-    return _counted("HESSIAN", field, K, uctx, params, counts, sides, bound, t0, closed_form), skipped
+    return _counted("HESSIAN", field, K, params, counts, sides, bound, t0, closed_form), skipped
 
 
 def _one(row) -> VerifyRecord:

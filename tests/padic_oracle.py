@@ -1,5 +1,5 @@
-"""Scalar p-adic arithmetic, and the per-character orthogonality check and
-scalar Gamma_p evaluator, kept as test oracles.
+"""Scalar p-adic arithmetic, the scalar integer lift, and the per-character
+orthogonality check and scalar Gamma_p evaluator, kept as test oracles.
 
 The library computes with residue arrays, one batched point sum and one
 array Gamma_p evaluator; nothing in it adds, negates or compares scalar Z_q
@@ -16,7 +16,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from padichyper.errors import ContextMismatch, PrecisionExhausted
+from padichyper.errors import (
+    BoundTooLargeForPrecision,
+    ContextMismatch,
+    NoRepresentativeInBound,
+    NotAnInteger,
+    PrecisionExhausted,
+)
 from padichyper.fields import FqElement, teichmueller_powers
 from padichyper.gamma import GammaCache, digit_blocks
 from padichyper.padic import (
@@ -129,6 +135,48 @@ def agrees_to(self: PadicNumber, other: PadicNumber, prec: int) -> bool:
         (ua * sa - ub * sb) % mod_rel == 0
         for ua, ub in zip(a.unit.coeffs, b.unit.coeffs)
     )
+
+
+# -- integer recovery, one value at a time -----------------------------------
+
+
+def recover_integer_scalar(x: PadicNumber, bound: int, p: int | None = None) -> int:
+    """Symmetric lift of a p-adic value claimed to be an integer in [-B, B],
+    by integer arithmetic on the unit's coordinates; ``recover_rows`` and
+    ``recover_integer`` must agree with it value by value and error by error.
+
+    ``p`` is only consulted when x is an exact_zero (which carries no
+    context); it is required there unless the zero is exact to infinite
+    precision.
+    """
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+    if x.exact_zero:
+        if x.abs_prec == math.inf:
+            return 0
+        if p is None:
+            raise ValueError("p is required to gate a zero known to finite precision")
+        if p**x.abs_prec <= 2 * bound:
+            raise BoundTooLargeForPrecision("zero known to too few digits")
+        return 0
+    ctx = x.unit.context
+    p = ctx.p
+    if x.valuation < 0:
+        raise NotAnInteger(f"valuation {x.valuation} is negative")
+    A = int(min(x.abs_prec, x.valuation + ctx.K))
+    pA = p**A
+    if pA <= 2 * bound:
+        raise BoundTooLargeForPrecision(f"p^{A} <= 2*{bound}")
+    shift = p**x.valuation
+    mod_high = p ** (A - x.valuation)
+    if any(c % mod_high for c in x.unit.coeffs[1:]):
+        raise NotAnInteger("nonzero coordinates outside the prime subring")
+    n0 = x.unit.coeffs[0] * shift % pA
+    if n0 <= bound:
+        return n0
+    if pA - n0 <= bound:
+        return n0 - pA
+    raise NoRepresentativeInBound(f"no representative of size <= {bound}")
 
 
 # -- characters, orthogonality and Gamma_p, one point at a time --------------

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -14,6 +16,7 @@ from padichyper.curves import (
     count_weierstrass,
     hessian_bridge,
     hessian_counts,
+    hessian_kernel,
     j_invariant,
     weierstrass_traces,
 )
@@ -82,6 +85,28 @@ def count_hessian_grid(C: HessianCurve, f: FqField) -> int:
             lhs -= ((row_digits[rows, k, None] + cube_digits[:, k]) >= p) * np.int32(p ** (k + 1))
         total += int(np.count_nonzero(lhs == exp[log_row[rows, None] + log_y]))
     return total
+
+
+def oracle_hessian_kernel(f: FqField) -> tuple:
+    """The parts of ``hessian_kernel`` (log_B, weight, table, at_zero,
+    on_zero) by scalar field arithmetic, element by element: the quadratic
+    character by Euler's criterion, discrete logs by stepping through the
+    powers of the generator."""
+
+    def chi(x):
+        return 0 if x.is_zero else 1 if x ** ((f.q - 1) // 2) == f.one else -1
+
+    powers = [f.one]
+    for _ in range(2 * (f.q - 1) - 1):
+        powers.append(powers[-1] * f.generator)
+    log = {x.idx: s for s, x in enumerate(powers[: f.q - 1])}
+    third, elements = f.one / f.element(3), [f.from_index(i) for i in range(f.q)]
+    c = -(4 * third)
+    B = [w * w - w**3 * third for w in elements]
+    kept = [(log[b.idx], chi(w + 1)) for w, b in zip(elements, B) if not b.is_zero and chi(w + 1)]
+    at_zero = sum(chi(u) * chi(-((u**3 + 4) * third)) for u in elements)
+    on_zero = chi(c) * sum(chi(w + 1) for w, b in zip(elements, B) if b.is_zero)
+    return [k for k, _ in kept], [w for _, w in kept], [chi(x + c) for x in powers], at_zero, on_zero
 
 
 def smooth_hessians(f: FqField):
@@ -272,6 +297,40 @@ class TestCountKernels:
             count_weierstrass(WeierstrassCurve(f.element(1), f.element(1)))
             hessian_counts(FqField(p, r), np.array([2]))
         assert field_cubes.cache_info().misses == misses
+
+    def test_hessian_kernel_matches_the_scalar_sums(self):
+        # one test, so that models sharing p (and variants of one (p, r)) are
+        # looked up in turn from one cache: each has its own kernel
+        models = [(5, 1, 0), (5, 2, 0), (5, 2, 1), (7, 1, 0), (7, 1, 1), (7, 2, 0), (13, 1, 0), (5, 3, 0)]
+        kernels = [hessian_kernel(model) for model in models]
+        for model, kern in zip(models, kernels):
+            f = build_field(*model)
+            got = (kern.log_B.tolist(), kern.weight.tolist(), kern.table.tolist(), kern.at_zero, kern.on_zero)
+            assert got == oracle_hessian_kernel(f), model
+            assert kern.log_B.dtype == np.min_scalar_type(f.q - 2)
+            assert kern.weight.dtype == kern.table.dtype == np.int8
+            hessians = list(smooth_hessians(f))
+            counts = hessian_counts(f, np.array([C.d.idx for C in hessians])).tolist()
+            assert counts == [count_hessian_grid(C, f) for C in hessians], model
+
+    @pytest.mark.parametrize("p,r", [(11, 1), (5, 2)])
+    def test_kernel_is_built_once_per_model(self, p, r):
+        f = build_field(p, r)
+        kern, misses = hessian_kernel(f.model), hessian_kernel.cache_info().misses
+        for _ in range(3):
+            hessian_counts(FqField(p, r), np.array([2, 3]))
+            count_hessian(HessianCurve(f.element(2)))
+        assert hessian_kernel.cache_info().misses == misses
+        assert hessian_kernel(FqField(p, r).model) is kern
+
+    def test_cleared_kernel_is_freed(self):
+        f = build_field(13, 1)
+        hessian_counts(f, np.array([2]))
+        ref = weakref.ref(hessian_kernel(f.model))
+        hessian_kernel.cache_clear()
+        gc.collect()
+        assert ref() is None
+        assert hessian_counts(f, np.array([2])).tolist() == [count_hessian_grid(HessianCurve(f.element(2)), f)]
 
     def test_hasse_bound_is_checked(self, monkeypatch):
         f = build_field(7, 1)

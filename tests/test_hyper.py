@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padichyper.curves import WeierstrassCurve, count_weierstrass
+from padichyper.curves import HessianCurve, WeierstrassCurve, count_hessian, count_weierstrass, hessian_kernel
 from padichyper.errors import (
     BoundTooLargeForPrecision,
     DenominatorDivisibleByP,
@@ -64,7 +64,7 @@ from padichyper.verify import (
     _alpha,
 )
 
-from padic_oracle import agrees_to, char_eval_padic, from_rational, zq_add
+from padic_oracle import agrees_to, char_eval_padic, from_rational, recover_integer_scalar, zq_add
 
 QT = GParams(2, (Fraction(1, 4), Fraction(3, 4)), (Fraction(1, 3), Fraction(2, 3)))
 HS = GParams(2, (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 6), Fraction(5, 6)))
@@ -384,8 +384,6 @@ class TestEval:
 
     def test_hessian_oracle_p11(self):
         # the [1/2,1/2;1/6,5/6] value at 1/d^3 is pinned by the affine count
-        from padichyper.curves import HessianCurve, count_hessian
-
         field = build_field(11, 1)
         d = field.element(2)
         count = count_hessian(HessianCurve(d))
@@ -710,6 +708,28 @@ class TestRecoverInteger:
         with pytest.raises(NoRepresentativeInBound):
             recover_integer(x, 10)
 
+    @pytest.mark.parametrize("p, r, K", [(7, 1, 5), (5, 2, 4), (89, 1, 5)])
+    def test_matches_the_scalar_lift(self, p, r, K):
+        # valuations 0..3 and every precision from valuation + 1 past
+        # valuation + K, so the lift works mod p^A for A < K too
+        u, rng = uctx_for(build_field(p, r), K), random.Random(f"{p}:{r}:{K}")
+        values = [PadicNumber.zero(A) for A in range(4)]
+        for _ in range(200):
+            v = rng.randrange(4)
+            unit = [rng.randrange(1, p) + p * rng.randrange(p ** (K - 1))] + [
+                rng.choice([0, 0, rng.randrange(u.modulus)]) for _ in range(r - 1)]
+            A = rng.choice([math.inf, *range(v + 1, v + K + 2)])
+            values.append(PadicNumber(v, u.element(unit), A))
+        for x in values:
+            for bound in (0, 1, 10, p**2, p**K // 2, rng.randrange(p**K)):
+                outcomes = []
+                for lift in (recover_integer, recover_integer_scalar):
+                    try:
+                        outcomes.append(lift(x, bound, p=p))
+                    except (BoundTooLargeForPrecision, NotAnInteger, NoRepresentativeInBound) as exc:
+                        outcomes.append(type(exc))
+                assert outcomes[0] == outcomes[1], (x, bound)
+
 
 class TestCacheEviction:
     def test_clearing_every_builder_strands_nothing(self):
@@ -721,7 +741,8 @@ class TestCacheEviction:
         t, s = field.element([2, 3]), field.element([1, 1])
         inst = GInstance(HS2, field, uctx_for(field, 5), t)
         g_before, qg_before = read(g_eval(inst)), read(profile_for(QT, field.model, inst.uctx).eval_qg(t))
-        for cached in (field_for, profile_for, teichmueller_powers, field_cubes, gauss_tables, gamma_cache, digit_blocks):
+        for cached in (field_for, profile_for, teichmueller_powers, field_cubes, hessian_kernel, gauss_tables, gamma_cache,
+                       digit_blocks):
             cached.cache_clear()
         rebuilt = build_field(7, 2)
         assert rebuilt is not field and rebuilt == field
@@ -742,6 +763,7 @@ class TestCacheEviction:
         char_eval_padic(1, t, uctx)
         gauss_sum(1, field)
         count_weierstrass(WeierstrassCurve(field.element(1), field.element(1)))
+        count_hessian(HessianCurve(field.element(2)))
         ref = weakref.ref(field)
         del field, t
         field_for.cache_clear()
@@ -777,6 +799,9 @@ class TestSharedTablesAreReadOnly:
             "column": prof.column,
             "xs": field_cubes(field.model)[0],
             "cubes": field_cubes(field.model)[1],
+            "log_B": hessian_kernel(field.model).log_B,
+            "weight": hessian_kernel(field.model).weight,
+            "table": hessian_kernel(field.model).table,
         }
         if r > 1:
             tables["zech_np"] = field.zech_np

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 import padichyper.verify as verify_module
-from padichyper.errors import PreconditionFailed
+from padichyper.errors import BoundTooLargeForPrecision, NoRepresentativeInBound, NotAnInteger, PreconditionFailed
 from padichyper.fields import DEFAULT_MAX_Q, build_field, phi, residue_dtype, uctx_for
-from padichyper.hyper import GATHER_ELEMENTS, GProfile, profile_for
-from padichyper.padic import is_prime, renormalize
+from padichyper.hyper import GATHER_ELEMENTS, RECOVERY_ERRORS, GProfile, profile_for, recover_integer, recover_rows
+from padichyper.padic import default_precision, is_prime, renormalize
 from padichyper.verify import (
     PARAMS_HALF_QUARTER,
     PARAMS_HALF_SIXTH,
@@ -35,7 +35,7 @@ from padichyper.verify import (
     _alpha,
 )
 
-from padic_oracle import agrees_to
+from padic_oracle import agrees_to, recover_integer_scalar
 
 
 class TestAlpha:
@@ -540,6 +540,80 @@ class TestRowDigits:
         assert got == [renormalize(row, uctx, 0, K).digits() for row in rows]
 
 
+def oracle_lift(row: list, uctx, bound: int):
+    """(integer, None) or (None, error class) for one residue row mod p^K, by
+    ``recover_integer(renormalize(row, uctx, 0, K), bound, p)``, which must
+    agree with the scalar lift of the same value."""
+    outcomes = []
+    for lift in (recover_integer, recover_integer_scalar):
+        try:
+            outcomes.append((lift(renormalize(row, uctx, 0, uctx.K), bound, p=uctx.p), None))
+        except (BoundTooLargeForPrecision, NotAnInteger, NoRepresentativeInBound) as exc:
+            outcomes.append((None, type(exc)))
+    assert outcomes[0] == outcomes[1], row
+    return outcomes[0]
+
+
+class TestRecoverRows:
+    """``recover_rows`` on residue rows, row by row against ``oracle_lift``."""
+
+    @staticmethod
+    def lifted(res: np.ndarray, modulus: int, bound: int) -> list:
+        values, errors = recover_rows(res, modulus, bound)
+        return [(None, RECOVERY_ERRORS[e]) if e else (v, None) for v, e in zip(values.tolist(), errors.tolist())]
+
+    # MC and HESSIAN rows on r = 1 and r = 2 fields; Python-int residues at
+    # p = 89, K = 5; p^K <= 2 bound on every row at K = 1, and for HESSIAN
+    # at (7, K = 2)
+    @pytest.mark.parametrize(
+        "theorem, p, r, K",
+        [("mc", 7, 1, None), ("mc", 5, 2, None), ("mc", 7, 2, None), ("mc", 89, 1, 5), ("mc", 11, 1, 1),
+         ("hessian", 31, 1, None), ("hessian", 13, 2, None), ("hessian", 89, 1, 5), ("hessian", 11, 1, 1),
+         ("hessian", 7, 1, 2), ("hessian", 13, 1, 2)],
+    )
+    def test_rows_of_a_sweep(self, monkeypatch, theorem, p, r, K):
+        calls = []
+
+        def spy(res, modulus, bound):
+            calls.append((res, modulus, bound))
+            return recover_rows(res, modulus, bound)
+
+        monkeypatch.setattr(verify_module, "recover_rows", spy)
+        run_suite(RangeSpec(theorems=(theorem,), pmin=p, pmax=p, r_values=(r,), K=K, allow_p5=True))
+        uctx = uctx_for(build_field(p, r), K or default_precision(p, r))
+        assert calls and all(len(res) for res, _, _ in calls)
+        for res, modulus, bound in calls:
+            assert modulus == uctx.modulus and res.dtype == residue_dtype(modulus)
+            assert self.lifted(res, modulus, bound) == [oracle_lift(row, uctx, bound) for row in res.tolist()]
+
+    @pytest.mark.parametrize("p, r, K", [(7, 2, 5), (89, 2, 5), (5, 3, 3)])
+    def test_each_error_class(self, p, r, K):
+        uctx, bound = uctx_for(build_field(p, r), K), 30
+        m, high = p**K, [0] * (r - 1)
+        rows = [
+            ([0] + high, (0, None)),
+            ([bound] + high, (bound, None)),
+            ([m - bound] + high, (-bound, None)),
+            ([bound + 1] + high, (None, NoRepresentativeInBound)),
+            ([m - bound - 1] + high, (None, NoRepresentativeInBound)),
+            ([m // 2] + high, (None, NoRepresentativeInBound)),
+            ([3, 1] + high[1:], (None, NotAnInteger)),
+            ([0] * (r - 1) + [p ** (K - 1)], (None, NotAnInteger)),
+            ([m - 1] * r, (None, NotAnInteger)),
+        ]
+        res = np.array([row for row, _ in rows], dtype=residue_dtype(m))
+        assert self.lifted(res, m, bound) == [want for _, want in rows]
+        assert [want for _, want in rows] == [oracle_lift(row, uctx, bound) for row, _ in rows]
+        # p^K <= 2 bound fails every row, the zero row too; one less and the
+        # symmetric lift is unique again
+        too_large = self.lifted(res, m, (m + 1) // 2)
+        assert too_large == [(None, BoundTooLargeForPrecision)] * len(rows)
+        assert too_large == [oracle_lift(row, uctx, (m + 1) // 2) for row, _ in rows]
+        unique = self.lifted(res, m, (m - 1) // 2)
+        assert unique == [oracle_lift(row, uctx, (m - 1) // 2) for row, _ in rows]
+        assert unique[:3] == [(0, None), (bound, None), (-bound, None)]
+
+
 class TestReportJson:
     """``Report.to_json`` fills a template per record; it must equal the
     document as ``json.dumps(doc, indent=1)`` renders it."""
@@ -599,6 +673,16 @@ class TestGoldenReports:
         report = run_suite(RangeSpec(pmin=5, pmax=23, r_values=(1, 2)))
         assert report.summary == {"total": 33626, "passed": 33626, "failed": 0, "skipped": 316}
         assert _report_digest(report) == "4d3ff448e7fcee99818a579ed3c772b81b753edb76b0237db2c1ed0a157664e0"
+
+    def test_low_precision_sweep(self):
+        # verify all --pmax 13 --K 1 --sample 6: p^1 <= 2 bound on every MC and
+        # HESSIAN row, so each of their records fails as a precision shortfall
+        report = run_suite(RangeSpec(pmax=13, K=1, sample=6))
+        assert report.summary == {"total": 429, "passed": 363, "failed": 66, "skipped": 41}
+        failed = Counter((rec.theorem, rec.rhs) for rec in report.records if not rec.passed)
+        assert failed == {("MC", "unrecoverable(BoundTooLargeForPrecision)"): 36,
+                          ("HESSIAN", "unrecoverable(BoundTooLargeForPrecision)"): 30}
+        assert _report_digest(report) == "90dbd438bbf0c019e75170281c7e2a12493f926447a96734bdf834beece1ac1a"
 
 
 class TestPlanCallsByName:
