@@ -44,7 +44,6 @@ from .padic import (
     UnramifiedContext,
     ZqElement,
     default_precision,
-    frac_floor,
     padic_sum,
     teichmueller,
     unramified_context,

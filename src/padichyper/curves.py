@@ -3,8 +3,9 @@ the j-invariant, and the Hessian-to-Weierstrass parameter bridge used by
 the transformation checks.
 
 Both counts are quadratic-character sums over the field, taken for a whole
-row of curves at once (``weierstrass_traces``, ``hessian_counts``) in chunks
-of ``COUNT_ELEMENTS`` (curve, element) pairs; ``count_weierstrass`` and
+row of curves at once (``weierstrass_traces``, ``hessian_counts``), cut by
+``fields.row_chunks`` into chunks of at most ``COUNT_ELEMENTS`` (curve,
+element) pairs, read at each call; ``count_weierstrass`` and
 ``count_hessian`` are rows of one.  What does not depend on the curve is
 built once per field model and kept read-only: x and x^3 (``field_cubes``)
 for both, and the Hessian sum's ``hessian_kernel``, so a row only computes
@@ -20,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SingularCurve, SingularHessian
-from .fields import FqElement, FqField, field_cubes, field_for, phi
+from .fields import FqElement, FqField, field_cubes, field_for, phi, row_chunks
 
 
 @dataclass(frozen=True)
@@ -70,16 +71,6 @@ class CurveCount:
 COUNT_ELEMENTS = 2**16
 
 
-def _row_sums(n: int, width: int, chunk_sum) -> np.ndarray:
-    """``chunk_sum(lo, hi)`` for the curves lo..hi-1 of a row of n, each summed
-    over ``width`` terms, in chunks of at most ``COUNT_ELEMENTS`` terms and
-    one curve at least."""
-    step = max(1, COUNT_ELEMENTS // width)
-    if n <= step:
-        return chunk_sum(0, n)
-    return np.concatenate([chunk_sum(lo, lo + step) for lo in range(0, n, step)])
-
-
 def weierstrass_traces(f: FqField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Trace of Frobenius of each y^2 = x^3 + a x + b, for index arrays a, b of
     nonsingular curves: each x contributes 1 + phi(x^3 + ax + b) affine points,
@@ -92,7 +83,7 @@ def weierstrass_traces(f: FqField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         values = f.np_add(f.np_add(cubes, f.np_mul(xs, a[lo:hi, None])), b[lo:hi, None])
         return -f.np_phi(values).sum(axis=1)
 
-    traces = _row_sums(len(a), f.q, chunk_sum)
+    traces = row_chunks(len(a), f.q, COUNT_ELEMENTS, chunk_sum)
     bad = traces[traces * traces > 4 * f.q]
     if bad.size:
         raise AssertionError(f"trace {bad[0]} violates the Hasse bound for q={f.q}")
@@ -153,7 +144,7 @@ def hessian_counts(f: FqField, d: np.ndarray) -> np.ndarray:
     def chunk_sum(lo, hi):
         return (kern.table[log_D[lo:hi, None] + kern.log_B] * kern.weight).sum(axis=1)
 
-    sums = _row_sums(len(d), len(kern.log_B), chunk_sum)
+    sums = row_chunks(len(d), len(kern.log_B), COUNT_ELEMENTS, chunk_sum)
     return f.q - 1 + np.where(d == 0, kern.at_zero, f.np_phi(d) * (sums + kern.on_zero))
 
 

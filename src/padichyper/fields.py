@@ -12,6 +12,8 @@ build by ``power_rows``, whose doubling steps are r passes over whole arrays.
 It also builds the Teichmueller powers of the generator, which
 ``teichmueller_powers`` caches per model and Z_q context as one read-only
 (q-1, r) array, and ``field_cubes`` keeps x^3 for the point counts.
+``row_chunks`` cuts rows of (instance, term) work into chunks under an element
+budget, for the point counts' character sums and the series' batched sum.
 
 A field is its model (p, r, variant): two FqField objects of one model are
 equal, hash alike and combine each other's elements, and nothing is attached
@@ -61,13 +63,21 @@ def poly_mul_rows(a: np.ndarray, b: np.ndarray, poly: Sequence[int], m: int) -> 
     (m = p^K) multiply on arrays: ``a`` is (n, r), ``b`` one element (r,)
     or n of them (n, r)."""
     r = len(poly)
-    if r == 1:
-        return a * b % m
     prod = np.zeros((a.shape[0], 2 * r - 1), dtype=a.dtype)
     for i in range(r):
         for k in range(r):
             prod[:, i + k] = (prod[:, i + k] + a[:, i] * b[..., k]) % m
     return poly_reduce_rows(prod, poly, m)
+
+
+def row_chunks(n: int, width: int, budget: int, chunk) -> np.ndarray:
+    """``chunk(lo, hi)`` for the rows lo..hi-1 of n, each ``width`` terms
+    wide, in chunks of at most ``budget`` terms and one row at least, joined
+    in order; n = 0 is one empty chunk."""
+    step = max(1, budget // width)
+    if n <= step:
+        return chunk(0, n)
+    return np.concatenate([chunk(lo, lo + step) for lo in range(0, n, step)])
 
 
 def power_rows(base: Sequence[int], n: int, poly: Sequence[int], m: int) -> np.ndarray:

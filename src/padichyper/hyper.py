@@ -15,9 +15,9 @@ The twist omega-bar(t)^j is omega(g)^(-j dlog t) for the field's generator g,
 a row of the read-only ``teichmueller_powers`` array.  A ``GProfile`` gathers
 its gamma quotients from the read-only ``rational_table`` array, and its
 ``vals`` and ``units`` are read-only arrays too.  ``GProfile._sum`` is the one
-point sum: it takes an array of points, gathers their twists in chunks and
-takes one modular dot product per point, with no ring multiplies; ``eval_qg``
-and ``g_eval`` call it with one point.
+point sum: it takes an array of points, gathers their twists in chunks
+(``fields.row_chunks``) and takes one modular dot product per point, with no
+ring multiplies; ``eval_qg`` and ``g_eval`` call it with one point.
 
 ``GProfile.qg_table``, kept with its profile, gives q*G at every t of a field
 at once: a chirp-z transform with triangular exponents, whose one correlation
@@ -51,6 +51,7 @@ from .fields import (
     poly_mul_rows,
     poly_reduce_rows,
     residue_dtype,
+    row_chunks,
     teichmueller_powers,
 )
 from .gamma import gamma_cache
@@ -59,8 +60,8 @@ from .padic import PadicNumber, UnramifiedContext, renormalize, unramified_conte
 # Not called here; perfbench/tracing.py wraps them under these names.
 from .padic import padic_sum, teichmueller, zq_inv  # noqa: F401
 
-# (point, j) pairs per chunk of GProfile._sum's gather, 8 MB of int64 indices.
-# Python-int residues use chunks an eighth as long: they gain nothing from length.
+# (point, j) pairs per chunk of GProfile._sum's gather, 8 MB of int64 indices,
+# read at each call.  Python-int residues use an eighth: they gain nothing from length.
 GATHER_ELEMENTS = 2**20
 
 
@@ -228,10 +229,12 @@ class GProfile:
         """
         ctx, q1 = self.uctx, self.q - 1
         m, powers = ctx.modulus, teichmueller_powers(self.model, ctx)
-        step = max(1, GATHER_ELEMENTS // q1 // (8 if powers.dtype == object else 1))
-        sums = [(self.column * powers[s[lo : lo + step, None] * self._minus_j % q1] % m).sum(axis=1) % m
-                for lo in range(0, max(len(s), 1), step)]
-        out = sums[0] if len(sums) == 1 else np.concatenate(sums)
+
+        def chunk_sum(lo, hi):
+            return (self.column * powers[s[lo:hi, None] * self._minus_j % q1] % m).sum(axis=1) % m
+
+        budget = GATHER_ELEMENTS // (8 if powers.dtype == object else 1)
+        out = row_chunks(len(s), q1, budget, chunk_sum)
         if shift + self.vmin:
             out = out * pow(ctx.p, shift + self.vmin, m) % m
         return out
@@ -308,7 +311,8 @@ def kronecker_correlation(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     at least 2 bitlen(m) + bitlen(len(a) r) + 1 bits, and ``a`` is packed
     in reverse, so slot block len(a) - 1 + s of the product is c[s].  A slot
     sums at most len(a) r products below m^2, so it never carries into the
-    next one, and the words unpack with ``np.frombuffer``.
+    next one; the words unpack with ``np.frombuffer`` and fold into residues
+    in one loop, in uint64 while m < 2^31 and in Python ints above.
     """
     na, r = a.shape
     nb, sub = b.shape[0], 2 * r - 1
@@ -324,13 +328,12 @@ def kronecker_correlation(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     npos = na + nb - 1
     buf = (pack(a[::-1]) * pack(b)).to_bytes(npos * sub * w * 8, "little")
     words = np.frombuffer(buf, dtype="<u8").reshape(npos, sub, w)[na - 1 : nb]
-    if residue_dtype(m) is np.int64:  # word residues times 2^64k mod m stay below 2^62
-        out = np.zeros(words.shape[:2], dtype=np.uint64)
-        for k in range(w):
-            out = (out + words[..., k] % m * pow(2, 64 * k, m)) % m
-        return out.astype(np.int64)
-    words = words.astype(object)
-    return sum(words[..., k] << 64 * k for k in range(w)) % m
+    if residue_dtype(m) is object:
+        words = words.astype(object)
+    out = np.zeros(words.shape[:2], dtype=words.dtype)
+    for k in range(w):  # below 2^31, word residues times 2^64k mod m stay below 2^62
+        out = (out + words[..., k] % m * pow(2, 64 * k, m)) % m
+    return out.astype(residue_dtype(m))
 
 
 def g_term(inst: GInstance, j: int) -> PadicNumber:

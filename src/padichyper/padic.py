@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .errors import (
     CompositeP,
@@ -28,8 +27,6 @@ from .errors import (
     ZeroArgument,
 )
 
-RationalLike = Union[Fraction, int]
-
 # Kept only for perfbench/tracing.py, which wraps or counts these names; no
 # library path calls them, so they can go once the tracer spans the row
 # functions instead:
@@ -37,16 +34,9 @@ RationalLike = Union[Fraction, int]
 #           it needs; padic_sum
 #   hyper:  GProfile.eval_qg, and the imports of padic_sum, teichmueller, zq_inv
 #   verify: verify_cor2, verify_bs1, and the imports of padic_sum,
-#           count_hessian, count_weierstrass
+#           count_hessian, count_weierstrass, recover_integer
 # The tracer also reads GammaCache.rational_table as an lru_cache wrapper and
 # the keys of GammaCache.table, so both keep that form.
-
-
-def frac_floor(x: RationalLike) -> tuple[Fraction, int]:
-    """Split x into (fractional part in [0,1), floor), exactly."""
-    x = Fraction(x)
-    fl = x.numerator // x.denominator
-    return x - fl, fl
 
 
 def is_prime(n: int) -> bool:

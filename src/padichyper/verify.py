@@ -44,6 +44,7 @@ import json
 import math
 import random
 import time
+from functools import partial
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
@@ -441,14 +442,6 @@ def _eq29_row(field: FqField, K: int | None, l: np.ndarray):
     return _gamma_records("EQ29", field, cache.K, params, np.stack([lhs, sign], axis=1), t0), []
 
 
-def verify_lemma31_record(p: int, r: int, t: int, j: int, K: int | None = None) -> VerifyRecord:
-    return _one(_lemma31_row(build_field(p, r), K, np.array([[t, j]])))
-
-
-def verify_eq29_record(p: int, r: int, l: int, K: int | None = None) -> VerifyRecord:
-    return _one(_eq29_row(build_field(p, r), K, np.array([l])))
-
-
 def _lemma5_row(p: int, r: int, x: np.ndarray):
     """LEMMA5 at each (l, i): with n = l p^i and s = n/(q-1), the floor sum
     [3s] + 3[-s] - 3[-2s] - [6s] against -2[1/2 - s] - [a/6 + s] - [b/6 + s],
@@ -538,10 +531,6 @@ def _ortho_row(field: FqField, x: np.ndarray):
     return _records("ORTHO", field.p, field.r, 0, rows, t0), []
 
 
-def verify_lemma5_record(p: int, r: int, l: int, i: int) -> VerifyRecord:
-    return _one(_lemma5_row(p, r, np.array([[l, i]])))
-
-
 def verify_gauss_gk_record(p: int, r: int, k: int) -> VerifyRecord:
     return _one(_gauss_gk_row(build_field(p, r), np.array([k])))
 
@@ -553,10 +542,6 @@ def verify_gauss_theta_record(p: int, r: int, alpha_idx: int) -> VerifyRecord:
 
 def verify_gauss_dh_record(p: int, r: int, m: int, psi: int) -> VerifyRecord:
     return _one(_gauss_dh_row(build_field(p, r), np.array([[m, psi]])))
-
-
-def verify_ortho_record(p: int, r: int) -> VerifyRecord:
-    return _one(_ortho_row(build_field(p, r), np.zeros(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -690,10 +675,10 @@ def _lemma5_instances(run: _SuiteRun, field: FqField, tag: str) -> np.ndarray:
     return np.stack([l + (2 * l >= field.q - 1), pos % r], axis=1)
 
 
-def _dh_instances(run: _SuiteRun, field: FqField, tag: str) -> np.ndarray:
-    """The sampled (m, psi) of the listing, m the tag's last field: every psi
-    in [0, q - 2] if m divides q - 1, else none."""
-    m, q1 = int(tag.rsplit(":", 1)[1]), field.q - 1
+def _dh_instances(run: _SuiteRun, field: FqField, tag: str, m: int) -> np.ndarray:
+    """The sampled (m, psi) of the listing: every psi in [0, q - 2] if m
+    divides q - 1, else none."""
+    q1 = field.q - 1
     psi = run.sampled(q1 if q1 % m == 0 else 0, tag)
     return np.stack([np.full_like(psi, m), psi], axis=1)
 
@@ -717,7 +702,8 @@ _PLANS = {
         ("gauss_gk:{p}:{r}", lambda run, f, tag: run.sampled(f.q - 2, tag) + 1,
          lambda run, f, k: _gauss_gk_row(f, k)),
         ("gauss_theta:{p}:{r}", _unit_indices, lambda run, f, a: _gauss_theta_row(f, a)),
-        *((f"gauss_dh:{{p}}:{{r}}:{m}", _dh_instances, lambda run, f, x: _gauss_dh_row(f, x)) for m in (2, 3, 6)),
+        *((f"gauss_dh:{{p}}:{{r}}:{m}", partial(_dh_instances, m=m), lambda run, f, x: _gauss_dh_row(f, x))
+          for m in (2, 3, 6)),
     ]),
     "ortho": (3, [("ortho:{p}:{r}", lambda run, f, tag: run.sampled(1, tag), lambda run, f, x: _ortho_row(f, x))]),
 }

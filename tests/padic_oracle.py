@@ -1,5 +1,7 @@
 """Scalar p-adic arithmetic, the scalar integer lift, and the per-character
-orthogonality check and scalar Gamma_p evaluator, kept as test oracles.
+orthogonality check and scalar Gamma_p evaluator, kept as test oracles; and
+the exact fractional-part split and the lemma-level checks as rows of one,
+which only the tests call.
 
 The library computes with residue arrays, one batched point sum and one
 array Gamma_p evaluator; nothing in it adds, negates or compares scalar Z_q
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Union
 
 import numpy as np
 
@@ -23,16 +26,26 @@ from padichyper.errors import (
     NotAnInteger,
     PrecisionExhausted,
 )
-from padichyper.fields import FqElement, teichmueller_powers
+from padichyper.fields import FqElement, build_field, teichmueller_powers
 from padichyper.gamma import GammaCache, digit_blocks
 from padichyper.padic import (
     PadicNumber,
-    RationalLike,
     UnramifiedContext,
     ZqElement,
     padic_sum,
     padic_valuation,
 )
+from padichyper.verify import VerifyRecord, _eq29_row, _lemma5_row, _lemma31_row, _one, _ortho_row
+
+RationalLike = Union[Fraction, int]
+
+
+def frac_floor(x: RationalLike) -> tuple[Fraction, int]:
+    """Split x into (fractional part in [0,1), floor), exactly."""
+    x = Fraction(x)
+    fl = x.numerator // x.denominator
+    return x - fl, fl
+
 
 # -- Z_q mod p^K: the additive group --------------------------------------
 
@@ -238,3 +251,22 @@ def gamma_horner(self: GammaCache, x) -> int:
     x = Fraction(x)
     n = self._reduce(x.numerator, x.denominator)
     return _f(n) if n % 2 == 0 else -_f(n) % self.modulus
+
+
+# -- lemma-level checks, each a row of one ----------------------------------
+
+
+def verify_lemma31_record(p: int, r: int, t: int, j: int, K: int | None = None) -> VerifyRecord:
+    return _one(_lemma31_row(build_field(p, r), K, np.array([[t, j]])))
+
+
+def verify_eq29_record(p: int, r: int, l: int, K: int | None = None) -> VerifyRecord:
+    return _one(_eq29_row(build_field(p, r), K, np.array([l])))
+
+
+def verify_lemma5_record(p: int, r: int, l: int, i: int) -> VerifyRecord:
+    return _one(_lemma5_row(p, r, np.array([[l, i]])))
+
+
+def verify_ortho_record(p: int, r: int) -> VerifyRecord:
+    return _one(_ortho_row(build_field(p, r), np.zeros(1)))

@@ -257,8 +257,8 @@ class TestCountKernels:
         none = np.zeros(0, dtype=np.int64)
         for p, r in ((3, 1), (5, 1), (7, 2)):
             f = build_field(p, r)
-            assert weierstrass_traces(f, none, none).shape == (0,)
-            assert hessian_counts(f, none).shape == (0,)
+            for out in (weierstrass_traces(f, none, none), hessian_counts(f, none)):
+                assert out.shape == (0,) and out.dtype == np.int64
 
     @pytest.mark.parametrize("p,r", [(13, 1), (5, 2)])
     def test_rows_split_unevenly_across_chunks(self, monkeypatch, p, r):
@@ -269,7 +269,8 @@ class TestCountKernels:
         hessians = list(smooth_hessians(f))
         d = np.array([C.d.idx for C in hessians])
         counts = [count_hessian_grid(C, f) for C in hessians]
-        for chunk in (1, f.q - 1, f.q, 2 * f.q + 1, 3 * f.q - 1, 7 * f.q + 3):
+        # the last chunk puts the Weierstrass row just above one chunk: two
+        for chunk in (1, f.q - 1, f.q, 2 * f.q + 1, 3 * f.q - 1, 7 * f.q + 3, len(a) * f.q - 1):
             monkeypatch.setattr(curves, "COUNT_ELEMENTS", chunk)
             assert weierstrass_traces(f, a, b).tolist() == traces, chunk
             assert hessian_counts(f, d).tolist() == counts, chunk

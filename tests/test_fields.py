@@ -12,6 +12,7 @@ from padichyper.fields import (
     build_field,
     check_orthogonality,
     phi,
+    row_chunks,
     trace,
     uctx_for,
 )
@@ -292,6 +293,31 @@ class TestOperators:
             with pytest.raises(ZeroArgument, match="0 has no inverse"):
                 3 / f.zero
             assert f.zero**0 == f.one
+
+
+class TestRowChunks:
+    """``row_chunks`` against the same row summed in one piece; its callers'
+    chunk functions slice their arrays, so a last chunk may run past n."""
+
+    # n width just above the budget (two chunks), exactly at it (one), a row
+    # wider than the budget (one row a chunk), and no rows (one empty chunk)
+    @pytest.mark.parametrize("n,width,budget,bounds", [
+        (5, 10, 49, [(0, 4), (4, 8)]),
+        (5, 10, 50, [(0, 5)]),
+        (3, 10, 7, [(0, 1), (1, 2), (2, 3)]),
+        (0, 10, 50, [(0, 0)]),
+    ], ids=["above", "at", "wide", "empty"])
+    def test_chunks_join_to_the_whole_row(self, n, width, budget, bounds):
+        data = np.arange(n * width, dtype=np.int64).reshape(n, width) ** 2
+        calls = []
+
+        def chunk(lo, hi):
+            calls.append((lo, hi))
+            return data[lo:hi].sum(axis=1)
+
+        out = row_chunks(n, width, budget, chunk)
+        assert calls == bounds
+        assert out.dtype == np.int64 and np.array_equal(out, data.sum(axis=1))
 
 
 class TestElement:

@@ -19,7 +19,6 @@ from padichyper.gamma import (
 )
 from padichyper.padic import (
     default_precision,
-    frac_floor,
     is_prime,
     teichmueller,
     unramified_context,
@@ -32,12 +31,16 @@ from padichyper.verify import (
     _eq29_row,
     _omega_powers,
     run_suite,
-    verify_eq29_record,
-    verify_lemma31_record,
-    verify_lemma5_record,
 )
 
-from padic_oracle import gamma_horner, zq_neg
+from padic_oracle import (
+    frac_floor,
+    gamma_horner,
+    verify_eq29_record,
+    verify_lemma5_record,
+    verify_lemma31_record,
+    zq_neg,
+)
 
 
 def gamma_brute(n: int, p: int, K: int) -> int:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padichyper import hyper
 from padichyper.curves import HessianCurve, WeierstrassCurve, count_hessian, count_weierstrass, hessian_kernel
 from padichyper.errors import (
     BoundTooLargeForPrecision,
@@ -26,6 +27,7 @@ from padichyper.fields import (
     phi,
     poly_mul_rows,
     residue_dtype,
+    row_chunks,
     teichmueller_powers,
     uctx_for,
 )
@@ -47,7 +49,6 @@ from padichyper.hyper import (
 from padichyper.padic import (
     PadicNumber,
     default_precision,
-    frac_floor,
     is_prime,
     padic_sum,
     renormalize,
@@ -64,7 +65,7 @@ from padichyper.verify import (
     _alpha,
 )
 
-from padic_oracle import agrees_to, char_eval_padic, from_rational, recover_integer_scalar, zq_add
+from padic_oracle import agrees_to, char_eval_padic, frac_floor, from_rational, recover_integer_scalar, zq_add
 
 QT = GParams(2, (Fraction(1, 4), Fraction(3, 4)), (Fraction(1, 3), Fraction(2, 3)))
 HS = GParams(2, (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 6), Fraction(5, 6)))
@@ -837,22 +838,33 @@ class TestBatchedSum:
             assert got == oracle_qg(prof, field.from_index(int(field.exp_np[s])))
 
     # 1,100 points at q = 1,009 take two int64 chunks of 2^20 // 1,008 =
-    # 1,040; at K = 5 the Python-int chunks are an eighth as long
+    # 1,040; at K = 5 the Python-int chunks are an eighth as long: 300
+    # points take three of 130
     @pytest.mark.parametrize("K, n", [(3, 1100), (5, 300)])
-    def test_a_row_longer_than_one_chunk(self, K, n):
+    def test_a_row_longer_than_one_chunk(self, monkeypatch, K, n):
         field = build_field(1009, 1)
         uctx = uctx_for(field, K)
-        assert GATHER_ELEMENTS // 1008 // (8 if uctx.modulus >= 2**31 else 1) < n
+        budget = GATHER_ELEMENTS // (8 if uctx.modulus >= 2**31 else 1)
+        assert budget // 1008 < n
+        budgets = []
+
+        def spy(n, width, cap, chunk):
+            budgets.append(cap)
+            return row_chunks(n, width, cap, chunk)
+
+        monkeypatch.setattr(hyper, "row_chunks", spy)
         dlogs = np.random.default_rng(K).integers(0, 1008, n)  # repeated points, in no order
         for params in FAMILIES if K == 3 else FAMILIES[:1]:
             prof = profile_for(params, field.model, uctx)
             assert np.array_equal(prof.qg_rows(dlogs), prof.qg_table[dlogs])
+        assert set(budgets) == {budget}
 
     def test_an_empty_row(self):
         field = build_field(7, 2)
         for K in (5, 14):
-            prof = profile_for(QT, field.model, uctx_for(field, K))
-            assert prof.qg_rows(np.zeros(0, dtype=np.int64)).shape == (0, 2)
+            uctx = uctx_for(field, K)
+            rows = profile_for(QT, field.model, uctx).qg_rows(np.zeros(0, dtype=np.int64))
+            assert rows.shape == (0, 2) and rows.dtype == residue_dtype(uctx.modulus)
 
 
 # the fields with q <= 343, as (p, r)

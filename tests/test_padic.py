@@ -21,7 +21,6 @@ from padichyper.padic import (
     _poly_powmod,
     default_precision,
     find_defining_poly,
-    frac_floor,
     is_prime,
     padic_sum,
     prime_factors,
@@ -32,7 +31,7 @@ from padichyper.padic import (
     zq_pow,
 )
 
-from padic_oracle import agrees_to, from_rational, padic_add, padic_mul, padic_neg, zq_add, zq_neg, zq_sub
+from padic_oracle import agrees_to, frac_floor, from_rational, padic_add, padic_mul, padic_neg, zq_add, zq_neg, zq_sub
 
 rationals = st.fractions(max_denominator=10_000)
 

@@ -22,20 +22,23 @@ from padichyper.verify import (
     run_suite,
     verify_bs1,
     verify_cor2,
-    verify_eq29_record,
     verify_gauss_dh_record,
     verify_gauss_gk_record,
     verify_gauss_theta_record,
     verify_hessian,
-    verify_lemma5_record,
-    verify_lemma31_record,
     verify_mc,
     verify_mt1,
-    verify_ortho_record,
     _alpha,
 )
 
-from padic_oracle import agrees_to, recover_integer_scalar
+from padic_oracle import (
+    agrees_to,
+    recover_integer_scalar,
+    verify_eq29_record,
+    verify_lemma5_record,
+    verify_lemma31_record,
+    verify_ortho_record,
+)
 
 
 class TestAlpha:
