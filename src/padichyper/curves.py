@@ -2,25 +2,30 @@
 the j-invariant, and the Hessian-to-Weierstrass parameter bridge used by
 the transformation checks.
 
-Both counts are quadratic-character sums over the field, taken for a whole
-row of curves at once (``weierstrass_traces``, ``hessian_counts``), cut by
-``fields.row_chunks`` into chunks of at most ``COUNT_ELEMENTS`` (curve,
-element) pairs, read at each call; ``count_weierstrass`` and
-``count_hessian`` are rows of one.  What does not depend on the curve is
-built once per field model and kept read-only: x and x^3 (``field_cubes``)
-for both, and the Hessian sum's ``hessian_kernel``, so a row only computes
-its own logs and gathers.  The counts' brute-force oracles live in the
-test suite.
+Both counts are quadratic-character sums over the field.  Weierstrass
+traces are summed for a whole row of curves at once (``weierstrass_traces``),
+cut by ``fields.row_chunks`` into chunks of at most ``COUNT_ELEMENTS``
+(curve, element) pairs, read at each call.  The Hessian sum depends on d
+only through dlog d^3, so ``hessian_kernel`` holds it at every dlog d^3 of
+the field, from one ``cyclic_correlation`` (real FFTs whose rounding is
+proved exact, or a ``PrecisionExhausted``), and a row (``hessian_counts``)
+is one gather.  ``count_weierstrass`` and ``count_hessian`` are rows of one.
+What does not depend on the curve is built once per field model and kept
+read-only: x and x^3 (``field_cubes``) for both, and the Hessian kernel.
+The counts' brute-force oracles, and the Hessian sum taken d by d, live in
+the test suite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.fft import irfft, rfft
 
-from .errors import SingularCurve, SingularHessian
+from .errors import PrecisionExhausted, SingularCurve, SingularHessian
 from .fields import FqElement, FqField, field_cubes, field_for, phi, row_chunks
 
 
@@ -90,16 +95,43 @@ def weierstrass_traces(f: FqField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return traces
 
 
+def cyclic_correlation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """c[s] = sum_k a[k] b[(k + s) mod n] for 1-D integer arrays of one length
+    n, as int64: irfft(conj(rfft(a)) rfft(b)), rounded.  Higham (Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Thm 24.2) bounds the relative
+    2-norm error of a computed length-n transform by e = L eta / (1 - L eta),
+    with L = ceil(log2 n) levels, eta = mu + gamma_4 (sqrt 2 + mu), and mu
+    the twiddle factors' relative error.  mu is taken as 64u, u = 2^-53, over
+    twice the largest error of numpy 2.4's transform of a unit vector, whose
+    values are the twiddles: 27.5u over 174 lengths up to 10^6, smooth ones
+    and Bluestein's.  Two forward transforms, the product and the inverse
+    then leave each c[s] within sqrt(n) |a|_2 |b|_2 (3e + 3u).  Raises
+    PrecisionExhausted, before any transform, if that bound is not below
+    1/4, and after it if some computed c[s] is not within 1/4 of an integer."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    n, levels, u = len(a), (len(a) - 1).bit_length(), 2.0**-53
+    mu = 64 * u
+    eta = mu + 4 * u / (1 - 4 * u) * (math.sqrt(2) + mu)
+    e = levels * eta / (1 - levels * eta)
+    bound = math.sqrt(n) * np.linalg.norm(a) * np.linalg.norm(b) * (3 * e + 3 * u)
+    if not bound < 0.25:
+        raise PrecisionExhausted(f"a length-{n} correlation's FFT error bound is {bound:.3g}, not below 1/4")
+    c = irfft(np.conj(rfft(a)) * rfft(b), n)
+    rounded = np.rint(c)
+    off = np.abs(c - rounded).max()
+    if not off < 0.25:
+        raise PrecisionExhausted(f"a length-{n} correlation is {off:.3g} from an integer")
+    return rounded.astype(np.int64)
+
+
 class HessianKernel:
     """The field-only part of ``hessian_counts`` for the field of ``model``
-    (p != 3), as read-only arrays; it holds no field.  With B(w) = w^2 - w^3/3,
-    c = -4/3 and weight[w] = phi(w + 1), the w with B(w) != 0 and weight != 0
-    give ``log_B`` = dlog B(w) (the smallest unsigned dtype holding q - 2) and
-    ``weight`` (int8); ``table`` is phi(g^s + c) at every s < 2(q - 1) (int8).
-    ``at_zero`` is S(0), and ``on_zero`` the term phi(c) sum phi(w + 1) over
-    the w with B(w) = 0, which every d != 0 adds whatever d is.  S depends on
-    d only through dlog d^3: it is the cyclic correlation of the table with
-    F = bincount(log_B, weight), which a row gathers at its shifts."""
+    (p != 3); it holds no field.  ``at_zero`` is S(0).  With B(w) = w^2 -
+    w^3/3 and c = -4/3, S(d) for d != 0 is phi(d) at_shift[s], s = dlog d^3
+    mod q - 1.  ``at_shift`` (read-only int64) is the cyclic correlation of
+    F[k] = sum phi(w + 1) over the w with dlog B(w) = k and of phi(g^s + c),
+    plus the term phi(c) sum phi(w + 1) over the w with B(w) = 0, which every
+    d != 0 adds whatever d is."""
 
     def __init__(self, model: tuple[int, int, int]):
         f = field_for(model)
@@ -109,13 +141,11 @@ class HessianKernel:
         self.at_zero = int((chi * chi[f.np_mul(f.np_add(cubes, 4), minus_third)]).sum())
         B = f.np_add(f.np_pow(ws, 2), f.np_mul(cubes, minus_third))
         # phi(w + 1) = 0 masks the w = -1 term, which is u = -d
-        weight = chi[f.np_add(ws, 1)]
-        self.on_zero = int(weight[B == 0].sum()) * int(chi[c])
-        cols = np.flatnonzero((B != 0) & (weight != 0))
-        self.log_B = f.dlog_np[B[cols]].astype(np.min_scalar_type(f.q - 2))
-        self.weight, self.table = weight[cols], chi[f.np_add(f.exp_np, c)]
-        for table in (self.log_B, self.weight, self.table):
-            table.flags.writeable = False
+        weight, roots = chi[f.np_add(ws, 1)], B == 0
+        F = np.bincount(f.dlog_np[B[~roots]], weight[~roots], minlength=f.q - 1)
+        on_zero = int(weight[roots].sum()) * int(chi[c])
+        self.at_shift = cyclic_correlation(F, chi[f.np_add(f.exp_np[: f.q - 1], c)]) + on_zero
+        self.at_shift.flags.writeable = False
 
 
 # keyed by the field's model, beside field_cubes; the kernel holds no field
@@ -131,21 +161,15 @@ def hessian_counts(f: FqField, d: np.ndarray) -> np.ndarray:
     plus S(d) = sum_u phi(u + d) phi(d u^2 - (u^3 + 4)/3), whose u = -d term is 0.
     S(0) is summed as it stands.  For d != 0, u = d w gives
     S(d) = phi(d) sum_w phi(w + 1) phi(d^3 B(w) + c), B(w) = w^2 - w^3/3 and
-    c = -4/3.  Everything but d^3 is the field's ``hessian_kernel``, built once
-    per model: a row is dlog d^3 and one gather per (d, w) from its table of
-    phi(g^s + c), at s = dlog d^3 + dlog B(w).  In characteristic 3 it is
-    (x + y + 1)^3 = 0, q points."""
+    c = -4/3, which depends on d only through dlog d^3.  The field's
+    ``hessian_kernel`` holds that sum at every dlog d^3, so a row is one gather.
+    In characteristic 3 it is (x + y + 1)^3 = 0, q points."""
     d = np.asarray(d, dtype=np.int64)
     if f.p == 3:
         return np.full(len(d), f.q, dtype=np.int64)
     kern = hessian_kernel(f.model)
-    log_D = 3 * f.dlog_np[d] % (f.q - 1)
-
-    def chunk_sum(lo, hi):
-        return (kern.table[log_D[lo:hi, None] + kern.log_B] * kern.weight).sum(axis=1)
-
-    sums = row_chunks(len(d), len(kern.log_B), COUNT_ELEMENTS, chunk_sum)
-    return f.q - 1 + np.where(d == 0, kern.at_zero, f.np_phi(d) * (sums + kern.on_zero))
+    shifted = kern.at_shift[3 * f.dlog_np[d] % (f.q - 1)]
+    return f.q - 1 + np.where(d == 0, kern.at_zero, f.np_phi(d) * shifted)
 
 
 def count_weierstrass(E: WeierstrassCurve) -> CurveCount:

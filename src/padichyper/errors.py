@@ -22,7 +22,9 @@ class ZeroArgument(PadicHyperError):
 
 
 class PrecisionExhausted(PadicHyperError):
-    """Renormalization consumed every tracked digit; raise K and retry."""
+    """Renormalization consumed every tracked digit; raise K and retry.  Also
+    raised by ``curves.cyclic_correlation`` when float64 cannot prove its
+    rounding exact."""
 
 
 class CompositeP(PadicHyperError):

@@ -20,8 +20,9 @@ Weierstrass model (m, n), twisted by n; COR2 rewrites that trace side by BS1
 at (m, n), as the branch side times phi(n).  BS1 compares the untwisted
 trace side with the branch side.  MC and HESSIAN recover one side as an
 integer, one ``recover_rows`` call per row, and compare it with a point
-count, one character sum per row (``weierstrass_traces``,
-``hessian_counts``).
+count: one character sum per row of curves (``weierstrass_traces``), or
+one gather per row from the field's Hessian sums, a single FFT
+correlation per field (``hessian_counts``).
 
 The transformation identities are implemented in the form that the
 enumeration cross-checks force: the Weierstrass model bridged to the Hessian
@@ -562,7 +563,8 @@ class _SuiteRun:
         drawing every position reads ``GProfile.qg_table``; any other row, and
         MC's draw, makes one batched sum over its distinct points.  That is
         the break-even, not a setting: a table costs about 145 batched points
-        at q = 121 and 270 at q = 9,973 (1.1 s), and took 39.5 s in-process at
+        at q = 121 and 270 at q = 9,973.  In-process on a 2-core machine, the
+        table of [1/2,1/2;1/6,5/6] took 0.6 s at q = 9,973 and 24-27 s at
         q = 99,991.
         """
         n = self.spec.sample

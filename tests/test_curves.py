@@ -14,14 +14,16 @@ from padichyper.curves import (
     check_count_relation,
     count_hessian,
     count_weierstrass,
+    cyclic_correlation,
     hessian_bridge,
     hessian_counts,
     hessian_kernel,
     j_invariant,
     weierstrass_traces,
 )
-from padichyper.errors import PreconditionFailed, SingularCurve, SingularHessian
-from padichyper.fields import FqField, build_field, field_cubes, phi
+from padichyper.errors import PrecisionExhausted, PreconditionFailed, SingularCurve, SingularHessian
+from padichyper.fields import FqField, build_field, field_cubes, phi, row_chunks
+from padichyper.padic import is_prime
 from padichyper.verify import verify_mc
 
 
@@ -88,25 +90,59 @@ def count_hessian_grid(C: HessianCurve, f: FqField) -> int:
 
 
 def oracle_hessian_kernel(f: FqField) -> tuple:
-    """The parts of ``hessian_kernel`` (log_B, weight, table, at_zero,
-    on_zero) by scalar field arithmetic, element by element: the quadratic
-    character by Euler's criterion, discrete logs by stepping through the
-    powers of the generator."""
+    """``hessian_kernel``'s (at_shift, at_zero) by scalar field arithmetic,
+    element by element: the quadratic character by Euler's criterion,
+    discrete logs by stepping through the powers of the generator, and each
+    shift's sum term by term."""
 
     def chi(x):
         return 0 if x.is_zero else 1 if x ** ((f.q - 1) // 2) == f.one else -1
 
     powers = [f.one]
-    for _ in range(2 * (f.q - 1) - 1):
+    for _ in range(f.q - 2):
         powers.append(powers[-1] * f.generator)
-    log = {x.idx: s for s, x in enumerate(powers[: f.q - 1])}
+    log = {x.idx: s for s, x in enumerate(powers)}
     third, elements = f.one / f.element(3), [f.from_index(i) for i in range(f.q)]
     c = -(4 * third)
     B = [w * w - w**3 * third for w in elements]
-    kept = [(log[b.idx], chi(w + 1)) for w, b in zip(elements, B) if not b.is_zero and chi(w + 1)]
-    at_zero = sum(chi(u) * chi(-((u**3 + 4) * third)) for u in elements)
+    kept = [(log[b.idx], chi(w + 1)) for w, b in zip(elements, B) if not b.is_zero]
     on_zero = chi(c) * sum(chi(w + 1) for w, b in zip(elements, B) if b.is_zero)
-    return [k for k, _ in kept], [w for _, w in kept], [chi(x + c) for x in powers], at_zero, on_zero
+    shifted, n = [chi(x + c) for x in powers], f.q - 1
+    at_shift = [sum(weight * shifted[(s + k) % n] for k, weight in kept) + on_zero for s in range(n)]
+    at_zero = sum(chi(u) * chi(-((u**3 + 4) * third)) for u in elements)
+    return at_shift, at_zero
+
+
+def oracle_hessian_gather(f: FqField, d: np.ndarray) -> np.ndarray:
+    """Oracle: ``hessian_counts`` with each S(d) summed on its own, one int8
+    gather per (d, w) from the table phi(g^s + c), s < 2(q - 1), at
+    s = dlog d^3 + dlog B(w), in chunks of 2^16 (d, w) terms; no transform."""
+    d = np.asarray(d, dtype=np.int64)
+    if f.p == 3:
+        return np.full(len(d), f.q, dtype=np.int64)
+    ws, cubes = field_cubes(f.model)
+    chi, minus_third = f.phi_np, (f.element(-1) / f.element(3)).idx
+    c = f.np_mul(4, minus_third)
+    at_zero = int((chi * chi[f.np_mul(f.np_add(cubes, 4), minus_third)]).sum())
+    B = f.np_add(f.np_pow(ws, 2), f.np_mul(cubes, minus_third))
+    weight = chi[f.np_add(ws, 1)]
+    on_zero = int(weight[B == 0].sum()) * int(chi[c])
+    cols = np.flatnonzero((B != 0) & (weight != 0))
+    log_B = f.dlog_np[B[cols]].astype(np.min_scalar_type(f.q - 2))
+    weight, table = weight[cols], chi[f.np_add(f.exp_np, c)]
+    log_D = 3 * f.dlog_np[d] % (f.q - 1)
+
+    def chunk_sum(lo, hi):
+        return (table[log_D[lo:hi, None] + log_B] * weight).sum(axis=1)
+
+    sums = row_chunks(len(d), len(log_B), 2**16, chunk_sum)
+    return f.q - 1 + np.where(d == 0, at_zero, f.np_phi(d) * (sums + on_zero))
+
+
+def smooth_d(f: FqField) -> np.ndarray:
+    """Every d with d^3 != 1, as an index array."""
+    d = np.arange(f.q, dtype=np.int64)
+    return d[f.np_pow(d, 3) != 1]
 
 
 def smooth_hessians(f: FqField):
@@ -266,24 +302,35 @@ class TestCountKernels:
         expected = weierstrass_oracle_traces(f)
         a, b = np.array(sorted(expected), dtype=np.int64).T
         traces = [expected[ab] for ab in zip(a.tolist(), b.tolist())]
-        hessians = list(smooth_hessians(f))
-        d = np.array([C.d.idx for C in hessians])
-        counts = [count_hessian_grid(C, f) for C in hessians]
-        # the last chunk puts the Weierstrass row just above one chunk: two
+        # the last chunk puts the row just above one chunk: two
         for chunk in (1, f.q - 1, f.q, 2 * f.q + 1, 3 * f.q - 1, 7 * f.q + 3, len(a) * f.q - 1):
             monkeypatch.setattr(curves, "COUNT_ELEMENTS", chunk)
             assert weierstrass_traces(f, a, b).tolist() == traces, chunk
-            assert hessian_counts(f, d).tolist() == counts, chunk
 
     @pytest.mark.parametrize("p,r", [(9973, 1), (101, 2)])
     def test_seeded_d_on_large_fields(self, p, r):
-        # seven d, whose last one falls in a second chunk of the row; the grid
-        # oracle evaluates q^2 ~ 10^8 cells a d at this size, so it checks that one
+        # seven d against the gather oracle; the grid oracle evaluates
+        # q^2 ~ 10^8 cells a d at this size, so it checks the last one
         f = build_field(p, r)
         hessians = [HessianCurve(f.from_index(i)) for i in random.Random(p).sample(range(f.q), 7)]
-        counts = hessian_counts(f, np.array([C.d.idx for C in hessians])).tolist()
-        assert counts == [count_hessian(C) for C in hessians]
+        d = np.array([C.d.idx for C in hessians])
+        counts = hessian_counts(f, d).tolist()
+        assert counts == [count_hessian(C) for C in hessians] == oracle_hessian_gather(f, d).tolist()
         assert counts[-1] == count_hessian_grid(hessians[-1], f)
+
+    @pytest.mark.parametrize("r,pmax", [(1, 2500), (2, 50), (3, 13)])
+    def test_every_d_matches_the_gather_oracle(self, r, pmax):
+        # every field with q <= 2,500 and r <= 3, characteristic 3 included
+        for p in filter(is_prime, range(3, pmax + 1)):
+            f = build_field(p, r)
+            d = smooth_d(f)
+            assert np.array_equal(hessian_counts(f, d), oracle_hessian_gather(f, d)), (p, r)
+
+    @pytest.mark.parametrize("p,r", [(9973, 1), (101, 2)])
+    def test_every_d_of_a_large_field_matches_the_gather_oracle(self, p, r):
+        f = build_field(p, r)
+        d = smooth_d(f)
+        assert np.array_equal(hessian_counts(f, d), oracle_hessian_gather(f, d))
 
     @pytest.mark.parametrize("p,r", [(11, 1), (5, 2)])
     def test_cubes_are_kept_once_per_model(self, p, r):
@@ -306,10 +353,8 @@ class TestCountKernels:
         kernels = [hessian_kernel(model) for model in models]
         for model, kern in zip(models, kernels):
             f = build_field(*model)
-            got = (kern.log_B.tolist(), kern.weight.tolist(), kern.table.tolist(), kern.at_zero, kern.on_zero)
-            assert got == oracle_hessian_kernel(f), model
-            assert kern.log_B.dtype == np.min_scalar_type(f.q - 2)
-            assert kern.weight.dtype == kern.table.dtype == np.int8
+            assert (kern.at_shift.tolist(), kern.at_zero) == oracle_hessian_kernel(f), model
+            assert kern.at_shift.dtype == np.int64
             hessians = list(smooth_hessians(f))
             counts = hessian_counts(f, np.array([C.d.idx for C in hessians])).tolist()
             assert counts == [count_hessian_grid(C, f) for C in hessians], model
@@ -338,6 +383,38 @@ class TestCountKernels:
         monkeypatch.setattr(f, "np_phi", lambda arr: np.ones_like(arr))
         with pytest.raises(AssertionError, match="Hasse bound"):
             weierstrass_traces(f, np.array([1, 2]), np.array([1, 1]))
+
+
+class TestCyclicCorrelation:
+    """``cyclic_correlation`` against a plain Python sum, and its two typed
+    failures: an a priori FFT error bound that is not below 1/4, and a
+    computed value that is not within 1/4 of an integer."""
+
+    @staticmethod
+    def plain(a, b):
+        n = len(a)
+        return [sum(a[k] * b[(k + s) % n] for k in range(n)) for s in range(n)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 12, 60, 97, 256])
+    def test_matches_the_plain_sum(self, n):
+        rng = random.Random(n)
+        for bound in (1, 9, 1000):
+            a = [rng.randint(-bound, bound) for _ in range(n)]
+            b = [rng.randint(-bound, bound) for _ in range(n)]
+            c = cyclic_correlation(np.array(a), np.array(b))
+            assert c.dtype == np.int64 and c.tolist() == self.plain(a, b), (n, bound)
+
+    def test_operands_past_the_bound_raise(self):
+        rng = np.random.default_rng(0)
+        a, b = (rng.integers(-(10**6), 10**6, size=10**6, endpoint=True) for _ in range(2))
+        with pytest.raises(PrecisionExhausted, match="error bound"):
+            cyclic_correlation(a, b)
+
+    def test_a_non_integer_operand_raises(self):
+        a, b = np.array([3, -1, 2, 0, 5]), np.array([1, 2, -1, 1, -2])
+        cyclic_correlation(a, b)
+        with pytest.raises(PrecisionExhausted, match="from an integer"):
+            cyclic_correlation(np.where(np.arange(5) == 2, 0.5, a), b)
 
 
 class TestBridge:

@@ -800,9 +800,7 @@ class TestSharedTablesAreReadOnly:
             "column": prof.column,
             "xs": field_cubes(field.model)[0],
             "cubes": field_cubes(field.model)[1],
-            "log_B": hessian_kernel(field.model).log_B,
-            "weight": hessian_kernel(field.model).weight,
-            "table": hessian_kernel(field.model).table,
+            "at_shift": hessian_kernel(field.model).at_shift,
         }
         if r > 1:
             tables["zech_np"] = field.zech_np

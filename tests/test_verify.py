@@ -929,8 +929,10 @@ class TestColdPath:
 
     def test_other_plans_import_no_numpy_module_but_fft(self):
         """lemma31, lemma5, eq29 and ortho load no such module either; gauss
-        loads only ``numpy.fft``, which its FFT Gauss-sum tables use.  Each
-        plan's sweep is charged with the modules it loads first."""
+        may load only ``numpy.fft``, which its FFT Gauss-sum tables use, and
+        which ``import padichyper`` already loads for the Hessian counts'
+        correlation.  Each plan's sweep is charged with the modules it loads
+        first."""
         code = (
             "import sys\n"
             "import padichyper\n"
