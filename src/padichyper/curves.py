@@ -7,8 +7,7 @@ traces are summed for a whole row of curves at once (``weierstrass_traces``),
 cut by ``fields.row_chunks`` into chunks of at most ``COUNT_ELEMENTS``
 (curve, element) pairs, read at each call.  The Hessian sum depends on d
 only through dlog d^3, so ``hessian_kernel`` holds it at every dlog d^3 of
-the field, from one ``cyclic_correlation`` (real FFTs whose rounding is
-proved exact, or a ``PrecisionExhausted``), and a row (``hessian_counts``)
+the field, from one ``fields.cyclic_correlation``, and a row (``hessian_counts``)
 is one gather.  ``count_weierstrass`` and ``count_hessian`` are rows of one.
 What does not depend on the curve is built once per field model and kept
 read-only: x and x^3 (``field_cubes``) for both, and the Hessian kernel.
@@ -18,15 +17,13 @@ the test suite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.fft import irfft, rfft
 
-from .errors import PrecisionExhausted, SingularCurve, SingularHessian
-from .fields import FqElement, FqField, field_cubes, field_for, phi, row_chunks
+from .errors import SingularCurve, SingularHessian
+from .fields import FqElement, FqField, cyclic_correlation, field_cubes, field_for, phi, row_chunks
 
 
 @dataclass(frozen=True)
@@ -95,35 +92,6 @@ def weierstrass_traces(f: FqField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return traces
 
 
-def cyclic_correlation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """c[s] = sum_k a[k] b[(k + s) mod n] for 1-D integer arrays of one length
-    n, as int64: irfft(conj(rfft(a)) rfft(b)), rounded.  Higham (Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., Thm 24.2) bounds the relative
-    2-norm error of a computed length-n transform by e = L eta / (1 - L eta),
-    with L = ceil(log2 n) levels, eta = mu + gamma_4 (sqrt 2 + mu), and mu
-    the twiddle factors' relative error.  mu is taken as 64u, u = 2^-53, over
-    twice the largest error of numpy 2.4's transform of a unit vector, whose
-    values are the twiddles: 27.5u over 174 lengths up to 10^6, smooth ones
-    and Bluestein's.  Two forward transforms, the product and the inverse
-    then leave each c[s] within sqrt(n) |a|_2 |b|_2 (3e + 3u).  Raises
-    PrecisionExhausted, before any transform, if that bound is not below
-    1/4, and after it if some computed c[s] is not within 1/4 of an integer."""
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    n, levels, u = len(a), (len(a) - 1).bit_length(), 2.0**-53
-    mu = 64 * u
-    eta = mu + 4 * u / (1 - 4 * u) * (math.sqrt(2) + mu)
-    e = levels * eta / (1 - levels * eta)
-    bound = math.sqrt(n) * np.linalg.norm(a) * np.linalg.norm(b) * (3 * e + 3 * u)
-    if not bound < 0.25:
-        raise PrecisionExhausted(f"a length-{n} correlation's FFT error bound is {bound:.3g}, not below 1/4")
-    c = irfft(np.conj(rfft(a)) * rfft(b), n)
-    rounded = np.rint(c)
-    off = np.abs(c - rounded).max()
-    if not off < 0.25:
-        raise PrecisionExhausted(f"a length-{n} correlation is {off:.3g} from an integer")
-    return rounded.astype(np.int64)
-
-
 class HessianKernel:
     """The field-only part of ``hessian_counts`` for the field of ``model``
     (p != 3); it holds no field.  ``at_zero`` is S(0).  With B(w) = w^2 -
@@ -144,7 +112,7 @@ class HessianKernel:
         weight, roots = chi[f.np_add(ws, 1)], B == 0
         F = np.bincount(f.dlog_np[B[~roots]], weight[~roots], minlength=f.q - 1)
         on_zero = int(weight[roots].sum()) * int(chi[c])
-        self.at_shift = cyclic_correlation(F, chi[f.np_add(f.exp_np[: f.q - 1], c)]) + on_zero
+        self.at_shift = cyclic_correlation(F, chi[f.np_add(f.exp_np[: f.q - 1], c)], f.q - 1) + on_zero
         self.at_shift.flags.writeable = False
 
 

@@ -22,9 +22,8 @@ class ZeroArgument(PadicHyperError):
 
 
 class PrecisionExhausted(PadicHyperError):
-    """Renormalization consumed every tracked digit; raise K and retry.  Also
-    raised by ``curves.cyclic_correlation`` when float64 cannot prove its
-    rounding exact."""
+    """Renormalization consumed every tracked digit (raise K and retry), or
+    ``fields.cyclic_correlation`` cannot prove its float64 rounding exact."""
 
 
 class CompositeP(PadicHyperError):

@@ -30,8 +30,9 @@ from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
+from numpy.fft import irfft, rfft
 
-from .errors import CompositeP, FieldTooLarge, ZeroArgument
+from .errors import CompositeP, FieldTooLarge, PrecisionExhausted, ZeroArgument
 from .padic import (
     UnramifiedContext,
     _poly_mulmod,
@@ -357,6 +358,37 @@ def residue_dtype(modulus: int):
     int64 while p^K < 2^31, so a product of two stays below 2^62, else
     Python ints."""
     return np.int64 if modulus < 2**31 else object
+
+
+def fft_bound(n: int, norms: float) -> float:
+    """Higham's bound (Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    Thm 24.2) on each value's error in a length-n correlation by real FFTs of
+    operands whose 2-norms multiply to ``norms``: sqrt(n) norms (3e + 3u), for
+    e = L eta / (1 - L eta), L = ceil(log2 n), eta = mu + gamma_4 (sqrt 2 + mu),
+    u = 2^-53, and mu = 64u, over twice the twiddles' worst error in numpy 2.4
+    (27.5u over 174 lengths up to 10^6, smooth ones and Bluestein's)."""
+    levels, u = (n - 1).bit_length(), 2.0**-53
+    eta = 64 * u + 4 * u / (1 - 4 * u) * (math.sqrt(2) + 64 * u)
+    e = levels * eta / (1 - levels * eta)
+    return math.sqrt(n) * norms * (3 * e + 3 * u)
+
+
+def cyclic_correlation(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """c[..., s] = sum_k a[..., k] b[..., (k + s) mod n] along the last axis of
+    integer stacks that broadcast, zero-padded to length n, as int64, by real
+    FFTs.  PrecisionExhausted unless ``fft_bound`` of the largest pair's
+    |a|_2 |b|_2 is below 1/4 (checked first) and every computed value is
+    within 1/4 of an integer."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    bound = fft_bound(n, np.max(np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1)))
+    if not bound < 0.25:
+        raise PrecisionExhausted(f"a length-{n} correlation's FFT error bound is {bound:.3g}, not below 1/4")
+    c = irfft(np.conj(rfft(a, n)) * rfft(b, n), n)
+    rounded = np.rint(c)
+    off = np.abs(np.subtract(c, rounded, out=c), out=c).max()
+    if not off < 0.25:
+        raise PrecisionExhausted(f"a length-{n} correlation is {off:.3g} from an integer")
+    return rounded.astype(np.int64)
 
 
 @lru_cache(maxsize=64)

@@ -21,7 +21,7 @@ ring multiplies; ``eval_qg`` and ``g_eval`` call it with one point.
 
 ``GProfile.qg_table``, kept with its profile, gives q*G at every t of a field
 at once: a chirp-z transform with triangular exponents, whose one correlation
-is one big-int product by Kronecker substitution.  The verification suite
+is of digit planes by ``fields.cyclic_correlation``.  The verification suite
 reads it only in a row that visits every point of its field, and sums the
 points of any other row in one batch (``verify._SuiteRun.sampled`` states
 the rule).
@@ -48,6 +48,8 @@ from .fields import (
     FqElement,
     FqField,
     check_context,
+    cyclic_correlation,
+    fft_bound,
     poly_mul_rows,
     poly_reduce_rows,
     residue_dtype,
@@ -249,7 +251,7 @@ class GProfile:
         sum_j col_j omega^(-js) = omega^Tri(s) sum_j (col_j omega^Tri(j)) omega^(-Tri(j+s)):
         a chirp-z transform with triangular exponents, which needs no root of
         unity of order 2(q-1), and one correlation of q-1 against 2q-3 Z_q
-        elements (``kronecker_correlation``).  Each output is reduced by the
+        elements (``digit_correlation``).  Each output is reduced by the
         lifted polynomial, twisted by omega^Tri(s) and scaled by p^(r + vmin)
         as in ``_sum``.
         """
@@ -260,7 +262,7 @@ class GProfile:
         n = np.arange(2 * q1 - 1, dtype=np.int64)
         tri = n * (n - 1) // 2 % q1
         chirp = powers[tri[:q1]]
-        corr = kronecker_correlation(self.column * chirp % m, powers[-tri % q1], m)
+        corr = digit_correlation(self.column * chirp % m, powers[-tri % q1], m)
         table = poly_mul_rows(poly_reduce_rows(corr, uctx.poly, m), chirp, uctx.poly, m)
         if shift:
             table = table * pow(uctx.p, shift, m) % m
@@ -301,39 +303,38 @@ class GProfile:
 profile_for = lru_cache(maxsize=256)(GProfile)
 
 
-def kronecker_correlation(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """c[s] = sum_j a[j] b[j + s] mod m for s in [0, len(b) - len(a)], by
-    one big-int product.  Rows of ``a`` and ``b`` are r residues mod m,
-    multiplied as polynomials, so each c[s] has 2r - 1 coefficients, not
-    yet reduced by a defining polynomial.
+def digit_width(na: int, n: int) -> int:
+    """The widest k whose all-ones k-bit planes of lengths na and n pass ``fft_bound``."""
+    k = 1
+    while fft_bound(n, math.sqrt(na * (2 ** (k + 1) - 1) ** 2) * math.sqrt(n * (2 ** (k + 1) - 1) ** 2)) < 0.25:
+        k += 1
+    return k
 
-    Kronecker substitution: a row takes 2r - 1 slots of whole 64-bit words,
-    at least 2 bitlen(m) + bitlen(len(a) r) + 1 bits, and ``a`` is packed
-    in reverse, so slot block len(a) - 1 + s of the product is c[s].  A slot
-    sums at most len(a) r products below m^2, so it never carries into the
-    next one; the words unpack with ``np.frombuffer`` and fold into residues
-    in one loop, in uint64 while m < 2^31 and in Python ints above.
-    """
-    na, r = a.shape
-    nb, sub = b.shape[0], 2 * r - 1
-    w = -(-(2 * m.bit_length() + (na * r).bit_length() + 1) // 64)
-    res_words = -(-m.bit_length() // 64)
 
-    def pack(rows: np.ndarray) -> int:
-        words = np.zeros((rows.shape[0], sub, w), dtype="<u8")
-        for k in range(res_words):
-            words[:, :r, k] = rows if res_words == 1 else (rows >> 64 * k) % 2**64
-        return int.from_bytes(words.tobytes(), "little")
-
-    npos = na + nb - 1
-    buf = (pack(a[::-1]) * pack(b)).to_bytes(npos * sub * w * 8, "little")
-    words = np.frombuffer(buf, dtype="<u8").reshape(npos, sub, w)[na - 1 : nb]
-    if residue_dtype(m) is object:
-        words = words.astype(object)
-    out = np.zeros(words.shape[:2], dtype=words.dtype)
-    for k in range(w):  # below 2^31, word residues times 2^64k mod m stay below 2^62
-        out = (out + words[..., k] % m * pow(2, 64 * k, m)) % m
-    return out.astype(residue_dtype(m))
+def digit_correlation(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """c[s] = sum_j a[j] b[j + s] mod m, s in [0, len(b) - len(a)], rows of r
+    residues multiplied as polynomials (2r - 1 unreduced ``residue_dtype(m)``
+    coefficients).  Weight g of the D planes of k = ``digit_width`` bits, zero-padded
+    to n >= len(b) so no shift wraps, is one stacked correlation of the plane pairs
+    x + y = g and coordinate pairs, summed in int64; weights fold by Horner's rule
+    in 2^k mod m.  From n = 3 ``fft_bound`` exceeds 420u sqrt(n) |a|_2 |b|_2, so a
+    value, at most len(a) (2^k - 1)^2, is below 2^42, a weight's r D values sum
+    below 2^63 for m < 2^(2^21 / r), and int64 Horner multiplies residues < 2^31."""
+    (na, r), n = a.shape, len(b)
+    while pow(30, n.bit_length(), n):  # numpy transforms 5-smooth lengths fastest
+        n += 1
+    k = digit_width(na, n)
+    digits = -(-(m - 1).bit_length() // k)
+    A, B = (np.stack([rows.T >> k * x & 2**k - 1 for x in range(digits)]).astype(float) for rows in (a, b))
+    out = np.zeros((len(b) - na + 1, 2 * r - 1), dtype=residue_dtype(m))
+    for g in range(2 * digits - 2, -1, -1):
+        xs = np.arange(max(0, g - digits + 1), min(g, digits - 1) + 1)
+        pairs = cyclic_correlation(A[xs, :, None], B[g - xs, None, :], n)[..., : len(out)].sum(axis=0)
+        group = np.zeros((2 * r - 1, len(out)), dtype=np.int64)
+        for i in range(r):
+            group[i : i + r] += pairs[i]
+        out = (out * pow(2, k, m) + group.T.astype(out.dtype) % m) % m
+    return out
 
 
 def g_term(inst: GInstance, j: int) -> PadicNumber:

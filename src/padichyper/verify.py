@@ -562,10 +562,10 @@ class _SuiteRun:
         ``random.sample`` of the argument list itself would pick.  A row
         drawing every position reads ``GProfile.qg_table``; any other row, and
         MC's draw, makes one batched sum over its distinct points.  That is
-        the break-even, not a setting: a table costs about 145 batched points
-        at q = 121 and 270 at q = 9,973.  In-process on a 2-core machine, the
-        table of [1/2,1/2;1/6,5/6] took 0.6 s at q = 9,973 and 24-27 s at
-        q = 99,991.
+        the break-even, not a setting: a table costs about 97 batched points
+        at q = 121 and 43 at q = 9,973.  In-process on a 2-core machine, the
+        table of [1/2,1/2;1/6,5/6] took 0.13-0.2 s at q = 9,973 and 3.3-4.2 s
+        at q = 99,991.
         """
         n = self.spec.sample
         self.full = n is None or size <= n

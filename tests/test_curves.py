@@ -14,7 +14,6 @@ from padichyper.curves import (
     check_count_relation,
     count_hessian,
     count_weierstrass,
-    cyclic_correlation,
     hessian_bridge,
     hessian_counts,
     hessian_kernel,
@@ -22,7 +21,7 @@ from padichyper.curves import (
     weierstrass_traces,
 )
 from padichyper.errors import PrecisionExhausted, PreconditionFailed, SingularCurve, SingularHessian
-from padichyper.fields import FqField, build_field, field_cubes, phi, row_chunks
+from padichyper.fields import FqField, build_field, cyclic_correlation, field_cubes, phi, row_chunks
 from padichyper.padic import is_prime
 from padichyper.verify import verify_mc
 
@@ -401,20 +400,43 @@ class TestCyclicCorrelation:
         for bound in (1, 9, 1000):
             a = [rng.randint(-bound, bound) for _ in range(n)]
             b = [rng.randint(-bound, bound) for _ in range(n)]
-            c = cyclic_correlation(np.array(a), np.array(b))
+            c = cyclic_correlation(np.array(a), np.array(b), n)
             assert c.dtype == np.int64 and c.tolist() == self.plain(a, b), (n, bound)
 
     def test_operands_past_the_bound_raise(self):
         rng = np.random.default_rng(0)
         a, b = (rng.integers(-(10**6), 10**6, size=10**6, endpoint=True) for _ in range(2))
         with pytest.raises(PrecisionExhausted, match="error bound"):
-            cyclic_correlation(a, b)
+            cyclic_correlation(a, b, 10**6)
+
+    def test_a_stack_equals_its_pairs(self):
+        # (3, 2, 1, 40) against (3, 1, 2, 60), both zero-padded to 64: 12
+        # pairs, each transformed as a stack and alone
+        rng = np.random.default_rng(7)
+        a = rng.integers(-50, 50, size=(3, 2, 1, 40), endpoint=True)
+        b = rng.integers(-50, 50, size=(3, 1, 2, 60), endpoint=True)
+        got = cyclic_correlation(a, b, 64)
+        assert got.shape == (3, 2, 2, 64) and got.dtype == np.int64
+        for s, i, l in np.ndindex(3, 2, 2):
+            pair = cyclic_correlation(a[s, i, 0], b[s, 0, l], 64)
+            plain = self.plain(a[s, i, 0].tolist() + [0] * 24, b[s, 0, l].tolist() + [0] * 4)
+            assert got[s, i, l].tolist() == pair.tolist() == plain
+
+    def test_one_pair_past_the_bound_raises(self):
+        # the middle pair's norms are 2^40 each, the others' 2
+        a, b = np.ones((3, 4), dtype=np.int64), np.ones((3, 4), dtype=np.int64)
+        cyclic_correlation(a, b, 4)
+        a[1, 0] = b[1, 0] = 2**40
+        with pytest.raises(PrecisionExhausted, match="error bound"):
+            cyclic_correlation(a, b, 4)
+        with pytest.raises(PrecisionExhausted, match="error bound"):
+            cyclic_correlation(a[1], b[1], 4)
 
     def test_a_non_integer_operand_raises(self):
         a, b = np.array([3, -1, 2, 0, 5]), np.array([1, 2, -1, 1, -2])
-        cyclic_correlation(a, b)
+        cyclic_correlation(a, b, 5)
         with pytest.raises(PrecisionExhausted, match="from an integer"):
-            cyclic_correlation(np.where(np.arange(5) == 2, 0.5, a), b)
+            cyclic_correlation(np.where(np.arange(5) == 2, 0.5, a), b, 5)
 
 
 class TestBridge:

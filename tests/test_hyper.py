@@ -20,8 +20,11 @@ from padichyper.errors import (
     ZeroArgument,
 )
 from padichyper.fields import (
+    DEFAULT_MAX_Q,
     FqField,
     build_field,
+    cyclic_correlation,
+    fft_bound,
     field_cubes,
     field_for,
     phi,
@@ -38,10 +41,11 @@ from padichyper.hyper import (
     GInstance,
     GParams,
     GProfile,
+    digit_correlation,
+    digit_width,
     g_eval,
     g_term,
     gparams,
-    kronecker_correlation,
     profile_for,
     recover_integer,
     term_exponents,
@@ -598,10 +602,10 @@ class TestWholeFieldTable:
 
     @pytest.mark.parametrize("params", FAMILIES, ids=["qt", "hs", "ht", "hq"])
     def test_multiword_slots_at_q_1009(self, params):
-        # p^K = 1009^5 is near 2^50, so each slot takes two 64-bit words
+        # p^K = 1009^5 is near 2^50: Python-int residues of several digits
         field = build_field(1009, 1)
         uctx = uctx_for(field, default_precision(1009, 1))
-        assert 2 * uctx.modulus.bit_length() + (1008).bit_length() + 1 > 64
+        assert residue_dtype(uctx.modulus) is object and uctx.modulus.bit_length() > 2 * digit_width(1008, 2025)
         self.assert_rows_match(params, field, uctx, range(0, 1008, 21))
 
     def test_keyed_by_the_lift(self):
@@ -643,19 +647,19 @@ class TestWholeFieldTable:
             with pytest.raises(PrecisionExhausted):
                 prof.qg_table
 
-    # (m, r, len(a)): one-word slots; two words for int64 residues; two words
-    # for residues below 2^64; three words for two-word residues
+    # (m, r, len(a)): int64 residues of one digit and of several, Python-int
+    # residues below 2^64 and above it
     @pytest.mark.parametrize(
         "m,r,na",
         [(11**5, 1, 10), (5**8, 3, 124), (7**11, 1, 48), (7**11, 2, 48), (1009**5, 1, 1008), (9973**5, 1, 30)],
     )
     def test_slots_hold_the_largest_sums(self, m, r, na):
-        # every residue m - 1: a slot sums len(a) * r products of (m - 1)^2
+        # every residue m - 1, the largest, through every digit weight
         nb = 2 * na - 1
         dtype = np.int64 if m < 2**31 else object
         a = np.full((na, r), m - 1, dtype=dtype)
         b = np.full((nb, r), m - 1, dtype=dtype)
-        got = kronecker_correlation(a, b, m)
+        got = digit_correlation(a, b, m)
         per_d = [na * (min(d, 2 * r - 2 - d) + 1) * (m - 1) ** 2 % m for d in range(2 * r - 1)]
         assert got.shape == (na, 2 * r - 1) and got.dtype == dtype
         assert got.tolist() == [per_d] * na
@@ -664,7 +668,56 @@ class TestWholeFieldTable:
         na = min(na, 12)
         a = np.array([[rng.randrange(m) for _ in range(r)] for _ in range(na)], dtype=dtype)
         b = np.array([[rng.randrange(m) for _ in range(r)] for _ in range(2 * na + 3)], dtype=dtype)
-        assert kronecker_correlation(a, b, m).tolist() == oracle_correlation(a, b, m)
+        assert digit_correlation(a, b, m).tolist() == oracle_correlation(a, b, m)
+
+    # (len(a), digits): k = 15 bits in one digit, k = 13 in two (m = 2^26,
+    # int64 residues) and k = 15 in five (m = 2^75, Python ints); 2 len(a) - 1
+    # is 5-smooth, so the correlation's length is that of ``b``
+    @pytest.mark.parametrize("na,digits", [(41, 1), (313, 2), (63, 5)], ids=["one", "several", "pyint"])
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_every_digit_at_the_bound_s_worst_case(self, na, digits, r):
+        # m = 2^(k D), so every residue m - 1 is D digits 2^k - 1: all-ones
+        # planes, the largest norms the width allows
+        nb = 2 * na - 1
+        assert pow(30, nb.bit_length(), nb) == 0
+        m = 2 ** (digit_width(na, nb) * digits)
+        dtype = residue_dtype(m)
+        a = np.full((na, r), m - 1, dtype=dtype)
+        b = np.full((nb, r), m - 1, dtype=dtype)
+        per_d = [na * (min(d, 2 * r - 2 - d) + 1) * (m - 1) ** 2 % m for d in range(2 * r - 1)]
+        assert digit_correlation(a, b, m).tolist() == [per_d] * na
+        rng = random.Random(na * r)
+        a = np.array([[rng.randrange(m) for _ in range(r)] for _ in range(12)], dtype=dtype)
+        b = np.array([[rng.randrange(m) for _ in range(r)] for _ in range(27)], dtype=dtype)
+        assert digit_correlation(a, b, m).tolist() == oracle_correlation(a, b, m)
+
+    def test_every_admissible_field_s_width_passes_the_bound(self):
+        # for every q = p^r <= 100,000 (odd p, so r <= 10), the table's
+        # correlation of q - 1 against 2q - 3 rows, padded to the next
+        # 5-smooth length n: all-ones planes of k = digit_width bits pass
+        # the FFT bound and of k + 1 bits do not
+        def smooth(n):
+            for f in (2, 3, 5):
+                while n % f == 0:
+                    n //= f
+            return n == 1
+
+        qs = [p**r for p in range(3, DEFAULT_MAX_Q + 1, 2) if is_prime(p) for r in range(1, 11) if p**r <= DEFAULT_MAX_Q]
+        assert len(qs) == 9684 and max(r for r in range(1, 11) if 3**r <= DEFAULT_MAX_Q) == 10
+        for q in qs:
+            na, n = q - 1, 2 * q - 3
+            while not smooth(n):
+                n += 1
+            k = digit_width(na, n)
+            ones, wider = 2**k - 1, 2 ** (k + 1) - 1
+            assert fft_bound(n, math.sqrt(na * ones**2) * math.sqrt(n * ones**2)) < 0.25, q
+            assert not fft_bound(n, math.sqrt(na * wider**2) * math.sqrt(n * wider**2)) < 0.25, q
+            assert k >= 6, q
+        # and at the largest, q = 99,991, one correlation of all-ones planes
+        # runs exactly: its norms are the exact ones the bound above took
+        assert q == max(qs) == 99991 and (n, k) == (200000, 6)
+        got = cyclic_correlation(np.full(na, ones), np.full(n, ones), n)
+        assert (got == na * ones**2).all()
 
 
 class TestRecoverInteger:
